@@ -124,9 +124,6 @@ class Circuit:
     def node_ids(self) -> set[int]:
         return {n.id for n in self.neurons} | {g.id for g in self.gadgets}
 
-    def neuron_map(self) -> dict[int, NeuronSpec]:
-        return {n.id: n for n in self.neurons}
-
     def gadget_map(self) -> dict[int, NativeGadget]:
         return {g.id: g for g in self.gadgets}
 
@@ -185,6 +182,15 @@ class Circuit:
             if inj.neuron in joins:
                 violations.append(f"injection into join {inj.neuron} is not allowed")
 
+        # Synapses touching each join, gathered in one pass in canonical order.
+        sources: dict[int, dict[int, None]] = {j: {} for j in joins}
+        targets: dict[int, dict[int, None]] = {j: {} for j in joins}
+        for s in self.synapses:
+            if s.post in sources:
+                sources[s.post][s.pre] = None
+            if s.pre in targets:
+                targets[s.pre][s.post] = None
+
         for g in joins.values():
             n = len(g.inputs)
             if n < 2:
@@ -200,18 +206,16 @@ class Circuit:
             for node in (*g.inputs, *g.outputs):
                 if node not in known:
                     violations.append(f"join {g.id}: unknown line endpoint {node}")
-            in_pairs = {(s.pre, s.post) for s in self.synapses if s.post == g.id}
-            out_pairs = {(s.pre, s.post) for s in self.synapses if s.pre == g.id}
             for src in g.inputs:
-                if (src, g.id) not in in_pairs:
+                if src not in sources[g.id]:
                     violations.append(f"join {g.id}: line source {src} has no synapse")
-            for pre, _ in in_pairs:
+            for pre in sources[g.id]:
                 if pre not in g.inputs:
                     violations.append(f"join {g.id}: synapse from unlisted source {pre}")
             for dst in g.outputs:
-                if (g.id, dst) not in out_pairs:
+                if dst not in targets[g.id]:
                     violations.append(f"join {g.id}: line target {dst} has no synapse")
-            for _, post in out_pairs:
+            for post in targets[g.id]:
                 if post not in g.outputs:
                     violations.append(f"join {g.id}: synapse to unlisted target {post}")
 

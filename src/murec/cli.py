@@ -24,7 +24,7 @@ from .compiler import (
     run_diff,
     run_program,
 )
-from .engine import raster_csv, raster_jsonl
+from .engine import SimConfig, raster_csv, raster_jsonl
 from .errors import (
     ArityError,
     ConfigError,
@@ -34,17 +34,13 @@ from .errors import (
     UnboundPort,
     UnknownPort,
 )
-from .expr import FuelExhausted, Value, check_arity, eval_oracle, gen_expr, parse_program
-
-DEFAULT_BIG_M = 1_000_000_000
-DEFAULT_FUEL = 100_000
-DEFAULT_MAX_STEPS = 1_000_000
+from .expr import DEFAULT_FUEL, FuelExhausted, Value, check_arity, eval_oracle, gen_expr, parse_program
 
 
 def _env_big_m() -> int:
     raw = os.environ.get("MUREC_BIG_M")
     if raw is None:
-        return DEFAULT_BIG_M
+        return LoweringConfig.big_m
     try:
         return int(raw)
     except ValueError as exc:
@@ -250,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="circuit file to write (default <stem>.circuit.json)")
     p.add_argument("--big-m", type=int, default=_env_big_m(), help="separation constant")
     p.add_argument(
-        "--max-arg", type=int, default=1_000_000, help="largest argument the circuit must accept"
+        "--max-arg",
+        type=int,
+        default=LoweringConfig.max_arg_magnitude,
+        help="largest argument the circuit must accept",
     )
     p.add_argument(
         "--strict-primitive",
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="bind an input port (repeatable)",
     )
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
     p.add_argument("--raster", help="raster file to write (default <stem>.raster.<fmt>)")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--trace", help="also write every delivery to this CSV file")
@@ -290,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=5, help="argument tuples per expression")
     p.add_argument("--max-value", type=int, default=50, help="largest sampled argument")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
     p.add_argument("--big-m", type=int, default=_env_big_m())
-    p.add_argument("--max-arg", type=int, default=1_000_000)
+    p.add_argument("--max-arg", type=int, default=LoweringConfig.max_arg_magnitude)
     p.set_defaults(func=cmd_diff)
     return parser
 

@@ -36,6 +36,7 @@ from .errors import (
     UnknownPort,
 )
 from .expr import (
+    DEFAULT_FUEL,
     Compose,
     Const,
     FuelExhausted,
@@ -58,9 +59,6 @@ from .gadgets import (
     build_trigger_cell,
 )
 
-DEFAULT_BIG_M = 1_000_000_000
-DEFAULT_MAX_ARG = 1_000_000
-
 _CONVENTIONS = {
     "relay": "threshold 0, leak 0, unit-weight synapses for plain value routing",
     "zero_test": "threshold 0 fed by weight -1: spikes iff the tested natural is 0",
@@ -70,8 +68,8 @@ _CONVENTIONS = {
 
 @dataclass(frozen=True)
 class LoweringConfig:
-    big_m: int = DEFAULT_BIG_M
-    max_arg_magnitude: int = DEFAULT_MAX_ARG
+    big_m: int = SimConfig.big_m
+    max_arg_magnitude: int = 1_000_000
     strict_primitive: bool = False
 
 
@@ -496,7 +494,7 @@ def bind_args(
 def run_program(
     program: CompiledProgram,
     args: Union[list[int], tuple[int, ...], dict[str, int]],
-    max_steps: int = 1_000_000,
+    max_steps: int = SimConfig.max_steps,
     trace: bool = False,
     big_m: int | None = None,
 ) -> ProgramRun:
@@ -552,8 +550,8 @@ def run_diff(
     expr: RecExpr,
     program: CompiledProgram,
     cases: list[tuple[int, ...]],
-    fuel: int = 100_000,
-    max_steps: int = 1_000_000,
+    fuel: int = DEFAULT_FUEL,
+    max_steps: int = SimConfig.max_steps,
 ) -> DiffReport:
     """Compare the fueled interpreter against the compiled circuit, case by case.
 

@@ -31,23 +31,26 @@ import heapq
 import io
 import json
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
-from .circuit import Circuit, ConstEmit, Join
+from .circuit import Circuit, ConstEmit
 from .errors import EmptyQueue, InvalidCircuit, UnknownNeuron
 
 INT63_MAX = 2**62 - 1
 INT63_MIN = -(2**62)
 
+_NEURON, _CONST_EMIT, _JOIN = 0, 1, 2
+_TIME_NODE = itemgetter(0, 1)
 
-@dataclass(frozen=True)
-class SpikeEvent:
+
+class SpikeEvent(NamedTuple):
     time: int
     neuron: int
     value: int
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     time: int
     target: int
     source: int | None  # None for external injections
@@ -82,12 +85,16 @@ class RunOutcome:
         return self.status == "quiescent"
 
 
-class _FaultStop(Exception):
-    """Internal control flow: a fault ended the run mid-step."""
-
-
 class Engine:
-    """Single-owner stepper over one circuit run."""
+    """Single-owner stepper over one circuit run.
+
+    Node ids are dense (``validate()`` checks it), so per-node state lives in
+    lists indexed by id.  Pending work is one dict per timestep, on the heap
+    iff it exists: key ``j >= 0`` holds the ``(source, value)`` deliveries to
+    node ``j`` in arrival order, and key ``g - n_nodes`` marks a fire of const
+    emitter ``g``, so sorted keys give fires by id, then deliveries by target.
+    ``raster`` and ``trace`` hold plain tuples until :meth:`run` returns them.
+    """
 
     def __init__(
         self,
@@ -102,54 +109,50 @@ class Engine:
         self.config = config or SimConfig()
         self.clock = 0
         self.fault: Fault | None = None
-        self.raster: list[SpikeEvent] = []
-        self.trace: list[Delivery] | None = [] if self.config.trace else None
+        self.raster: list[tuple[int, int, int]] = []
+        self.trace: list[tuple[int, int, int | None, int]] | None = [] if self.config.trace else None
 
-        self._neurons = circuit.neuron_map()
-        self._gadgets = circuit.gadget_map()
-        self._out: dict[int, list[tuple[int, int, int]]] = {}
+        n = len(circuit.neurons) + len(circuit.gadgets)
+        self._kind = [_NEURON] * n
+        self._threshold = [0] * n
+        self._leak: list[float] = [float("inf")] * n  # INFINITE: retained forever
+        self._const = [0] * n
+        self._held = [0] * n  # a neuron's retained value ...
+        self._until: list[float] = [-1] * n  # ... live through this time
+        for spec in circuit.neurons:
+            self._threshold[spec.id] = spec.threshold
+            if spec.leak is not None:
+                self._leak[spec.id] = spec.leak
+        # Synapses are sorted by (pre, post), so each out-list is in post order.
+        self._out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for s in circuit.synapses:
-            self._out.setdefault(s.pre, []).append((s.post, s.weight, s.delay))
-        for lst in self._out.values():
-            lst.sort()
-        # join line bookkeeping: source id -> line index, plus per-target edge
-        self._join_line_index: dict[int, dict[int, int]] = {}
-        self._join_out_edge: dict[int, dict[int, tuple[int, int]]] = {}
+            self._out[s.pre].append((s.post, s.weight, s.delay + 1))
+        # A join's (source -> line index, per-line out-edge, buffered line values).
+        self._join: list[tuple[dict[int, int], list, dict[int, int]] | None] = [None] * n
         for g in circuit.gadgets:
-            if isinstance(g, Join):
-                self._join_line_index[g.id] = {src: m for m, src in enumerate(g.inputs)}
-                self._join_out_edge[g.id] = {
-                    post: (w, d) for (post, w, d) in self._out.get(g.id, [])
-                }
-        self._join_lines: dict[int, dict[int, int]] = {g.id: {} for g in circuit.gadgets if isinstance(g, Join)}
-
-        self._retained: dict[int, tuple[int, int]] = {}  # neuron -> (value, set_time)
-        self._deliveries: dict[int, dict[int, list[tuple[int | None, int]]]] = {}
-        self._ce_fires: dict[int, set[int]] = {}
+            if isinstance(g, ConstEmit):
+                self._kind[g.id] = _CONST_EMIT
+                self._const[g.id] = g.value
+            else:
+                self._kind[g.id] = _JOIN
+                edge_to = {edge[0]: edge for edge in self._out[g.id]}
+                line_of = {src: m for m, src in enumerate(g.inputs)}
+                self._join[g.id] = (line_of, [edge_to[dst] for dst in g.outputs], {})
+        self._pending: dict[int, dict[int, list[tuple[int | None, int]] | None]] = {}
         self._heap: list[int] = []
-        self._pending_times: set[int] = set()
-        self._ran = False
-
-        for inj in circuit.injections:
+        for inj in (*circuit.injections, *extra_injections):
             self.add_injection(inj.neuron, inj.value, inj.time)
-        for inj in extra_injections:
-            self.add_injection(inj.neuron, inj.value, inj.time)
-
-    # -- scheduling --------------------------------------------------------
-
-    def _push_time(self, t: int) -> None:
-        if t not in self._pending_times:
-            self._pending_times.add(t)
-            heapq.heappush(self._heap, t)
-
-    def _schedule(self, t: int, target: int, source: int | None, value: int) -> None:
-        self._deliveries.setdefault(t, {}).setdefault(target, []).append((source, value))
-        self._push_time(t)
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
-        if isinstance(self._gadgets.get(neuron), Join):
+        if not 0 <= neuron < len(self._kind):
+            raise UnknownNeuron(f"node {neuron} does not exist")
+        if self._kind[neuron] == _JOIN:
             raise InvalidCircuit([f"injection into join {neuron} is not allowed"])
-        self._schedule(time, neuron, None, value)
+        batch = self._pending.get(time)
+        if batch is None:
+            batch = self._pending[time] = {}
+            heapq.heappush(self._heap, time)
+        batch.setdefault(neuron, []).append((None, value))
 
     # -- inspection --------------------------------------------------------
 
@@ -158,140 +161,137 @@ class Engine:
 
     def inspect(self, neuron: int, at: int | None = None) -> int:
         """Retained state of a neuron with leak accounted at time ``at``."""
-        spec = self._neurons.get(neuron)
-        if spec is None:
+        if not 0 <= neuron < len(self._kind) or self._kind[neuron] != _NEURON:
             raise UnknownNeuron(f"node {neuron} is not a neuron")
-        stored = self._retained.get(neuron)
-        if stored is None:
-            return 0
-        value, t_set = stored
         when = self.clock if at is None else at
-        if spec.leak is None or when <= t_set + spec.leak:
-            return value
-        return 0
+        return self._held[neuron] if when <= self._until[neuron] else 0
 
     def join_lines(self, join_id: int) -> dict[int, int]:
         """Currently buffered values of a join, keyed by line index."""
-        return dict(self._join_lines[join_id])
-
-    # -- faults ------------------------------------------------------------
-
-    def _check(self, value: int, time: int, node: int) -> None:
-        if value > INT63_MAX or value < INT63_MIN:
-            self.fault = Fault("overflow", time, node, value)
-            raise _FaultStop
-        if abs(value) >= 2 * self.config.big_m:
-            self.fault = Fault("magnitude_breach", time, node, value)
-            raise _FaultStop
+        join = self._join[join_id] if 0 <= join_id < len(self._join) else None
+        if join is None:
+            raise KeyError(join_id)
+        return dict(join[2])
 
     # -- execution ---------------------------------------------------------
-
-    def _emit(self, t: int, node: int, value: int) -> None:
-        self.raster.append(SpikeEvent(time=t, neuron=node, value=value))
-        for post, weight, delay in self._out.get(node, ()):
-            product = weight * value
-            self._check(product, t, post)
-            self._schedule(t + delay + 1, post, node, product)
 
     def step(self) -> int:
         """Process the earliest pending timestep; return its time."""
         if not self._heap:
             raise EmptyQueue("no pending deliveries")
-        t = heapq.heappop(self._heap)
-        self._pending_times.discard(t)
-        self.clock = t
-        try:
-            self._process(t)
-        except _FaultStop:
-            pass
-        return t
-
-    def _process(self, t: int) -> None:
-        for gid in sorted(self._ce_fires.pop(t, ())):
-            gadget = self._gadgets[gid]
-            self.raster.append(SpikeEvent(time=t, neuron=gid, value=gadget.value))
-            for post, weight, delay in self._out.get(gid, ()):
-                product = weight * gadget.value
-                self._check(product, t, post)
-                self._schedule(t + delay + 1, post, gid, product)
-
-        batch = self._deliveries.pop(t, {})
-        for target in sorted(batch):
-            arrivals = batch[target]
-            if self.trace is not None:
-                for source, value in arrivals:
-                    self.trace.append(Delivery(time=t, target=target, source=source, value=value))
-            gadget = self._gadgets.get(target)
-            if gadget is None:
-                self._integrate_neuron(t, target, arrivals)
-            elif isinstance(gadget, ConstEmit):
-                self._ce_fires.setdefault(t + 1, set()).add(target)
-                self._push_time(t + 1)
-            else:
-                self._deliver_join(t, gadget, arrivals)
-
-    def _integrate_neuron(self, t: int, nid: int, arrivals: list[tuple[int | None, int]]) -> None:
-        spec = self._neurons[nid]
-        base = 0
-        stored = self._retained.get(nid)
-        if stored is not None:
-            value, t_set = stored
-            if spec.leak is None or t <= t_set + spec.leak:
-                base = value
-        v = base
-        for _, delivered in arrivals:
-            v += delivered
-        self._check(v, t, nid)
-        if v >= spec.threshold:
-            self._retained[nid] = (0, t)
-            self._emit(t, nid, v)
-        else:
-            self._retained[nid] = (v, t)
-
-    def _deliver_join(self, t: int, gadget: Join, arrivals: list[tuple[int | None, int]]) -> None:
-        lines = self._join_lines[gadget.id]
-        index = self._join_line_index[gadget.id]
-        per_source: dict[int, int] = {}
-        for source, value in arrivals:
-            # validate() guarantees every arrival comes from a listed line
-            per_source[index[source]] = per_source.get(index[source], 0) + value
-        for line, value in per_source.items():
-            self._check(value, t, gadget.id)
-            lines[line] = value  # a fresh batch overwrites a parked value
-        if len(lines) == len(gadget.inputs):
-            for m in range(len(gadget.inputs)):
-                value = lines[m]
-                self.raster.append(SpikeEvent(time=t, neuron=gadget.id, value=value))
-                weight, delay = self._join_out_edge[gadget.id][gadget.outputs[m]]
-                product = weight * value
-                self._check(product, t, gadget.outputs[m])
-                self._schedule(t + delay + 1, gadget.outputs[m], gadget.id, product)
-            lines.clear()
+        return self._advance(self._heap[0])
 
     def run(self) -> RunOutcome:
         """Run to quiescence, timeout, or fault."""
-        last = 0
-        while self._heap:
-            next_time = self._heap[0]
-            if next_time > self.config.max_steps:
-                return self._finish("timeout", self.config.max_steps)
-            last = self.step()
+        last = self._advance(self.config.max_steps)
+        if last is not None and self.fault is not None:
+            return self._finish("fault", last)
+        if self._heap:
+            return self._finish("timeout", self.config.max_steps)
+        return self._finish("quiescent", last or 0)
+
+    def _advance(self, horizon: int) -> int | None:
+        """Process pending timesteps up to ``horizon``; return the last one run.
+
+        A fault ends the step at once and the call after it; None: no step ran.
+        """
+        heap, pending = self._heap, self._pending
+        kind, threshold, leak, const = self._kind, self._threshold, self._leak, self._const
+        held, until, out, joins = self._held, self._until, self._out, self._join
+        record, trace = self.raster.append, self.trace
+        # lo <= v <= hi iff v passes both the overflow and the big-M check.
+        lo = max(INT63_MIN, 1 - 2 * self.config.big_m)
+        hi = min(INT63_MAX, 2 * self.config.big_m - 1)
+        n = len(kind)
+        heappush, heappop = heapq.heappush, heapq.heappop
+        t = None
+        while heap and heap[0] <= horizon:
+            t = heappop(heap)
+            self.clock = t
+            batch = pending.pop(t)
+            for key in sorted(batch):
+                if key < 0:
+                    node = key + n
+                    v = const[node]
+                else:
+                    node = key
+                    arrivals = batch[key]
+                    if trace is not None:
+                        trace.extend([(t, node, source, x) for source, x in arrivals])
+                    k = kind[node]
+                    if k == _NEURON:
+                        v = held[node] if t <= until[node] else 0
+                        for _, x in arrivals:
+                            v += x
+                        if not lo <= v <= hi:
+                            return self._stop(t, node, v)
+                        if v < threshold[node]:
+                            held[node] = v
+                            until[node] = t + leak[node]
+                            continue
+                        held[node] = 0
+                    elif k == _CONST_EMIT:
+                        nxt = pending.get(t + 1)
+                        if nxt is None:
+                            nxt = pending[t + 1] = {}
+                            heappush(heap, t + 1)
+                        nxt[key - n] = None
+                        continue
+                    else:
+                        # Join: a line keeps its latest batch's sum; once every
+                        # line holds a value, all flush along their own edges.
+                        line_of, edges, lines = joins[node]
+                        sums: dict[int, int] = {}
+                        for source, x in arrivals:
+                            m = line_of[source]
+                            sums[m] = sums.get(m, 0) + x
+                        for m, x in sums.items():
+                            if not lo <= x <= hi:
+                                return self._stop(t, node, x)
+                            lines[m] = x
+                        if len(lines) < len(edges):
+                            continue
+                        for m, (post, w, d1) in enumerate(edges):
+                            x = lines[m]
+                            record((t, node, x))
+                            p = w * x
+                            if not lo <= p <= hi:
+                                return self._stop(t, post, p)
+                            nxt = pending.get(t + d1)
+                            if nxt is None:
+                                nxt = pending[t + d1] = {}
+                                heappush(heap, t + d1)
+                            nxt.setdefault(post, []).append((node, p))
+                        lines.clear()
+                        continue
+                # A neuron spike or a const-emit fire: fan out along every edge.
+                record((t, node, v))
+                for post, w, d1 in out[node]:
+                    p = w * v
+                    if not lo <= p <= hi:
+                        return self._stop(t, post, p)
+                    nxt = pending.get(t + d1)
+                    if nxt is None:
+                        nxt = pending[t + d1] = {}
+                        heappush(heap, t + d1)
+                    nxt.setdefault(post, []).append((node, p))
             if self.fault is not None:
-                return self._finish("fault", last)
-        return self._finish("quiescent", last)
+                return t
+        return t
+
+    def _stop(self, time: int, node: int, value: int) -> int:
+        """Record the fault for a value outside the run's bound; overflow wins."""
+        kind = "magnitude_breach" if INT63_MIN <= value <= INT63_MAX else "overflow"
+        self.fault = Fault(kind, time, node, value)
+        return time
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:
-        self.raster.sort(key=lambda e: (e.time, e.neuron))
+        self.raster.sort(key=_TIME_NODE)
+        raster = list(map(SpikeEvent._make, self.raster))
         trace = None
         if self.trace is not None:
-            trace = sorted(self.trace, key=lambda d: (d.time, d.target))
-        return RunOutcome(
-            status=status,
-            final_clock=final_clock,
-            raster=list(self.raster),
-            fault=self.fault,
-            trace=trace,
-        )
+            trace = list(map(Delivery._make, sorted(self.trace, key=_TIME_NODE)))
+        return RunOutcome(status, final_clock, raster, self.fault, trace)
 
 
 def simulate(
@@ -323,13 +323,13 @@ def _raster_rows(circuit: Circuit, raster: list[SpikeEvent]) -> list[tuple[int, 
     for names in port_names.values():
         names.sort()
     rows = []
-    for event in sorted(raster, key=lambda e: (e.time, e.neuron)):
-        names = port_names.get(event.neuron)
+    for time, neuron, value in sorted(raster, key=_TIME_NODE):
+        names = port_names.get(neuron)
         if names:
             for name in names:
-                rows.append((event.time, event.neuron, event.value, name))
+                rows.append((time, neuron, value, name))
         else:
-            rows.append((event.time, event.neuron, event.value, ""))
+            rows.append((time, neuron, value, ""))
     return rows
 
 

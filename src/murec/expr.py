@@ -270,7 +270,10 @@ class _OutOfFuel(Exception):
     pass
 
 
-def eval_oracle(expr: RecExpr, args: list[int], fuel: int = 100_000) -> EvalResult:
+DEFAULT_FUEL = 100_000
+
+
+def eval_oracle(expr: RecExpr, args: list[int], fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Big-step fueled evaluation; the ground truth for differential testing."""
     if len(args) != check_arity(expr):
         raise ArityError(f"expected {check_arity(expr)} arguments, got {len(args)}")

@@ -12,12 +12,14 @@ from murec import (
     ConstEmit,
     DuplicatePortName,
     DuplicateSynapse,
+    Engine,
     Injection,
     InvalidCircuit,
     Join,
     NeuronSpec,
     ParseError,
     Port,
+    SimConfig,
     SynapseSpec,
     UnknownNeuron,
     circuit_from_document,
@@ -186,6 +188,41 @@ def test_validate_reports_join_line_synapse_mismatch():
     assert any("unlisted source 2" in v for v in violations)
 
 
+def test_validate_lists_join_violations_in_canonical_order():
+    # Join 6 over 0,1 -> 2,3 and join 7 over 2,3 -> 4,5, each missing line
+    # synapses and carrying unlisted ones.
+    c = Circuit(
+        neurons=[NeuronSpec(i, 0, 0) for i in range(6)],
+        synapses=[
+            SynapseSpec(0, 6, 1, 0),
+            SynapseSpec(5, 6, 1, 0),
+            SynapseSpec(4, 6, 1, 0),
+            SynapseSpec(6, 2, 1, 0),
+            SynapseSpec(6, 5, 1, 0),
+            SynapseSpec(6, 4, 1, 0),
+            SynapseSpec(2, 7, 1, 0),
+            SynapseSpec(3, 7, 1, 0),
+            SynapseSpec(0, 7, 1, 0),
+            SynapseSpec(7, 4, 1, 0),
+            SynapseSpec(7, 1, 1, 0),
+        ],
+        ports=[],
+        injections=[],
+        gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
+    )
+    assert c.validate() == [
+        "join 6: line source 1 has no synapse",
+        "join 6: synapse from unlisted source 4",
+        "join 6: synapse from unlisted source 5",
+        "join 6: line target 3 has no synapse",
+        "join 6: synapse to unlisted target 4",
+        "join 6: synapse to unlisted target 5",
+        "join 7: synapse from unlisted source 0",
+        "join 7: line target 5 has no synapse",
+        "join 7: synapse to unlisted target 1",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -289,12 +326,13 @@ def test_circuit_from_document_defaults_missing_sections_to_empty():
 
 
 # ---------------------------------------------------------------------------
-# property: any builder-made circuit round-trips byte-identically
+# properties over builder-made circuits
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def built_circuits(draw):
+    """A builder-made circuit with neurons, const emits and joins, plus a big_m to run it."""
     b = CircuitBuilder()
     n_nodes = draw(st.integers(min_value=1, max_value=8))
     ids = []
@@ -313,18 +351,52 @@ def built_circuits(draw):
             continue
         used.add((pre, post))
         b.add_synapse(pre, post, draw(st.integers(-9, 9)), draw(st.integers(0, 4)))
+    for _ in range(draw(st.integers(0, 2))):
+        n_lines = draw(st.integers(2, 3))
+        if len(ids) < n_lines:
+            break
+        lines = st.lists(st.sampled_from(ids), min_size=n_lines, max_size=n_lines, unique=True)
+        b.add_join(draw(lines), draw(lines))
     neuron_ids = [n.id for n in b._neurons]
     if neuron_ids and draw(st.booleans()):
         b.mark_port(draw(st.sampled_from(neuron_ids)), "output", "y")
     for _ in range(draw(st.integers(0, 3))):
         b.add_injection(draw(st.sampled_from(ids)), draw(st.integers(-9, 9)), draw(st.integers(0, 5)))
-    return b.build()
+    big_m = draw(st.sampled_from([3, 10, 40, 10**9]))  # small values make faults common
+    return b.build(), big_m
 
 
 @settings(max_examples=60, deadline=None)
 @given(built_circuits())
-def test_roundtrip_property(circuit):
+def test_roundtrip_property(drawn):
+    circuit, _ = drawn
     text = circuit.serialize()
     again = Circuit.deserialize(text)
     assert again == circuit
     assert again.serialize() == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_circuits(), st.integers(0, 6))
+def test_stepping_then_running_matches_one_run(drawn, k):
+    circuit, big_m = drawn
+    config = SimConfig(max_steps=40, big_m=big_m, trace=True)
+    whole = Engine(circuit, config).run()
+    stepped = Engine(circuit, config)
+    for _ in range(k):
+        next_time = stepped.peek_time()
+        if next_time is None or next_time > config.max_steps or stepped.fault is not None:
+            break
+        stepped.step()
+    if stepped.fault is not None:
+        # run() would take one more step past a recorded fault: compare at the fault.
+        assert whole.status == "fault" and stepped.fault == whole.fault
+        assert sorted(stepped.raster, key=lambda e: e[:2]) == whole.raster
+        return
+    rest = stepped.run()
+    assert (rest.status, rest.fault, rest.raster, rest.trace) == (
+        whole.status,
+        whole.fault,
+        whole.raster,
+        whole.trace,
+    )

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import ADD_REC, MONUS_REC
+import murec
 from murec import CircuitBuilder, CompiledProgram
 from murec.cli import main
 
@@ -276,6 +280,19 @@ def test_env_big_m_must_be_an_integer(add_rec, monkeypatch, capsys):
     monkeypatch.setenv("MUREC_BIG_M", "heaps")
     assert main(["compile", str(add_rec)]) == 2
     assert "MUREC_BIG_M" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(add_rec):
+    package_root = Path(murec.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "murec", "eval", str(add_rec), "4", "9"],
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "13"
 
 
 @pytest.mark.skipif(shutil.which("murec") is None, reason="console script not on PATH")

@@ -13,6 +13,7 @@ from murec import (
     Injection,
     SimConfig,
     SpikeEvent,
+    UnknownNeuron,
     port_spikes,
     raster_csv,
     raster_jsonl,
@@ -189,6 +190,24 @@ def test_step_and_peek_walk_the_event_times():
     assert engine.peek_time() is None
     with pytest.raises(EmptyQueue):
         engine.step()
+
+
+def test_out_of_range_node_ids_are_rejected_not_wrapped():
+    # The last node is a neuron and the one before it a join, so a negative id
+    # that wrapped around the per-node lists would silently reach either.
+    b = CircuitBuilder()
+    a, c, d1, d2 = (b.add_neuron(0) for _ in range(4))
+    b.add_join([a, c], [d1, d2])
+    last = b.add_neuron(0)
+    engine = Engine(b.build())
+    for bad in (-1, last + 1):
+        with pytest.raises(UnknownNeuron):
+            engine.add_injection(bad, 1, 0)
+        with pytest.raises(UnknownNeuron):
+            engine.inspect(bad)
+    with pytest.raises(KeyError):
+        engine.join_lines(-2)
+    assert engine.peek_time() is None
 
 
 def test_run_on_empty_plan_is_quiescent_at_zero():

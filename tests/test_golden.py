@@ -1,0 +1,87 @@
+"""Golden runs: byte-exact rasters and traces of fixed programs.
+
+Each case pins the sha256 of ``raster_csv`` and of the trace CSV that
+``murec run --trace`` writes, together with the run's status, final clock and
+fault record.  Any change to the engine's event order, timing or arithmetic
+shows up here as a changed digest.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from conftest import ADD, MU_MONUS, MUL, MONUS
+from murec import CompiledProgram, Fault, compile_program, raster_csv, run_program
+from murec.cli import main
+
+# name: (expr, args, run-time big_m override, max_steps override,
+#        status, final_clock, fault, exit code, raster sha256, trace sha256)
+GOLDEN = {
+    "add": (
+        ADD, (5, 3), None, None, "quiescent", 146, None, 0,
+        "9098386756b68ba94be06ed1d9c2b5f7b53ebf5c44f95d925252b56063581d67",
+        "75668cf31f3a4123cf15bc9cfe27f9765c9e8e7fb068f19e86f78c0e44b37cb6",
+    ),
+    "mul": (
+        MUL, (4, 3), None, None, "quiescent", 632, None, 0,
+        "62fe8a02846f5a439ea7295563595d0764cb6f60ebcad2a0d21eac0aa34eb392",
+        "728a78719a38df8fe713ed7ba198741dbf072e01e57d1f5b131ddaf62d08a988",
+    ),
+    "monus": (
+        MONUS, (3, 7), None, None, "quiescent", 486, None, 0,
+        "f63d8bbf12ec0af6c6ffd61c76bab8ab836d399b62cbf7228bd61c51a7335491",
+        "9d1ebdb4f8e0ae7fcd15032004242c7275611fa3d1ff24b3d1d23f7ad5746825",
+    ),
+    "mu_monus": (
+        MU_MONUS, (4,), None, None, "quiescent", 1078, None, 0,
+        "ee24420e5a1bca8e2da4e1617a3fddafe608e07e78a01b7d2c3d8439f05e02d2",
+        "cec0ef70a3bebb96e22c5428422edd2518202075fce7d06238ca445e7e81b1a7",
+    ),
+    # A run-time big_m just above half the compiled one: a trigger cell's
+    # stored big_m + v breaches 2 * big_m once v reaches 2.
+    "fault": (
+        MUL, (4, 3), 500_000_001, None, "fault", 24,
+        Fault("magnitude_breach", 24, 80, 1_000_000_003), 4,
+        "f4d92aa6fbe2781fc15ad2380519096bb61bf4225395ebb3ce6a17ce030f7856",
+        "3165c8e6def4e07b2fe96b723db99b31d70a72676b65f2feda742bdeb346c8ca",
+    ),
+    "timeout": (
+        MUL, (4, 3), None, 150, "timeout", 150, None, 3,
+        "f5bc0ca4d82ccec0177f5b65ba0c75021ed2f5bd8cf13485e6d7b5e9f4a7c809",
+        "4b01d2aa78ffbb63ea26e26e195aad5aec6f224b03314ef22e468dc7bb56d23d",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run_is_byte_identical(name, tmp_path, capsys):
+    expr, args, big_m, max_steps, status, clock, fault, code, raster_sha, trace_sha = GOLDEN[name]
+    doc = compile_program(expr).to_document()
+    if big_m is not None:
+        doc["meta"]["big_m"] = big_m
+    program = CompiledProgram.from_document(doc)
+    limits = {} if max_steps is None else {"max_steps": max_steps}
+
+    outcome = run_program(program, list(args), trace=True, **limits).outcome
+    assert (outcome.status, outcome.final_clock, outcome.fault) == (status, clock, fault)
+    assert _sha256(raster_csv(program.circuit, outcome.raster).encode()) == raster_sha
+
+    circuit_path = tmp_path / f"{name}.circuit.json"
+    circuit_path.write_text(json.dumps(doc))
+    raster_path = tmp_path / "raster.csv"
+    trace_path = tmp_path / "trace.csv"
+    argv = ["run", str(circuit_path), "--raster", str(raster_path), "--trace", str(trace_path)]
+    for port, value in zip(program.meta["ports"]["inputs"], args):
+        argv += ["--in", f"{port}={value}"]
+    if max_steps is not None:
+        argv += ["--max-steps", str(max_steps)]
+    assert main(argv) == code
+    capsys.readouterr()
+    assert _sha256(raster_path.read_bytes()) == raster_sha
+    assert _sha256(trace_path.read_bytes()) == trace_sha
