@@ -7,14 +7,15 @@ Synapses carry an integer weight and a whole-number delay; total transit time
 for a spike is ``delay + 1``.  Ports name nodes used for external input or
 output, and the injection plan lists externally supplied values a run needs.
 
-Circuits are immutable after construction and serialize to a canonical JSON
-form (stable key order, sorted records) so that equal circuits produce
-byte-equal text.
+Circuits are frozen after construction: every section is a tuple sorted into
+canonical order once, so the canonical JSON form (stable key order, sorted
+records) follows by encoding the sections as they stand, and equal circuits
+produce byte-equal text.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Union
 
 from .errors import (
@@ -102,22 +103,24 @@ def _leak_from_json(raw: Any) -> int | None:
     raise ParseError(f"leak must be a whole number or \"inf\", got {raw!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Immutable circuit; lists are normalized to canonical order on build."""
+    """Frozen circuit; any iterables given become tuples in canonical order."""
 
-    neurons: list[NeuronSpec] = field(default_factory=list)
-    synapses: list[SynapseSpec] = field(default_factory=list)
-    ports: list[Port] = field(default_factory=list)
-    injections: list[Injection] = field(default_factory=list)
-    gadgets: list[NativeGadget] = field(default_factory=list)
+    neurons: tuple[NeuronSpec, ...] = ()
+    synapses: tuple[SynapseSpec, ...] = ()
+    ports: tuple[Port, ...] = ()
+    injections: tuple[Injection, ...] = ()
+    gadgets: tuple[NativeGadget, ...] = ()
 
     def __post_init__(self) -> None:
-        self.neurons = sorted(self.neurons, key=lambda n: n.id)
-        self.synapses = sorted(self.synapses, key=lambda s: (s.pre, s.post))
-        self.ports = sorted(self.ports, key=lambda p: p.name)
-        self.injections = sorted(self.injections, key=lambda i: (i.time, i.neuron, i.value))
-        self.gadgets = sorted(self.gadgets, key=lambda g: g.id)
+        # The only place that sorts: everything downstream trusts this order.
+        set_field = object.__setattr__
+        set_field(self, "neurons", tuple(sorted(self.neurons, key=lambda n: n.id)))
+        set_field(self, "synapses", tuple(sorted(self.synapses, key=lambda s: (s.pre, s.post))))
+        set_field(self, "ports", tuple(sorted(self.ports, key=lambda p: p.name)))
+        set_field(self, "injections", tuple(sorted(self.injections, key=lambda i: (i.time, i.neuron, i.value))))
+        set_field(self, "gadgets", tuple(sorted(self.gadgets, key=lambda g: g.id)))
 
     # -- lookups ---------------------------------------------------------
 
@@ -126,12 +129,6 @@ class Circuit:
 
     def gadget_map(self) -> dict[int, NativeGadget]:
         return {g.id: g for g in self.gadgets}
-
-    def port(self, name: str) -> Port | None:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        return None
 
     def ports_by_role(self, role: str) -> list[Port]:
         return [p for p in self.ports if p.role == role]
@@ -223,28 +220,31 @@ class Circuit:
 
     # -- serialization ---------------------------------------------------
 
-    def serialize(self) -> str:
-        """Render canonical JSON text (stable order, byte-reproducible)."""
-        doc = {
+    def to_document(self) -> dict[str, Any]:
+        """The canonical JSON document: sections in the order ``__post_init__`` set."""
+        return {
             "neurons": [
                 {"id": n.id, "threshold": n.threshold, "leak": _leak_to_json(n.leak)}
-                for n in sorted(self.neurons, key=lambda n: n.id)
+                for n in self.neurons
             ],
             "synapses": [
                 {"pre": s.pre, "post": s.post, "weight": s.weight, "delay": s.delay}
-                for s in sorted(self.synapses, key=lambda s: (s.pre, s.post))
+                for s in self.synapses
             ],
             "ports": [
                 {"name": p.name, "neuron": p.neuron, "role": p.role}
-                for p in sorted(self.ports, key=lambda p: p.name)
+                for p in self.ports
             ],
             "injections": [
                 {"neuron": i.neuron, "value": i.value, "time": i.time}
-                for i in sorted(self.injections, key=lambda i: (i.time, i.neuron, i.value))
+                for i in self.injections
             ],
-            "gadgets": [_gadget_to_json(g) for g in sorted(self.gadgets, key=lambda g: g.id)],
+            "gadgets": [_gadget_to_json(g) for g in self.gadgets],
         }
-        return json.dumps(doc, indent=2) + "\n"
+
+    def serialize(self) -> str:
+        """Render canonical JSON text (stable order, byte-reproducible)."""
+        return json.dumps(self.to_document(), indent=2) + "\n"
 
     @classmethod
     def deserialize(cls, text: str) -> "Circuit":
@@ -370,7 +370,6 @@ class CircuitBuilder:
         self._ports: dict[str, Port] = {}
         self._injections: list[Injection] = []
         self._next_id = 0
-        self.tallies: dict[str, int] = {}
 
     # -- nodes -----------------------------------------------------------
 
@@ -440,18 +439,15 @@ class CircuitBuilder:
             raise ValueError("injection time must be >= 0")
         self._injections.append(Injection(neuron=neuron, value=value, time=time))
 
-    def tally(self, key: str, count: int = 1) -> None:
-        self.tallies[key] = self.tallies.get(key, 0) + count
-
     # -- finish ------------------------------------------------------------
 
     def build(self) -> Circuit:
         circuit = Circuit(
-            neurons=list(self._neurons),
-            synapses=list(self._synapses.values()),
-            ports=list(self._ports.values()),
-            injections=list(self._injections),
-            gadgets=list(self._gadgets),
+            neurons=self._neurons,
+            synapses=self._synapses.values(),
+            ports=self._ports.values(),
+            injections=self._injections,
+            gadgets=self._gadgets,
         )
         violations = circuit.validate()
         if violations:

@@ -15,7 +15,6 @@ import random
 import sys
 from pathlib import Path
 
-from .circuit import parse_json_document
 from .compiler import (
     CompiledProgram,
     DiffReport,
@@ -122,7 +121,7 @@ def _trace_csv(trace) -> str:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    program = CompiledProgram.from_document(parse_json_document(Path(ns.circuit).read_text()))
+    program = CompiledProgram.deserialize(Path(ns.circuit).read_text())
     binding = _parse_bindings(ns.inputs or [])
     run = run_program(program, binding, max_steps=ns.max_steps, trace=ns.trace is not None)
 

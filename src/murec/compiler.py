@@ -25,6 +25,7 @@ from .circuit import (
     CircuitBuilder,
     Injection,
     circuit_from_document,
+    parse_json_document,
 )
 from .engine import RunOutcome, SimConfig, SpikeEvent, port_spikes, simulate
 from .errors import (
@@ -114,7 +115,6 @@ def _lower_compose(low: _Lowering, expr: Compose, ctx: int | None) -> Box:
         for fan, node in zip(fans, g_box.inputs):
             b.add_synapse(fan, node, 1, 0)
 
-    gap = max(g_box.min_reuse_gap for g_box in g_boxes)
     if all(g_box.latency is not None for g_box in g_boxes):
         # Known operand latencies: pad the faster lanes with extra delay so
         # every operand value lands on the head box in the same timestep.
@@ -133,12 +133,7 @@ def _lower_compose(low: _Lowering, expr: Compose, ctx: int | None) -> Box:
         else:
             b.add_join([g_box.output for g_box in g_boxes], list(h_box.inputs))
         latency = None
-    return Box(
-        inputs=fans,
-        output=h_box.output,
-        latency=latency,
-        min_reuse_gap=max(gap, h_box.min_reuse_gap),
-    )
+    return Box(inputs=fans, output=h_box.output, latency=latency)
 
 
 def _lower_primrec(low: _Lowering, expr: PrimRec) -> Box:
@@ -366,7 +361,7 @@ class CompiledProgram:
     def to_document(self) -> dict[str, Any]:
         # A document is a detached snapshot: mutating it must not reach back
         # into the program (and vice versa).
-        return {"circuit": json.loads(self.circuit.serialize()), "meta": copy.deepcopy(self.meta)}
+        return {"circuit": self.circuit.to_document(), "meta": copy.deepcopy(self.meta)}
 
     def serialize(self) -> str:
         return json.dumps(self.to_document(), indent=2) + "\n"
@@ -389,8 +384,6 @@ class CompiledProgram:
 
     @classmethod
     def deserialize(cls, text: str) -> "CompiledProgram":
-        from .circuit import parse_json_document
-
         return cls.from_document(parse_json_document(text))
 
 
@@ -440,13 +433,12 @@ def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> Comp
         "ports": {"inputs": input_names, "output": "y", "dummy": dummy_names},
         "arity": n_args,
         "latency": box.latency,
-        "min_reuse_gap": box.min_reuse_gap,
         "stats": {
             "neurons": len(circuit.neurons),
             "synapses": len(circuit.synapses),
             "native_gadgets": len(circuit.gadgets),
-            "trigger_cells": low.b.tallies.get("trigger_cells", 0),
-            "static_latency": box.latency,
+            # Every prec/mu instance holds one return and one continue cell.
+            "trigger_cells": 2 * len(low.instances),
         },
         "big_m": cfg.big_m,
         "markers": dict(box.markers),

@@ -144,10 +144,13 @@ class Engine:
             self.add_injection(inj.neuron, inj.value, inj.time)
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
+        """Schedule a delivery; after a fault the run is over and it is dropped."""
         if not 0 <= neuron < len(self._kind):
             raise UnknownNeuron(f"node {neuron} does not exist")
         if self._kind[neuron] == _JOIN:
             raise InvalidCircuit([f"injection into join {neuron} is not allowed"])
+        if self.fault is not None:
+            return
         batch = self._pending.get(time)
         if batch is None:
             batch = self._pending[time] = {}
@@ -183,17 +186,15 @@ class Engine:
 
     def run(self) -> RunOutcome:
         """Run to quiescence, timeout, or fault."""
-        last = self._advance(self.config.max_steps)
-        if last is not None and self.fault is not None:
-            return self._finish("fault", last)
+        self._advance(self.config.max_steps)
         if self._heap:
             return self._finish("timeout", self.config.max_steps)
-        return self._finish("quiescent", last or 0)
+        return self._finish("quiescent" if self.fault is None else "fault", self.clock)
 
     def _advance(self, horizon: int) -> int | None:
         """Process pending timesteps up to ``horizon``; return the last one run.
 
-        A fault ends the step at once and the call after it; None: no step ran.
+        A fault ends the step at once and empties the queue; None: no step ran.
         """
         heap, pending = self._heap, self._pending
         kind, threshold, leak, const = self._kind, self._threshold, self._leak, self._const
@@ -275,14 +276,17 @@ class Engine:
                         nxt = pending[t + d1] = {}
                         heappush(heap, t + d1)
                     nxt.setdefault(post, []).append((node, p))
-            if self.fault is not None:
-                return t
         return t
 
     def _stop(self, time: int, node: int, value: int) -> int:
-        """Record the fault for a value outside the run's bound; overflow wins."""
+        """Record the fault for a value outside the run's bound; overflow wins.
+
+        Dropping the pending work makes the fault terminal.
+        """
         kind = "magnitude_breach" if INT63_MIN <= value <= INT63_MAX else "overflow"
         self.fault = Fault(kind, time, node, value)
+        self._heap.clear()
+        self._pending.clear()
         return time
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:
@@ -316,14 +320,12 @@ def port_spikes(circuit: Circuit, raster: list[SpikeEvent], role: str = "output"
 
 
 def _raster_rows(circuit: Circuit, raster: list[SpikeEvent]) -> list[tuple[int, int, int, str]]:
-    """One row per spike, replicated per output port on the spiking node."""
+    """One row per spike of a raster in :class:`RunOutcome` order, once per output port."""
     port_names: dict[int, list[str]] = {}
     for p in circuit.ports_by_role("output"):
         port_names.setdefault(p.neuron, []).append(p.name)
-    for names in port_names.values():
-        names.sort()
     rows = []
-    for time, neuron, value in sorted(raster, key=_TIME_NODE):
+    for time, neuron, value in raster:
         names = port_names.get(neuron)
         if names:
             for name in names:
@@ -334,7 +336,7 @@ def _raster_rows(circuit: Circuit, raster: list[SpikeEvent]) -> list[tuple[int, 
 
 
 def raster_csv(circuit: Circuit, raster: list[SpikeEvent]) -> str:
-    """Render the raster as CSV with the stable header ``time,neuron,value,port``."""
+    """Render a raster in :class:`RunOutcome` order as CSV (header ``time,neuron,value,port``)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["time", "neuron", "value", "port"])
@@ -344,7 +346,7 @@ def raster_csv(circuit: Circuit, raster: list[SpikeEvent]) -> str:
 
 
 def raster_jsonl(circuit: Circuit, raster: list[SpikeEvent]) -> str:
-    """Render the raster as JSON lines with the same fields as the CSV."""
+    """Render a raster in :class:`RunOutcome` order as JSON lines with the CSV's fields."""
     lines = []
     for time, neuron, value, port in _raster_rows(circuit, raster):
         lines.append(json.dumps({"time": time, "neuron": neuron, "value": value, "port": port}))

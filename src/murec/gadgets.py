@@ -25,14 +25,11 @@ class Box:
 
     ``latency`` is the number of timesteps from input arrival to the output
     spike when that number is input-independent, else ``None``.
-    ``min_reuse_gap`` is the minimum spacing between successive activations
-    for which the fragment's internal recycling is guaranteed.
     """
 
     inputs: list[int]
     output: int
     latency: int | None
-    min_reuse_gap: int = 0
     markers: dict[str, int] = field(default_factory=dict)
 
 
@@ -171,7 +168,7 @@ def build_projection(
 
     if at is not None:
         b.add_injection(selector, index, at)
-        return Box(inputs=holds, output=subtract, latency=7, min_reuse_gap=4)
+        return Box(inputs=holds, output=subtract, latency=7)
 
     relays = [b.add_neuron(0, 0) for _ in range(arity)]
     derive = b.add_const_emit(index)
@@ -179,7 +176,7 @@ def build_projection(
         b.add_synapse(relays[m], holds[m], 1, 0)
         b.add_synapse(relays[m], derive, 1, 0)
     b.add_synapse(derive, selector, 1, 0)
-    return Box(inputs=relays, output=subtract, latency=10, min_reuse_gap=4)
+    return Box(inputs=relays, output=subtract, latency=10)
 
 
 def build_trigger_cell(b: CircuitBuilder, big_m: int) -> TriggerCell:
@@ -193,5 +190,4 @@ def build_trigger_cell(b: CircuitBuilder, big_m: int) -> TriggerCell:
     replenish = b.add_const_emit(-big_m)
     b.add_synapse(store, replenish, 1, 0)
     b.add_synapse(replenish, out, 1, 0)
-    b.tally("trigger_cells")
     return TriggerCell(store=store, out=out, big_m=big_m)

@@ -308,6 +308,43 @@ def test_fault_stops_the_run_at_its_timestep():
     assert all(e.time <= 0 for e in outcome.raster)
 
 
+def test_fault_is_terminal_for_step_and_run():
+    # big_m=3: the spike of `src` schedules `far` at t=6, then faults on the
+    # w=10 edge to `dst` in the same fan-out.
+    b = CircuitBuilder()
+    src = b.add_neuron(0)
+    far = b.add_neuron(0)
+    dst = b.add_neuron(0)
+    b.add_synapse(src, far, 1, 5)
+    b.add_synapse(src, dst, 10, 0)
+    b.add_injection(src, 1, 0)
+    circuit = b.build()
+    config = SimConfig(big_m=3)
+    whole = Engine(circuit, config).run()
+    assert (whole.status, whole.final_clock, whole.raster) == ("fault", 0, [SpikeEvent(0, src, 1)])
+
+    stepped = Engine(circuit, config)
+    assert stepped.step() == 0
+    assert stepped.fault == whole.fault
+    assert stepped.peek_time() is None
+    with pytest.raises(EmptyQueue):
+        stepped.step()
+    stepped.add_injection(far, 1, 3)  # the run is over: nothing is queued
+    assert stepped.peek_time() is None
+    assert stepped.run() == whole
+
+
+def test_run_after_stepping_to_quiescence_keeps_the_final_clock(compiled_add):
+    ports = {p.name: p.neuron for p in compiled_add.circuit.ports}
+    injections = (Injection(ports["i"], 2, 0), Injection(ports["x1"], 3, 0))
+    whole = Engine(compiled_add.circuit, extra_injections=injections).run()
+    assert (whole.status, whole.final_clock) == ("quiescent", 71)
+    stepped = Engine(compiled_add.circuit, extra_injections=injections)
+    while stepped.peek_time() is not None:
+        stepped.step()
+    assert stepped.run() == whole
+
+
 # ---------------------------------------------------------------------------
 # native gadgets in the engine
 # ---------------------------------------------------------------------------

@@ -128,7 +128,6 @@ def test_static_projection_selects_each_index(arity):
         b = CircuitBuilder()
         box = build_projection(b, index, arity, BIG_M, at=0)
         assert box.latency == 7
-        assert box.min_reuse_gap == 4
         _inject_args(b, box, values)
         outcome = simulate(b.build())
         assert outcome.status == "quiescent"
@@ -264,4 +263,3 @@ def test_two_cells_in_one_circuit_stay_independent():
     outcome = simulate(b.build(), extra_injections=plan)
     assert _spikes_of(outcome, first.out) == [(6, 7)]
     assert _spikes_of(outcome, second.out) == [(9, 11)]
-    assert b.tallies["trigger_cells"] == 2

@@ -1,9 +1,11 @@
-"""Golden runs: byte-exact rasters and traces of fixed programs.
+"""Golden runs and circuits: byte-exact rasters, traces and circuit text.
 
-Each case pins the sha256 of ``raster_csv`` and of the trace CSV that
+Each run case pins the sha256 of ``raster_csv`` and of the trace CSV that
 ``murec run --trace`` writes, together with the run's status, final clock and
 fault record.  Any change to the engine's event order, timing or arithmetic
-shows up here as a changed digest.
+shows up here as a changed digest.  The circuit cases pin the sha256 of
+``Circuit.serialize()`` for compiled programs, so any change to lowering,
+canonical order or the JSON layout shows up too.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 import pytest
 
 from conftest import ADD, MU_MONUS, MUL, MONUS
-from murec import CompiledProgram, Fault, compile_program, raster_csv, run_program
+from murec import CompiledProgram, Compose, Fault, Proj, compile_program, raster_csv, run_program
 from murec.cli import main
 
 # name: (expr, args, run-time big_m override, max_steps override,
@@ -85,3 +87,25 @@ def test_golden_run_is_byte_identical(name, tmp_path, capsys):
     capsys.readouterr()
     assert _sha256(raster_path.read_bytes()) == raster_sha
     assert _sha256(trace_path.read_bytes()) == trace_sha
+
+
+def _nest(depth):
+    """``Compose(MUL, (e, Proj(2, 2)))`` applied ``depth`` times to ``Proj(1, 2)``."""
+    expr = Proj(1, 2)
+    for _ in range(depth):
+        expr = Compose(MUL, (expr, Proj(2, 2)))
+    return expr
+
+
+CIRCUIT_GOLDEN = {
+    "add": (ADD, "7d6bfe8ff74b7dc84fb6ea633af3fb95efe4aec06ecbaf8e64640ed836fef876"),
+    "mul": (MUL, "fe590c65baf201c40bdf29e635a4109a163b688047b62c04b5a60bb4fa3104ab"),
+    "mu_monus": (MU_MONUS, "53fa16629d46aeef090b26ab21b56208a1e21e8ad07a91b824d90084ec59be7d"),
+    "nest3": (_nest(3), "5eb3e3a962a92ae2ae1dc38c3370c8193c2d9d490c67bce026f43d101761a1f2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUIT_GOLDEN))
+def test_golden_circuit_text_is_byte_identical(name):
+    expr, sha = CIRCUIT_GOLDEN[name]
+    assert _sha256(compile_program(expr).circuit.serialize().encode()) == sha
