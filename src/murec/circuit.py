@@ -7,10 +7,10 @@ Synapses carry an integer weight and a whole-number delay; total transit time
 for a spike is ``delay + 1``.  Ports name nodes used for external input or
 output, and the injection plan lists externally supplied values a run needs.
 
-Circuits are frozen after construction: every section is a tuple sorted into
-canonical order once, so the canonical JSON form (stable key order, sorted
-records) follows by encoding the sections as they stand, and equal circuits
-produce byte-equal text.
+Circuits are valid and frozen from construction on: every section is a tuple
+sorted into canonical order once and then checked (an invalid circuit raises
+:class:`InvalidCircuit`), so canonical JSON (stable key order, sorted records)
+encodes the sections as they stand, and equal circuits give byte-equal text.
 """
 from __future__ import annotations
 
@@ -105,7 +105,7 @@ def _leak_from_json(raw: Any) -> int | None:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Frozen circuit; any iterables given become tuples in canonical order."""
+    """Frozen circuit: sections become sorted tuples; any violation raises InvalidCircuit."""
 
     neurons: tuple[NeuronSpec, ...] = ()
     synapses: tuple[SynapseSpec, ...] = ()
@@ -121,6 +121,9 @@ class Circuit:
         set_field(self, "ports", tuple(sorted(self.ports, key=lambda p: p.name)))
         set_field(self, "injections", tuple(sorted(self.injections, key=lambda i: (i.time, i.neuron, i.value))))
         set_field(self, "gadgets", tuple(sorted(self.gadgets, key=lambda g: g.id)))
+        violations = self.validate()
+        if violations:
+            raise InvalidCircuit(violations)
 
     # -- lookups ---------------------------------------------------------
 
@@ -136,9 +139,9 @@ class Circuit:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check every structural invariant; return violations (empty = ok)."""
+        """List every structural violation in canonical order (construction raises on any)."""
         violations: list[str] = []
-        ids = sorted({n.id for n in self.neurons} | {g.id for g in self.gadgets})
+        ids = sorted(self.node_ids())
         total = len(self.neurons) + len(self.gadgets)
         if len(ids) != total:
             violations.append("node ids are not unique across neurons and gadgets")
@@ -248,8 +251,7 @@ class Circuit:
 
     @classmethod
     def deserialize(cls, text: str) -> "Circuit":
-        doc = parse_json_document(text)
-        return circuit_from_document(doc)
+        return circuit_from_document(parse_json_document(text))
 
 
 def _gadget_to_json(g: NativeGadget) -> dict[str, Any]:
@@ -293,10 +295,9 @@ def _section(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
 
 
 def circuit_from_document(doc: dict[str, Any]) -> Circuit:
-    """Build a Circuit from a parsed JSON document (schema errors -> ParseError).
+    """Build a Circuit from a parsed JSON document; absent sections default to empty.
 
-    Absent sections default to empty; structural soundness (id density, join
-    line contracts) is checked separately by :meth:`Circuit.validate`.
+    Schema errors raise ParseError; structural violations raise InvalidCircuit.
     """
     neurons = []
     for raw in _section(doc, "neurons"):
@@ -442,14 +443,10 @@ class CircuitBuilder:
     # -- finish ------------------------------------------------------------
 
     def build(self) -> Circuit:
-        circuit = Circuit(
+        return Circuit(
             neurons=self._neurons,
             synapses=self._synapses.values(),
             ports=self._ports.values(),
             injections=self._injections,
             gadgets=self._gadgets,
         )
-        violations = circuit.validate()
-        if violations:
-            raise InvalidCircuit(violations)
-        return circuit

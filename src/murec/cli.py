@@ -72,7 +72,7 @@ def _default_compile_out(program_path: Path) -> Path:
 def cmd_compile(ns: argparse.Namespace) -> int:
     expr = parse_program(Path(ns.program).read_text())
     cfg = LoweringConfig(
-        big_m=ns.big_m,
+        big_m=_env_big_m() if ns.big_m is None else ns.big_m,
         max_arg_magnitude=ns.max_arg,
         strict_primitive=ns.strict_primitive,
     )
@@ -200,7 +200,7 @@ def _print_report(report: DiffReport) -> None:
 
 
 def cmd_diff(ns: argparse.Namespace) -> int:
-    cfg = LoweringConfig(big_m=ns.big_m, max_arg_magnitude=ns.max_arg)
+    cfg = LoweringConfig(big_m=_env_big_m() if ns.big_m is None else ns.big_m, max_arg_magnitude=ns.max_arg)
     if ns.random is not None:
         rng = random.Random(ns.seed)
         total_cases = 0
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="lower a .rec program to a circuit file")
     p.add_argument("program", help="path to the .rec source")
     p.add_argument("-o", "--output", help="circuit file to write (default <stem>.circuit.json)")
-    p.add_argument("--big-m", type=int, default=_env_big_m(), help="separation constant")
+    p.add_argument("--big-m", type=int, help="separation constant")
     p.add_argument(
         "--max-arg",
         type=int,
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-value", type=int, default=50, help="largest sampled argument")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
-    p.add_argument("--big-m", type=int, default=_env_big_m())
+    p.add_argument("--big-m", type=int)
     p.add_argument("--max-arg", type=int, default=LoweringConfig.max_arg_magnitude)
     p.set_defaults(func=cmd_diff)
     return parser

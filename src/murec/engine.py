@@ -88,12 +88,13 @@ class RunOutcome:
 class Engine:
     """Single-owner stepper over one circuit run.
 
-    Node ids are dense (``validate()`` checks it), so per-node state lives in
-    lists indexed by id.  Pending work is one dict per timestep, on the heap
-    iff it exists: key ``j >= 0`` holds the ``(source, value)`` deliveries to
-    node ``j`` in arrival order, and key ``g - n_nodes`` marks a fire of const
-    emitter ``g``, so sorted keys give fires by id, then deliveries by target.
-    ``raster`` and ``trace`` hold plain tuples until :meth:`run` returns them.
+    A :class:`Circuit` is valid by construction, so node ids are dense and
+    per-node state lives in lists indexed by id.  Pending work is one dict per
+    timestep, on the heap iff it exists: key ``j >= 0`` holds the
+    ``(source, value)`` deliveries to node ``j`` in arrival order, and key
+    ``g - n_nodes`` marks a fire of const emitter ``g``, so sorted keys give
+    fires by id, then deliveries by target.  ``raster`` and ``trace`` hold
+    plain tuples until :meth:`run` returns them.
     """
 
     def __init__(
@@ -102,12 +103,10 @@ class Engine:
         config: SimConfig | None = None,
         extra_injections: tuple = (),
     ) -> None:
-        violations = circuit.validate()
-        if violations:
-            raise InvalidCircuit(violations)
         self.circuit = circuit
         self.config = config or SimConfig()
         self.clock = 0
+        self._open = 0  # earliest time no step has processed yet
         self.fault: Fault | None = None
         self.raster: list[tuple[int, int, int]] = []
         self.trace: list[tuple[int, int, int | None, int]] | None = [] if self.config.trace else None
@@ -144,11 +143,13 @@ class Engine:
             self.add_injection(inj.neuron, inj.value, inj.time)
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
-        """Schedule a delivery; after a fault the run is over and it is dropped."""
+        """Schedule a delivery after every processed step; dropped after a fault."""
         if not 0 <= neuron < len(self._kind):
             raise UnknownNeuron(f"node {neuron} does not exist")
         if self._kind[neuron] == _JOIN:
             raise InvalidCircuit([f"injection into join {neuron} is not allowed"])
+        if time < self._open:
+            raise ValueError(f"injection time must be >= {self._open}, got {time}")
         if self.fault is not None:
             return
         batch = self._pending.get(time)
@@ -209,6 +210,7 @@ class Engine:
         while heap and heap[0] <= horizon:
             t = heappop(heap)
             self.clock = t
+            self._open = t + 1
             batch = pending.pop(t)
             for key in sorted(batch):
                 if key < 0:

@@ -133,38 +133,41 @@ def test_builder_rejects_injection_into_join_at_build():
 
 
 def test_validate_reports_gapped_ids():
-    c = Circuit(
-        neurons=[NeuronSpec(0, 0, 0), NeuronSpec(2, 0, 0)],
-        synapses=[],
-        ports=[],
-        injections=[],
-        gadgets=[],
-    )
-    assert any("contiguous" in v for v in c.validate())
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(0, 0, 0), NeuronSpec(2, 0, 0)],
+            synapses=[],
+            ports=[],
+            injections=[],
+            gadgets=[],
+        )
+    assert any("contiguous" in v for v in err.value.violations)
 
 
 def test_validate_reports_duplicate_ids_and_synapses():
-    c = Circuit(
-        neurons=[NeuronSpec(0, 0, 0), NeuronSpec(0, 1, 0)],
-        synapses=[SynapseSpec(0, 0, 1, 0), SynapseSpec(0, 0, 2, 1)],
-        ports=[],
-        injections=[],
-        gadgets=[],
-    )
-    violations = c.validate()
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(0, 0, 0), NeuronSpec(0, 1, 0)],
+            synapses=[SynapseSpec(0, 0, 1, 0), SynapseSpec(0, 0, 2, 1)],
+            ports=[],
+            injections=[],
+            gadgets=[],
+        )
+    violations = err.value.violations
     assert any("not unique" in v for v in violations)
     assert any("duplicate (pre, post)" in v for v in violations)
 
 
 def test_validate_reports_dangling_references():
-    c = Circuit(
-        neurons=[NeuronSpec(0, 0, 0)],
-        synapses=[SynapseSpec(0, 3, 1, 0)],
-        ports=[Port("y", 9, "output")],
-        injections=[Injection(8, 1, 0)],
-        gadgets=[],
-    )
-    violations = c.validate()
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(0, 0, 0)],
+            synapses=[SynapseSpec(0, 3, 1, 0)],
+            ports=[Port("y", 9, "output")],
+            injections=[Injection(8, 1, 0)],
+            gadgets=[],
+        )
+    violations = err.value.violations
     assert any("unknown endpoint" in v for v in violations)
     assert any("unknown node" in v for v in violations)
     assert any("unknown" in v and "injection" in v for v in violations)
@@ -173,19 +176,20 @@ def test_validate_reports_dangling_references():
 def test_validate_reports_join_line_synapse_mismatch():
     # Join 4 is declared over lines 0,1 -> 2,3 but the (1, 4) synapse is missing
     # and an unlisted (2, 4) synapse exists.
-    c = Circuit(
-        neurons=[NeuronSpec(i, 0, 0) for i in range(4)],
-        synapses=[
-            SynapseSpec(0, 4, 1, 0),
-            SynapseSpec(2, 4, 1, 0),
-            SynapseSpec(4, 2, 1, 0),
-            SynapseSpec(4, 3, 1, 0),
-        ],
-        ports=[],
-        injections=[],
-        gadgets=[Join(4, (0, 1), (2, 3))],
-    )
-    violations = c.validate()
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(i, 0, 0) for i in range(4)],
+            synapses=[
+                SynapseSpec(0, 4, 1, 0),
+                SynapseSpec(2, 4, 1, 0),
+                SynapseSpec(4, 2, 1, 0),
+                SynapseSpec(4, 3, 1, 0),
+            ],
+            ports=[],
+            injections=[],
+            gadgets=[Join(4, (0, 1), (2, 3))],
+        )
+    violations = err.value.violations
     assert any("line source 1 has no synapse" in v for v in violations)
     assert any("unlisted source 2" in v for v in violations)
 
@@ -193,26 +197,27 @@ def test_validate_reports_join_line_synapse_mismatch():
 def test_validate_lists_join_violations_in_canonical_order():
     # Join 6 over 0,1 -> 2,3 and join 7 over 2,3 -> 4,5, each missing line
     # synapses and carrying unlisted ones.
-    c = Circuit(
-        neurons=[NeuronSpec(i, 0, 0) for i in range(6)],
-        synapses=[
-            SynapseSpec(0, 6, 1, 0),
-            SynapseSpec(5, 6, 1, 0),
-            SynapseSpec(4, 6, 1, 0),
-            SynapseSpec(6, 2, 1, 0),
-            SynapseSpec(6, 5, 1, 0),
-            SynapseSpec(6, 4, 1, 0),
-            SynapseSpec(2, 7, 1, 0),
-            SynapseSpec(3, 7, 1, 0),
-            SynapseSpec(0, 7, 1, 0),
-            SynapseSpec(7, 4, 1, 0),
-            SynapseSpec(7, 1, 1, 0),
-        ],
-        ports=[],
-        injections=[],
-        gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
-    )
-    assert c.validate() == [
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(i, 0, 0) for i in range(6)],
+            synapses=[
+                SynapseSpec(0, 6, 1, 0),
+                SynapseSpec(5, 6, 1, 0),
+                SynapseSpec(4, 6, 1, 0),
+                SynapseSpec(6, 2, 1, 0),
+                SynapseSpec(6, 5, 1, 0),
+                SynapseSpec(6, 4, 1, 0),
+                SynapseSpec(2, 7, 1, 0),
+                SynapseSpec(3, 7, 1, 0),
+                SynapseSpec(0, 7, 1, 0),
+                SynapseSpec(7, 4, 1, 0),
+                SynapseSpec(7, 1, 1, 0),
+            ],
+            ports=[],
+            injections=[],
+            gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
+        )
+    assert err.value.violations == [
         "join 6: line source 1 has no synapse",
         "join 6: synapse from unlisted source 4",
         "join 6: synapse from unlisted source 5",

@@ -194,6 +194,17 @@ def test_run_rejects_a_malformed_circuit_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_rejects_a_structurally_invalid_circuit_file(add_circuit, capsys):
+    doc = json.loads(add_circuit.read_text())
+    doc["circuit"]["synapses"].append({"pre": 0, "post": 10**6, "weight": 1, "delay": 0})
+    add_circuit.write_text(json.dumps(doc))
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    assert "invalid circuit" in capsys.readouterr().err
+    # The circuit is rejected before the bindings are read.
+    assert main(["run", str(add_circuit), "--in", "i2"]) == 1
+    assert "invalid circuit" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -279,6 +290,16 @@ def test_env_big_m_feeds_the_compile_default(add_rec, monkeypatch, capsys):
 def test_env_big_m_must_be_an_integer(add_rec, monkeypatch, capsys):
     monkeypatch.setenv("MUREC_BIG_M", "heaps")
     assert main(["compile", str(add_rec)]) == 2
+    assert "MUREC_BIG_M" in capsys.readouterr().err
+
+
+def test_env_big_m_is_read_only_by_compile_and_diff(add_rec, add_circuit, monkeypatch, capsys):
+    monkeypatch.setenv("MUREC_BIG_M", "heaps")
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 0
+    assert "y=5" in capsys.readouterr().out
+    assert main(["eval", str(add_rec), "2", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "5"
+    assert main(["diff", str(add_rec), "--args", "0..1,0..1"]) == 2
     assert "MUREC_BIG_M" in capsys.readouterr().err
 
 

@@ -210,6 +210,29 @@ def test_out_of_range_node_ids_are_rejected_not_wrapped():
     assert engine.peek_time() is None
 
 
+def test_injection_at_a_negative_time_is_rejected():
+    b, src, dst = _wire()
+    engine = Engine(b.build())
+    with pytest.raises(ValueError):
+        engine.add_injection(src, 1, -5)
+    assert engine.peek_time() is None
+
+
+def test_injection_at_or_before_a_processed_step_is_rejected():
+    b, src, dst = _wire()
+    b.add_injection(src, 1, 10)
+    engine = Engine(b.build())
+    assert engine.step() == 10
+    for past in (3, 10):  # 10 would integrate `src` a second time in step 10
+        with pytest.raises(ValueError):
+            engine.add_injection(src, 1, past)
+    engine.add_injection(src, 1, 11)
+    assert engine.peek_time() == 11
+    assert [(e.time, e.neuron) for e in engine.run().raster] == [
+        (10, src), (11, src), (11, dst), (12, dst)
+    ]
+
+
 def test_run_on_empty_plan_is_quiescent_at_zero():
     b = CircuitBuilder()
     b.add_neuron(0)

@@ -9,6 +9,9 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from conftest import ADD
+from murec import compile_program, run_diff
+
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -25,3 +28,16 @@ def test_every_span_resolves_on_its_module_or_class():
             if attr not in vars(owner or object):
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_a_compile_and_a_four_case_diff_validate_the_circuit_once():
+    # Validation runs where a circuit is made; the engine trusts it.  The span
+    # must still see that call, or the per-layer validate metrics read 0.
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.Tracer() as tracer:
+        program = compile_program(ADD)
+        report = run_diff(ADD, program, [(0, 0), (1, 2), (3, 1), (2, 5)])
+    assert (report.cases, report.mismatches) == (4, [])
+    assert tracer.calls["circuit.Circuit.validate"] == 1
