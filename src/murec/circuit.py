@@ -163,6 +163,7 @@ class Circuit:
                 violations.append(f"synapse ({s.pre}, {s.post}): duplicate (pre, post) pair")
             seen_pairs.add((s.pre, s.post))
 
+        joins = {g.id: g for g in self.gadgets if isinstance(g, Join)}
         seen_names: set[str] = set()
         for p in self.ports:
             if p.name in seen_names:
@@ -172,8 +173,9 @@ class Circuit:
                 violations.append(f"port {p.name!r}: unknown node {p.neuron}")
             if p.role not in ("input", "output"):
                 violations.append(f"port {p.name!r}: role must be input or output")
+            if p.role == "input" and p.neuron in joins:
+                violations.append(f"port {p.name!r}: input port on join {p.neuron} is not allowed")
 
-        joins = {g.id: g for g in self.gadgets if isinstance(g, Join)}
         for inj in self.injections:
             if inj.neuron not in known:
                 violations.append(f"injection into unknown node {inj.neuron}")
@@ -246,12 +248,57 @@ class Circuit:
         }
 
     def serialize(self) -> str:
-        """Render canonical JSON text (stable order, byte-reproducible)."""
-        return json.dumps(self.to_document(), indent=2) + "\n"
+        """Render canonical JSON text: ``json.dumps(self.to_document(), indent=2) + "\\n"``."""
+        return _circuit_json(self, "") + "\n"
 
     @classmethod
     def deserialize(cls, text: str) -> "Circuit":
         return circuit_from_document(parse_json_document(text))
+
+
+def _circuit_json(circuit: Circuit, indent: str) -> str:
+    """The text ``json.dumps(circuit.to_document(), indent=2)`` gives, nested at ``indent``.
+
+    Each record shape has one template, so the generic encoder's per-value
+    dispatch is paid once per section instead of once per field.  Strings go
+    through ``json.dumps``, so their escaping is the encoder's own.  Join lines
+    are never empty: a valid join has at least two.
+    """
+    i1 = indent + "  "  # section keys
+    i2 = i1 + "  "  # records
+    i3 = i2 + "  "  # record fields
+    i4 = i3 + "  "  # join line endpoints
+    neuron = f'{i2}{{\n{i3}"id": %d,\n{i3}"threshold": %d,\n{i3}"leak": %s\n{i2}}}'
+    synapse = f'{i2}{{\n{i3}"pre": %d,\n{i3}"post": %d,\n{i3}"weight": %d,\n{i3}"delay": %d\n{i2}}}'
+    port = f'{i2}{{\n{i3}"name": %s,\n{i3}"neuron": %d,\n{i3}"role": %s\n{i2}}}'
+    injection = f'{i2}{{\n{i3}"neuron": %d,\n{i3}"value": %d,\n{i3}"time": %d\n{i2}}}'
+    const_emit = f'{i2}{{\n{i3}"id": %d,\n{i3}"kind": "const_emit",\n{i3}"k": %d\n{i2}}}'
+    join = (
+        f'{i2}{{\n{i3}"id": %d,\n{i3}"kind": "join",\n{i3}"n": %d,\n'
+        f'{i3}"inputs": [\n{i4}%s\n{i3}],\n{i3}"outputs": [\n{i4}%s\n{i3}]\n{i2}}}'
+    )
+    line_sep = ",\n" + i4
+    sections = {
+        "neurons": [
+            neuron % (n.id, n.threshold, '"inf"' if n.leak is None else n.leak)
+            for n in circuit.neurons
+        ],
+        "synapses": [synapse % (s.pre, s.post, s.weight, s.delay) for s in circuit.synapses],
+        "ports": [port % (json.dumps(p.name), p.neuron, json.dumps(p.role)) for p in circuit.ports],
+        "injections": [injection % (inj.neuron, inj.value, inj.time) for inj in circuit.injections],
+        "gadgets": [
+            const_emit % (g.id, g.value)
+            if isinstance(g, ConstEmit)
+            else join % (g.id, len(g.inputs), line_sep.join(map(str, g.inputs)),
+                         line_sep.join(map(str, g.outputs)))
+            for g in circuit.gadgets
+        ],
+    }
+    body = ",\n".join(
+        f'{i1}"{key}": [\n' + ",\n".join(records) + f"\n{i1}]" if records else f'{i1}"{key}": []'
+        for key, records in sections.items()
+    )
+    return f"{{\n{body}\n{indent}}}"
 
 
 def _gadget_to_json(g: NativeGadget) -> dict[str, Any]:
@@ -267,11 +314,15 @@ def _gadget_to_json(g: NativeGadget) -> dict[str, Any]:
 
 
 def parse_json_document(text: str) -> dict[str, Any]:
-    """Parse JSON text, mapping syntax errors to ParseError with position."""
+    """Parse JSON text; syntax errors (with position), over-long integers and deep nesting raise ParseError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise ParseError(f"number too long: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a JSON object")
     return doc
@@ -299,25 +350,25 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
 
     Schema errors raise ParseError; structural violations raise InvalidCircuit.
     """
+    # One exact-type test per record; only a record that fails it goes through
+    # the per-field checks, which raise the message naming the bad field.
     neurons = []
     for raw in _section(doc, "neurons"):
-        neurons.append(
-            NeuronSpec(
-                id=_require_int(raw, "id", "neuron"),
-                threshold=_require_int(raw, "threshold", "neuron"),
-                leak=_leak_from_json(raw.get("leak", 0)),
-            )
-        )
+        nid, threshold, leak = raw.get("id"), raw.get("threshold"), raw.get("leak", 0)
+        if not (type(nid) is int and type(threshold) is int and type(leak) is int):
+            nid = _require_int(raw, "id", "neuron")
+            threshold = _require_int(raw, "threshold", "neuron")
+            leak = _leak_from_json(leak)
+        neurons.append(NeuronSpec(nid, threshold, leak))
     synapses = []
     for raw in _section(doc, "synapses"):
-        synapses.append(
-            SynapseSpec(
-                pre=_require_int(raw, "pre", "synapse"),
-                post=_require_int(raw, "post", "synapse"),
-                weight=_require_int(raw, "weight", "synapse"),
-                delay=_require_int(raw, "delay", "synapse"),
-            )
-        )
+        pre, post, weight, delay = raw.get("pre"), raw.get("post"), raw.get("weight"), raw.get("delay")
+        if not (type(pre) is int and type(post) is int and type(weight) is int and type(delay) is int):
+            pre = _require_int(raw, "pre", "synapse")
+            post = _require_int(raw, "post", "synapse")
+            weight = _require_int(raw, "weight", "synapse")
+            delay = _require_int(raw, "delay", "synapse")
+        synapses.append(SynapseSpec(pre, post, weight, delay))
     ports = []
     for raw in _section(doc, "ports"):
         name = raw.get("name")

@@ -24,6 +24,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     Injection,
+    _circuit_json,
     circuit_from_document,
     parse_json_document,
 )
@@ -364,7 +365,13 @@ class CompiledProgram:
         return {"circuit": self.circuit.to_document(), "meta": copy.deepcopy(self.meta)}
 
     def serialize(self) -> str:
-        return json.dumps(self.to_document(), indent=2) + "\n"
+        """Render ``json.dumps(self.to_document(), indent=2) + "\\n"`` without copying the meta.
+
+        Encoded JSON strings hold no raw newline, so re-indenting the meta's
+        own text by one level nests it exactly as the whole-document encoder would.
+        """
+        meta = json.dumps(self.meta, indent=2).replace("\n", "\n  ")
+        return f'{{\n  "circuit": {_circuit_json(self.circuit, "  ")},\n  "meta": {meta}\n}}\n'
 
     @classmethod
     def from_document(cls, doc: Any) -> "CompiledProgram":

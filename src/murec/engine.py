@@ -338,13 +338,27 @@ def _raster_rows(circuit: Circuit, raster: list[SpikeEvent]) -> list[tuple[int, 
 
 
 def raster_csv(circuit: Circuit, raster: list[SpikeEvent]) -> str:
-    """Render a raster in :class:`RunOutcome` order as CSV (header ``time,neuron,value,port``)."""
+    """Render a raster in :class:`RunOutcome` order as CSV (header ``time,neuron,value,port``).
+
+    Integers never need quoting, so only each output port's cell goes through
+    ``csv.writer`` (once, as the last field of a row); every spike row is
+    then one ``%`` format of the ``(time, neuron, value)`` event tuple.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["time", "neuron", "value", "port"])
-    for row in _raster_rows(circuit, raster):
-        writer.writerow(row)
-    return out.getvalue()
+    # Per output node, ["", "cell1\n", "cell2\n", ...]: joined by a spike's
+    # "time,neuron,value," it gives that spike's row once per port name.
+    cells: dict[int, list[str]] = {}
+    for p in circuit.ports_by_role("output"):
+        out.seek(0)
+        out.truncate()
+        writer.writerow((0, p.name))
+        cells.setdefault(p.neuron, [""]).append(out.getvalue()[2:])
+    rows = [
+        "%d,%d,%d,\n" % event if event[1] not in cells else ("%d,%d,%d," % event).join(cells[event[1]])
+        for event in raster
+    ]
+    return "time,neuron,value,port\n" + "".join(rows)
 
 
 def raster_jsonl(circuit: Circuit, raster: list[SpikeEvent]) -> str:

@@ -1,7 +1,10 @@
 """Circuit data model: builder checks, structural validation, serialization."""
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from murec import (
     INFINITE,
     Circuit,
     CircuitBuilder,
+    CompiledProgram,
     ConstEmit,
     DuplicatePortName,
     DuplicateSynapse,
@@ -26,6 +30,7 @@ from murec import (
     UnknownNeuron,
     circuit_from_document,
     parse_json_document,
+    raster_csv,
 )
 
 
@@ -230,6 +235,19 @@ def test_validate_lists_join_violations_in_canonical_order():
     ]
 
 
+def test_input_port_on_a_join_is_rejected_when_the_circuit_is_built():
+    # Nothing may be injected into a join, so an input port on one could never
+    # be bound; the builder-made circuit is refused before any run.
+    b = CircuitBuilder()
+    a, c, d, e = (b.add_neuron(0) for _ in range(4))
+    join = b.add_join([a, c], [d, e])
+    b.mark_port(join, "input", "x1")
+    b.mark_port(join, "output", "y")  # an output port on a join stays allowed
+    with pytest.raises(InvalidCircuit) as err:
+        b.build()
+    assert err.value.violations == [f"port 'x1': input port on join {join} is not allowed"]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -313,26 +331,68 @@ def test_parse_json_document_reports_position():
     assert err.value.column is not None
 
 
+def _malformed(message, mutate):
+    """A document mutation tagged with the exact ParseError message it must raise."""
+    mutate.message = message
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda doc: doc.update(neurons=5),
-        lambda doc: doc.update(synapses=[3]),
-        lambda doc: doc["neurons"].append({"id": "x", "threshold": 0, "leak": 0}),
-        lambda doc: doc["neurons"].append({"id": 99, "threshold": 0, "leak": "sometimes"}),
-        lambda doc: doc["ports"].append({"name": "p", "neuron": 0, "role": "middle"}),
-        lambda doc: doc["gadgets"].append({"id": 99, "kind": "teleporter"}),
-        lambda doc: doc["gadgets"].append(
-            {"id": 99, "kind": "join", "n": 2, "inputs": [0, "a"], "outputs": [1, 2]}
+        _malformed("section 'neurons' must be an array", lambda doc: doc.update(neurons=5)),
+        _malformed("section 'synapses' entries must be objects", lambda doc: doc.update(synapses=[3])),
+        _malformed(
+            "neuron: field 'id' must be an integer, got 'x'",
+            lambda doc: doc["neurons"].append({"id": "x", "threshold": 0, "leak": 0}),
         ),
-        lambda doc: doc["synapses"].append({"pre": 0, "post": 0, "weight": 1}),
+        _malformed(
+            "leak must be a whole number or \"inf\", got 'sometimes'",
+            lambda doc: doc["neurons"].append({"id": 99, "threshold": 0, "leak": "sometimes"}),
+        ),
+        _malformed(
+            "port 'p': role must be \"input\" or \"output\"",
+            lambda doc: doc["ports"].append({"name": "p", "neuron": 0, "role": "middle"}),
+        ),
+        _malformed(
+            "unknown gadget kind 'teleporter'",
+            lambda doc: doc["gadgets"].append({"id": 99, "kind": "teleporter"}),
+        ),
+        _malformed(
+            "join gadget: line endpoints must be integers, got 'a'",
+            lambda doc: doc["gadgets"].append(
+                {"id": 99, "kind": "join", "n": 2, "inputs": [0, "a"], "outputs": [1, 2]}
+            ),
+        ),
+        _malformed(
+            "synapse: field 'delay' must be an integer, got None",
+            lambda doc: doc["synapses"].append({"pre": 0, "post": 0, "weight": 1}),
+        ),
+        # Fields that fail only the exact-type test: a bool or a float.
+        _malformed(
+            "neuron: field 'threshold' must be an integer, got True",
+            lambda doc: doc["neurons"].append({"id": 99, "threshold": True, "leak": 0}),
+        ),
+        _malformed(
+            "leak must be a whole number or \"inf\", got -1.5",
+            lambda doc: doc["neurons"].append({"id": 99, "threshold": 0, "leak": -1.5}),
+        ),
+        _malformed(
+            "synapse: field 'weight' must be an integer, got 1.0",
+            lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1.0, "delay": 0}),
+        ),
+        _malformed(
+            "synapse: field 'delay' must be an integer, got False",
+            lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1, "delay": False}),
+        ),
     ],
 )
 def test_circuit_from_document_rejects_malformed_shapes(mutate):
     doc = parse_json_document(_sample_circuit().serialize())
     mutate(doc)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         circuit_from_document(doc)
+    assert str(err.value) == mutate.message
 
 
 def test_circuit_from_document_defaults_missing_sections_to_empty():
@@ -343,6 +403,10 @@ def test_circuit_from_document_defaults_missing_sections_to_empty():
 # ---------------------------------------------------------------------------
 # properties over builder-made circuits
 # ---------------------------------------------------------------------------
+
+
+# Port name characters, with every one that JSON or CSV has to escape or quote.
+PORT_NAME_CHARS = st.sampled_from(["y", "x", " ", '"', "\\", ",", "\n", "\r", "%", "é", "\u6f22", "\U0001f642"])
 
 
 @st.composite
@@ -372,9 +436,13 @@ def built_circuits(draw):
             break
         lines = st.lists(st.sampled_from(ids), min_size=n_lines, max_size=n_lines, unique=True)
         b.add_join(draw(lines), draw(lines))
+    names = draw(st.lists(st.text(PORT_NAME_CHARS, min_size=1, max_size=5), max_size=4, unique=True))
     neuron_ids = [n.id for n in b._neurons]
-    if neuron_ids and draw(st.booleans()):
-        b.mark_port(draw(st.sampled_from(neuron_ids)), "output", "y")
+    for name in names:
+        if neuron_ids and draw(st.booleans()):
+            b.mark_port(draw(st.sampled_from(neuron_ids)), "input", name)
+        else:
+            b.mark_port(draw(st.sampled_from(ids)), "output", name)
     for _ in range(draw(st.integers(0, 3))):
         b.add_injection(draw(st.sampled_from(ids)), draw(st.integers(-9, 9)), draw(st.integers(0, 5)))
     big_m = draw(st.sampled_from([3, 10, 40, 10**9]))  # small values make faults common
@@ -389,6 +457,43 @@ def test_roundtrip_property(drawn):
     again = Circuit.deserialize(text)
     assert again == circuit
     assert again.serialize() == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_circuits(), st.text(PORT_NAME_CHARS, max_size=5))
+def test_serialize_equals_the_generic_indent_2_encoder(drawn, note):
+    circuit, big_m = drawn
+    assert circuit.serialize() == json.dumps(circuit.to_document(), indent=2) + "\n"
+    meta = {
+        "ports": {"inputs": [p.name for p in circuit.ports_by_role("input")], "output": note, "dummy": []},
+        "big_m": big_m,
+        "markers": {note: [1, {"k": None}]},
+        "empty": {},
+    }
+    program = CompiledProgram(circuit=circuit, meta=meta)
+    assert program.serialize() == json.dumps(program.to_document(), indent=2) + "\n"
+
+
+def _reference_raster_csv(circuit, raster):
+    """``raster_csv`` as one ``csv.writer`` row per spike and output port name."""
+    names = {}
+    for p in circuit.ports_by_role("output"):
+        names.setdefault(p.neuron, []).append(p.name)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["time", "neuron", "value", "port"])
+    for time, neuron, value in raster:
+        for name in names.get(neuron, [""]):
+            writer.writerow([time, neuron, value, name])
+    return out.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_circuits())
+def test_raster_csv_equals_a_csv_writer_rendering(drawn):
+    circuit, big_m = drawn
+    raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster
+    assert raster_csv(circuit, raster) == _reference_raster_csv(circuit, raster)
 
 
 @settings(max_examples=150, deadline=None)

@@ -194,6 +194,35 @@ def test_run_rejects_a_malformed_circuit_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        # More digits than int() converts by default (sys.get_int_max_str_digits).
+        ('{"circuit": {"neurons": [{"id": ' + "1" * 5000 + "}]}}", "error: number too long: "),
+        ("[" * 200_000, "error: JSON nested too deeply"),
+    ],
+    ids=["huge_number", "deep_nesting"],
+)
+def test_run_rejects_a_hostile_circuit_file_without_a_traceback(tmp_path, capsys, text, message):
+    artifact = tmp_path / "hostile.circuit.json"
+    artifact.write_text(text)
+    assert main(["run", str(artifact)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
+    doc = json.loads(add_circuit.read_text())
+    join = next(g["id"] for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
+    x1 = next(p for p in doc["circuit"]["ports"] if p["name"] == "x1")
+    x1["neuron"] = join
+    add_circuit.write_text(json.dumps(doc))
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    assert f"port 'x1': input port on join {join} is not allowed" in capsys.readouterr().err
+    # Refused when the file is loaded, before the bindings are read.
+    assert main(["run", str(add_circuit), "--in", "i2"]) == 1
+    assert "input port on join" in capsys.readouterr().err
+
+
 def test_run_rejects_a_structurally_invalid_circuit_file(add_circuit, capsys):
     doc = json.loads(add_circuit.read_text())
     doc["circuit"]["synapses"].append({"pre": 0, "post": 10**6, "weight": 1, "delay": 0})

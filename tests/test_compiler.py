@@ -29,7 +29,10 @@ from murec import (
     UnboundPort,
     UnknownPort,
     bind_args,
+    Value,
     compile_program,
+    eval_oracle,
+    parse_program,
     run_diff,
     run_program,
 )
@@ -237,6 +240,15 @@ def test_minimization_finds_the_least_root(compiled_mu_monus):
     for x in range(8):
         run = run_program(compiled_mu_monus, [x])
         assert (run.status, run.value) == ("ok", max(x, 1)), x
+
+
+def test_minimization_searches_from_one_not_zero():
+    # murec's mu is the least y >= 1 with f(y, xs) = 0: a function that is
+    # already 0 at y = 0 still gives 1, from the oracle and the circuit alike.
+    expr = parse_program("(mu (const 0 1))")
+    assert eval_oracle(expr, ()) == Value(1)
+    run = run_program(compile_program(expr), [])
+    assert (run.status, run.value) == ("ok", 1)
 
 
 def test_minimization_probe_counts_down(compiled_mu_monus):

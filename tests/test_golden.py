@@ -4,8 +4,9 @@ Each run case pins the sha256 of ``raster_csv`` and of the trace CSV that
 ``murec run --trace`` writes, together with the run's status, final clock and
 fault record.  Any change to the engine's event order, timing or arithmetic
 shows up here as a changed digest.  The circuit cases pin the sha256 of
-``Circuit.serialize()`` for compiled programs, so any change to lowering,
-canonical order or the JSON layout shows up too.
+``Circuit.serialize()`` and of ``CompiledProgram.serialize()`` for compiled
+programs, so any change to lowering, canonical order, the meta block or the
+JSON layout shows up too.
 """
 from __future__ import annotations
 
@@ -97,15 +98,38 @@ def _nest(depth):
     return expr
 
 
+# name: (expr, Circuit.serialize() sha256, CompiledProgram.serialize() sha256)
 CIRCUIT_GOLDEN = {
-    "add": (ADD, "7d6bfe8ff74b7dc84fb6ea633af3fb95efe4aec06ecbaf8e64640ed836fef876"),
-    "mul": (MUL, "fe590c65baf201c40bdf29e635a4109a163b688047b62c04b5a60bb4fa3104ab"),
-    "mu_monus": (MU_MONUS, "53fa16629d46aeef090b26ab21b56208a1e21e8ad07a91b824d90084ec59be7d"),
-    "nest3": (_nest(3), "5eb3e3a962a92ae2ae1dc38c3370c8193c2d9d490c67bce026f43d101761a1f2"),
+    "add": (
+        ADD,
+        "7d6bfe8ff74b7dc84fb6ea633af3fb95efe4aec06ecbaf8e64640ed836fef876",
+        "3a6d479da2e041a11cf8602fffba7b16a2e6526dab058f2f2d678d46df8b128b",
+    ),
+    "mul": (
+        MUL,
+        "fe590c65baf201c40bdf29e635a4109a163b688047b62c04b5a60bb4fa3104ab",
+        "a59150e90c3ea50e41e94345be45e96db0092775966ad3f7c00d91998663a1aa",
+    ),
+    "mu_monus": (
+        MU_MONUS,
+        "53fa16629d46aeef090b26ab21b56208a1e21e8ad07a91b824d90084ec59be7d",
+        "14ec29f999a73dc9892b3faf096c2c6fb463899a1ce5b4eb7bff05403c9a0ddd",
+    ),
+    "nest3": (
+        _nest(3),
+        "5eb3e3a962a92ae2ae1dc38c3370c8193c2d9d490c67bce026f43d101761a1f2",
+        "697b740ea4749afb2d2ae07518c38b266de46fe442b1744a30da949c334096b9",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CIRCUIT_GOLDEN))
 def test_golden_circuit_text_is_byte_identical(name):
-    expr, sha = CIRCUIT_GOLDEN[name]
+    expr, sha, _ = CIRCUIT_GOLDEN[name]
     assert _sha256(compile_program(expr).circuit.serialize().encode()) == sha
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUIT_GOLDEN))
+def test_golden_compiled_program_text_is_byte_identical(name):
+    expr, _, sha = CIRCUIT_GOLDEN[name]
+    assert _sha256(compile_program(expr).serialize().encode()) == sha
