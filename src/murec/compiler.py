@@ -28,7 +28,7 @@ from .circuit import (
     circuit_from_document,
     parse_json_document,
 )
-from .engine import RunOutcome, SimConfig, SpikeEvent, port_spikes, simulate
+from .engine import RunOutcome, SimConfig, SpikeEvent, simulate
 from .errors import (
     ArityError,
     ConfigError,
@@ -385,7 +385,7 @@ class CompiledProgram:
         ports = meta.get("ports")
         if not isinstance(ports, dict) or "inputs" not in ports or "output" not in ports:
             raise ParseError("meta.ports must list inputs and output")
-        if not isinstance(meta.get("big_m"), int):
+        if type(meta.get("big_m")) is not int:  # a bool is an int to isinstance
             raise ParseError("meta.big_m must be an integer")
         return cls(circuit=circuit_from_document(doc["circuit"]), meta=meta)
 
@@ -519,8 +519,9 @@ def run_program(
         extra_injections=injections,
         config=SimConfig(max_steps=max_steps, big_m=eff_big_m, trace=trace),
     )
-    y_name = program.meta["ports"]["output"]
-    y_spikes = port_spikes(program.circuit, outcome.raster).get(y_name, [])
+    outputs = {p.name: p.neuron for p in program.circuit.ports_by_role("output")}
+    y_node = outputs.get(program.meta["ports"]["output"])
+    y_spikes = [] if y_node is None else outcome.spikes_of(y_node)
     if outcome.status == "fault":
         return ProgramRun("fault", None, y_spikes, outcome)
     if outcome.status == "timeout":

@@ -31,6 +31,7 @@ import heapq
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -74,15 +75,40 @@ class SimConfig:
 
 @dataclass
 class RunOutcome:
+    """A run's result; its raster is built on first read.
+
+    ``_spikes`` holds the run's ``(time, node, value)`` records in the order
+    they happened: by time, and within a step in processing order.
+    """
+
     status: str  # "quiescent" | "timeout" | "fault"
     final_clock: int
-    raster: list[SpikeEvent]
+    _spikes: list[tuple[int, int, int]]
     fault: Fault | None = None
     trace: list[Delivery] | None = None
+
+    @cached_property
+    def raster(self) -> list[SpikeEvent]:
+        """Every spike, sorted by ``(time, neuron)``; a join's flush stays in line order."""
+        return list(map(SpikeEvent._make, sorted(self._spikes, key=_TIME_NODE)))
+
+    def spikes_of(self, node: int) -> list[SpikeEvent]:
+        """One node's spikes, as in the raster, without building the raster.
+
+        The records are in time order, and a join's lines in line order.
+        """
+        return [SpikeEvent._make(spike) for spike in self._spikes if spike[1] == node]
 
     @property
     def quiescent(self) -> bool:
         return self.status == "quiescent"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunOutcome):
+            return NotImplemented
+        return (self.status, self.final_clock, self.raster, self.fault, self.trace) == (
+            other.status, other.final_clock, other.raster, other.fault, other.trace,
+        )
 
 
 class Engine:
@@ -94,7 +120,8 @@ class Engine:
     ``(source, value)`` deliveries to node ``j`` in arrival order, and key
     ``g - n_nodes`` marks a fire of const emitter ``g``, so sorted keys give
     fires by id, then deliveries by target.  ``raster`` and ``trace`` hold
-    plain tuples until :meth:`run` returns them.
+    plain tuples in run order; :meth:`run` sorts the trace, and the
+    :class:`RunOutcome` sorts the raster when it is first read.
     """
 
     def __init__(
@@ -292,12 +319,11 @@ class Engine:
         return time
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:
-        self.raster.sort(key=_TIME_NODE)
-        raster = list(map(SpikeEvent._make, self.raster))
         trace = None
         if self.trace is not None:
             trace = list(map(Delivery._make, sorted(self.trace, key=_TIME_NODE)))
-        return RunOutcome(status, final_clock, raster, self.fault, trace)
+        # A copy: a later run of this engine appends to its records.
+        return RunOutcome(status, final_clock, self.raster.copy(), self.fault, trace)
 
 
 def simulate(

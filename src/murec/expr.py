@@ -202,10 +202,14 @@ class _Parser:
 
     def _natural(self) -> int:
         tok = self._next()
-        if not tok.text.isdigit():
+        if not tok.text.isdecimal():  # isdigit() would pass "²", which int() refuses
             self.pos -= 1
             raise self._fail(f"expected a natural number, got {tok.text!r}")
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            self.pos -= 1
+            raise self._fail(f"number too long: {exc}") from exc
 
     def expr(self) -> RecExpr:
         self._expect("(")
@@ -242,9 +246,16 @@ class _Parser:
 
 
 def parse_program(text: str) -> RecExpr:
-    """Parse one expression in the s-expression grammar; ``;`` starts a comment."""
+    """Parse one expression in the s-expression grammar; ``;`` starts a comment.
+
+    Malformed text, nesting past the recursion limit and a number too long
+    to convert all raise ParseError.
+    """
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError as exc:
+        raise parser._fail("program nested too deeply") from exc
     if parser.pos != len(parser.tokens):
         raise parser._fail("trailing input after program")
     return node

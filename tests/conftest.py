@@ -2,13 +2,17 @@
 
 The five programs exercise every construction: primitive recursion for
 addition/multiplication/predecessor, truncated subtraction by composition of
-recursions, and minimization over the subtraction body.
+recursions, and minimization over the subtraction body.  ``built_circuits``
+draws small builder-made circuits for the property tests.
 """
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from murec import (
+    INFINITE,
+    CircuitBuilder,
     Compose,
     Const,
     Engine,
@@ -99,3 +103,47 @@ def assert_return_precedes_erase(raster, markers, require_fire=True):
             f"erase at t={clobbered} lands between the store at t={last_store} "
             f"and the trigger at t={tau}"
         )
+
+
+# Port name characters, with every one that JSON or CSV has to escape or quote.
+PORT_NAME_CHARS = st.sampled_from(["y", "x", " ", '"', "\\", ",", "\n", "\r", "%", "é", "\u6f22", "\U0001f642"])
+
+
+@st.composite
+def built_circuits(draw):
+    """A builder-made circuit with neurons, const emits and joins, plus a big_m to run it."""
+    b = CircuitBuilder()
+    n_nodes = draw(st.integers(min_value=1, max_value=8))
+    ids = []
+    for _ in range(n_nodes):
+        if draw(st.booleans()):
+            leak = draw(st.sampled_from([0, 1, 5, INFINITE]))
+            ids.append(b.add_neuron(draw(st.integers(-9, 9)), leak=leak))
+        else:
+            ids.append(b.add_const_emit(draw(st.integers(-9, 9))))
+    n_edges = draw(st.integers(min_value=0, max_value=12))
+    used = set()
+    for _ in range(n_edges):
+        pre = draw(st.sampled_from(ids))
+        post = draw(st.sampled_from(ids))
+        if (pre, post) in used:
+            continue
+        used.add((pre, post))
+        b.add_synapse(pre, post, draw(st.integers(-9, 9)), draw(st.integers(0, 4)))
+    for _ in range(draw(st.integers(0, 2))):
+        n_lines = draw(st.integers(2, 3))
+        if len(ids) < n_lines:
+            break
+        lines = st.lists(st.sampled_from(ids), min_size=n_lines, max_size=n_lines, unique=True)
+        b.add_join(draw(lines), draw(lines))
+    names = draw(st.lists(st.text(PORT_NAME_CHARS, min_size=1, max_size=5), max_size=4, unique=True))
+    neuron_ids = [n.id for n in b._neurons]
+    for name in names:
+        if neuron_ids and draw(st.booleans()):
+            b.mark_port(draw(st.sampled_from(neuron_ids)), "input", name)
+        else:
+            b.mark_port(draw(st.sampled_from(ids)), "output", name)
+    for _ in range(draw(st.integers(0, 3))):
+        b.add_injection(draw(st.sampled_from(ids)), draw(st.integers(-9, 9)), draw(st.integers(0, 5)))
+    big_m = draw(st.sampled_from([3, 10, 40, 10**9]))  # small values make faults common
+    return b.build(), big_m

@@ -210,6 +210,20 @@ def test_run_rejects_a_hostile_circuit_file_without_a_traceback(tmp_path, capsys
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_run_rejects_a_boolean_big_m(tmp_path, capsys):
+    src = tmp_path / "succ.rec"
+    src.write_text("(succ)\n")
+    assert main(["compile", str(src)]) == 0
+    artifact = tmp_path / "succ.circuit.json"
+    doc = json.loads(artifact.read_text())
+    doc["meta"]["big_m"] = True
+    artifact.write_text(json.dumps(doc))
+    capsys.readouterr()
+    # A malformed file (exit 1), not a big_m of 1 that the binding then breaks (exit 2).
+    assert main(["run", str(artifact), "--in", "x1=3"]) == 1
+    assert "error: meta.big_m must be an integer" in capsys.readouterr().err
+
+
 def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
     doc = json.loads(add_circuit.read_text())
     join = next(g["id"] for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
@@ -251,6 +265,25 @@ def test_eval_rejects_bad_arguments(add_rec, capsys):
     capsys.readouterr()
     assert main(["eval", str(add_rec), "2", "-3"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["compile", "eval"])
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("(compose " * 3000, "error: program nested too deeply"),
+        # More digits than int() converts by default (sys.get_int_max_str_digits).
+        ("(const " + "1" * 5000 + " 0)", "error: number too long: "),
+        # A digit to str.isdigit() that int() refuses.
+        ("(const \u00b2 1)", "error: expected a natural number, got '\u00b2'"),
+    ],
+    ids=["deep_nesting", "huge_number", "superscript_digit"],
+)
+def test_hostile_program_text_fails_without_a_traceback(tmp_path, capsys, command, text, message):
+    src = tmp_path / "hostile.rec"
+    src.write_text(text)
+    assert main([command, str(src)]) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_eval_reports_fuel_exhaustion(tmp_path, capsys):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import murec.engine
+from conftest import built_circuits
 from murec import (
     INFINITE,
     CircuitBuilder,
@@ -17,6 +19,7 @@ from murec import (
     port_spikes,
     raster_csv,
     raster_jsonl,
+    run_program,
     simulate,
 )
 
@@ -535,6 +538,62 @@ def test_port_spikes_groups_by_name():
     assert outputs["y"] == [SpikeEvent(1, dst, 2)]
     inputs = port_spikes(circuit, outcome.raster, role="input")
     assert inputs["x1"] == [SpikeEvent(0, src, 2)]
+
+
+# ---------------------------------------------------------------------------
+# reading an outcome: the whole raster or one node's spikes
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_circuits(), st.booleans())
+def test_spikes_of_is_the_raster_filtered_to_one_node(drawn, trace):
+    circuit, big_m = drawn
+    outcome = Engine(circuit, SimConfig(max_steps=40, big_m=big_m, trace=trace)).run()
+    nodes = range(len(circuit.neurons) + len(circuit.gadgets))
+    before = [outcome.spikes_of(n) for n in nodes]  # read before the raster is built
+    for n in nodes:
+        expected = [e for e in outcome.raster if e.neuron == n]
+        assert before[n] == expected
+        assert outcome.spikes_of(n) == expected
+        assert all(type(e) is SpikeEvent for e in expected + before[n])
+
+
+def test_an_outcome_keeps_its_spikes_when_the_engine_runs_again():
+    b, src, dst = _wire(delay=1)
+    b.add_injection(src, 6, 0)
+    engine = Engine(b.build())
+    first = engine.run()
+    engine.add_injection(src, 4, 10)
+    second = engine.run()
+    # Both outcomes are read only now, after the engine has spiked again.
+    assert first.raster == [SpikeEvent(0, src, 6), SpikeEvent(2, dst, 6)]
+    assert first.spikes_of(dst) == [SpikeEvent(2, dst, 6)]
+    assert second.spikes_of(dst) == [SpikeEvent(2, dst, 6), SpikeEvent(12, dst, 4)]
+    assert second.raster == first.raster + [SpikeEvent(10, src, 4), SpikeEvent(12, dst, 4)]
+
+
+def test_run_program_reads_the_output_without_building_the_raster(compiled_mul, monkeypatch):
+    made = []
+
+    class CountedSpikeEvent(SpikeEvent):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+        @classmethod
+        def _make(cls, fields):
+            made.append(fields)
+            return super()._make(fields)
+
+    monkeypatch.setattr(murec.engine, "SpikeEvent", CountedSpikeEvent)
+    run = run_program(compiled_mul, [3, 3])
+    assert (run.status, run.value) == ("ok", 9)
+    assert len(made) == 1  # the y spike only
+    spikes = len(run.outcome.raster)  # the first read builds the raster
+    assert spikes > 100 and len(made) == 1 + spikes
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from conftest import ADD, MU_MONUS, MUL, MONUS
+from conftest import ADD, ADD_REC, MU_MONUS, MUL, MUL_REC, MONUS
 from murec import CompiledProgram, Compose, Fault, Proj, compile_program, raster_csv, run_program
 from murec.cli import main
 
@@ -133,3 +133,37 @@ def test_golden_circuit_text_is_byte_identical(name):
 def test_golden_compiled_program_text_is_byte_identical(name):
     expr, _, sha = CIRCUIT_GOLDEN[name]
     assert _sha256(compile_program(expr).serialize().encode()) == sha
+
+
+# name: (argv with "{prog}" for the program file, program source, exit code, stdout)
+DIFF_GOLDEN = {
+    "random": (
+        ["diff", "--random", "12", "--seed", "3"], None, 0,
+        "cases=60 mismatches=0 timeouts=0 seed=3\n",
+    ),
+    "random_deep": (
+        ["diff", "--random", "8", "--seed", "11", "--samples", "3", "--depth", "4"], None, 0,
+        "cases=24 mismatches=0 timeouts=0 seed=11\n",
+    ),
+    "file": (
+        ["diff", "{prog}", "--args", "0..3,0..3"], ADD_REC, 0,
+        "cases=16 mismatches=0 timeouts=0 seed=none\n",
+    ),
+    # A step horizon too short for the largest case: the circuit's timeout
+    # against the interpreter's value is a reported mismatch.
+    "file_timeout": (
+        ["diff", "{prog}", "--args", "0..4,3", "--max-steps", "500"], MUL_REC, 5,
+        "cases=5 mismatches=1 timeouts=1 seed=none\n"
+        f"MISMATCH expr={MUL_REC} args=[4, 3] oracle=12 circuit=timeout\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_GOLDEN))
+def test_golden_diff_stdout_and_exit_code(name, tmp_path, capsys):
+    argv, source, code, stdout = DIFF_GOLDEN[name]
+    prog = tmp_path / "prog.rec"
+    if source is not None:
+        prog.write_text(source + "\n")
+    assert main([arg.replace("{prog}", str(prog)) for arg in argv]) == code
+    assert capsys.readouterr().out == stdout
