@@ -50,7 +50,7 @@ def _latency_str(latency: int | None) -> str:
     return "dynamic" if latency is None else f"static({latency})"
 
 
-def _natural(text: str, what: str) -> int:
+def _natural(text: str | int, what: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
@@ -127,7 +127,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
     raster_path = Path(ns.raster) if ns.raster else _default_raster_out(Path(ns.circuit), ns.format)
     render = raster_jsonl if ns.format == "jsonl" else raster_csv
-    raster_path.write_text(render(program.circuit, run.outcome.raster))
+    raster_path.write_text(render(program.circuit, run.outcome.spikes))
     if ns.trace is not None:
         Path(ns.trace).write_text(_trace_csv(run.outcome.trace or []))
 
@@ -200,6 +200,10 @@ def _print_report(report: DiffReport) -> None:
 
 
 def cmd_diff(ns: argparse.Namespace) -> int:
+    for option in ("--depth", "--arity", "--max-value", "--fuel", "--max-steps"):
+        _natural(getattr(ns, option[2:].replace("-", "_")) or 0, option)  # --arity may be None
+    if ns.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
     cfg = LoweringConfig(big_m=_env_big_m() if ns.big_m is None else ns.big_m, max_arg_magnitude=ns.max_arg)
     if ns.random is not None:
         rng = random.Random(ns.seed)
@@ -311,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
         return 64
     except InvalidCircuit as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # a program that parses but is too deep for the walks over it
+        print("error: program nested too deeply", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

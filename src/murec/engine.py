@@ -14,6 +14,9 @@ Timestep semantics:
    from ``t + leak + 1`` on; INFINITE leak retains it until the next event.
 5. Spikes on output-port nodes are recorded at the spike time itself
    (external taps add no transit).
+6. A timestep runs its work node by node in id order, so spikes come out in
+   raster order ``(time, node)`` and a fault is the step's first breach in
+   that order.
 
 Native gadget nodes run alongside neurons in the same id space: a constant
 emitter fires its fixed value one step after any delivery batch; a join
@@ -32,7 +35,6 @@ import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .circuit import Circuit, ConstEmit
@@ -42,7 +44,6 @@ INT63_MAX = 2**62 - 1
 INT63_MIN = -(2**62)
 
 _NEURON, _CONST_EMIT, _JOIN = 0, 1, 2
-_TIME_NODE = itemgetter(0, 1)
 
 
 class SpikeEvent(NamedTuple):
@@ -75,40 +76,30 @@ class SimConfig:
 
 @dataclass
 class RunOutcome:
-    """A run's result; its raster is built on first read.
+    """A run's result.
 
-    ``_spikes`` holds the run's ``(time, node, value)`` records in the order
-    they happened: by time, and within a step in processing order.
+    ``spikes`` is the raster as plain ``(time, node, value)`` tuples, in raster
+    order; ``raster`` wraps each in a :class:`SpikeEvent` on first read.
     """
 
     status: str  # "quiescent" | "timeout" | "fault"
     final_clock: int
-    _spikes: list[tuple[int, int, int]]
+    spikes: list[tuple[int, int, int]]
     fault: Fault | None = None
     trace: list[Delivery] | None = None
 
     @cached_property
     def raster(self) -> list[SpikeEvent]:
-        """Every spike, sorted by ``(time, neuron)``; a join's flush stays in line order."""
-        return list(map(SpikeEvent._make, sorted(self._spikes, key=_TIME_NODE)))
+        """Every spike as a :class:`SpikeEvent`, in raster order."""
+        return list(map(SpikeEvent._make, self.spikes))
 
     def spikes_of(self, node: int) -> list[SpikeEvent]:
-        """One node's spikes, as in the raster, without building the raster.
-
-        The records are in time order, and a join's lines in line order.
-        """
-        return [SpikeEvent._make(spike) for spike in self._spikes if spike[1] == node]
+        """One node's spikes, as in the raster, without building the raster."""
+        return [SpikeEvent._make(spike) for spike in self.spikes if spike[1] == node]
 
     @property
     def quiescent(self) -> bool:
         return self.status == "quiescent"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunOutcome):
-            return NotImplemented
-        return (self.status, self.final_clock, self.raster, self.fault, self.trace) == (
-            other.status, other.final_clock, other.raster, other.fault, other.trace,
-        )
 
 
 class Engine:
@@ -116,12 +107,12 @@ class Engine:
 
     A :class:`Circuit` is valid by construction, so node ids are dense and
     per-node state lives in lists indexed by id.  Pending work is one dict per
-    timestep, on the heap iff it exists: key ``j >= 0`` holds the
-    ``(source, value)`` deliveries to node ``j`` in arrival order, and key
-    ``g - n_nodes`` marks a fire of const emitter ``g``, so sorted keys give
-    fires by id, then deliveries by target.  ``raster`` and ``trace`` hold
-    plain tuples in run order; :meth:`run` sorts the trace, and the
-    :class:`RunOutcome` sorts the raster when it is first read.
+    timestep, on the heap iff it exists: key ``2·g`` marks a fire of const
+    emitter ``g``, and key ``2·j + 1`` holds the ``(source, value)``
+    deliveries to node ``j`` in arrival order, so sorted keys run a step in
+    node order (rule 6).  Out-edges and join edges store their target's key.
+    ``raster`` and ``trace`` hold plain tuples, already in raster and
+    ``(time, target)`` order.
     """
 
     def __init__(
@@ -152,7 +143,7 @@ class Engine:
         # Synapses are sorted by (pre, post), so each out-list is in post order.
         self._out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for s in circuit.synapses:
-            self._out[s.pre].append((s.post, s.weight, s.delay + 1))
+            self._out[s.pre].append((2 * s.post + 1, s.weight, s.delay + 1))
         # A join's (source -> line index, per-line out-edge, buffered line values).
         self._join: list[tuple[dict[int, int], list, dict[int, int]] | None] = [None] * n
         for g in circuit.gadgets:
@@ -163,7 +154,7 @@ class Engine:
                 self._kind[g.id] = _JOIN
                 edge_to = {edge[0]: edge for edge in self._out[g.id]}
                 line_of = {src: m for m, src in enumerate(g.inputs)}
-                self._join[g.id] = (line_of, [edge_to[dst] for dst in g.outputs], {})
+                self._join[g.id] = (line_of, [edge_to[2 * dst + 1] for dst in g.outputs], {})
         self._pending: dict[int, dict[int, list[tuple[int | None, int]] | None]] = {}
         self._heap: list[int] = []
         for inj in (*circuit.injections, *extra_injections):
@@ -183,7 +174,7 @@ class Engine:
         if batch is None:
             batch = self._pending[time] = {}
             heapq.heappush(self._heap, time)
-        batch.setdefault(neuron, []).append((None, value))
+        batch.setdefault(2 * neuron + 1, []).append((None, value))
 
     # -- inspection --------------------------------------------------------
 
@@ -231,7 +222,6 @@ class Engine:
         # lo <= v <= hi iff v passes both the overflow and the big-M check.
         lo = max(INT63_MIN, 1 - 2 * self.config.big_m)
         hi = min(INT63_MAX, 2 * self.config.big_m - 1)
-        n = len(kind)
         heappush, heappop = heapq.heappush, heapq.heappop
         t = None
         while heap and heap[0] <= horizon:
@@ -240,11 +230,10 @@ class Engine:
             self._open = t + 1
             batch = pending.pop(t)
             for key in sorted(batch):
-                if key < 0:
-                    node = key + n
+                node = key >> 1
+                if not key & 1:  # a fire of const emitter `node`
                     v = const[node]
                 else:
-                    node = key
                     arrivals = batch[key]
                     if trace is not None:
                         trace.extend([(t, node, source, x) for source, x in arrivals])
@@ -265,7 +254,7 @@ class Engine:
                         if nxt is None:
                             nxt = pending[t + 1] = {}
                             heappush(heap, t + 1)
-                        nxt[key - n] = None
+                        nxt[key - 1] = None  # the fire key 2·node
                         continue
                     else:
                         # Join: a line keeps its latest batch's sum; once every
@@ -286,7 +275,7 @@ class Engine:
                             record((t, node, x))
                             p = w * x
                             if not lo <= p <= hi:
-                                return self._stop(t, post, p)
+                                return self._stop(t, post >> 1, p)
                             nxt = pending.get(t + d1)
                             if nxt is None:
                                 nxt = pending[t + d1] = {}
@@ -299,7 +288,7 @@ class Engine:
                 for post, w, d1 in out[node]:
                     p = w * v
                     if not lo <= p <= hi:
-                        return self._stop(t, post, p)
+                        return self._stop(t, post >> 1, p)
                     nxt = pending.get(t + d1)
                     if nxt is None:
                         nxt = pending[t + d1] = {}
@@ -319,9 +308,7 @@ class Engine:
         return time
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:
-        trace = None
-        if self.trace is not None:
-            trace = list(map(Delivery._make, sorted(self.trace, key=_TIME_NODE)))
+        trace = None if self.trace is None else list(map(Delivery._make, self.trace))
         # A copy: a later run of this engine appends to its records.
         return RunOutcome(status, final_clock, self.raster.copy(), self.fault, trace)
 
@@ -347,8 +334,8 @@ def port_spikes(circuit: Circuit, raster: list[SpikeEvent], role: str = "output"
     return found
 
 
-def _raster_rows(circuit: Circuit, raster: list[SpikeEvent]) -> list[tuple[int, int, int, str]]:
-    """One row per spike of a raster in :class:`RunOutcome` order, once per output port."""
+def _raster_rows(circuit: Circuit, raster: list[tuple[int, int, int]]) -> list[tuple[int, int, int, str]]:
+    """One row per spike of a raster, once per output port."""
     port_names: dict[int, list[str]] = {}
     for p in circuit.ports_by_role("output"):
         port_names.setdefault(p.neuron, []).append(p.name)
@@ -363,8 +350,8 @@ def _raster_rows(circuit: Circuit, raster: list[SpikeEvent]) -> list[tuple[int, 
     return rows
 
 
-def raster_csv(circuit: Circuit, raster: list[SpikeEvent]) -> str:
-    """Render a raster in :class:`RunOutcome` order as CSV (header ``time,neuron,value,port``).
+def raster_csv(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:
+    """Render ``RunOutcome.spikes`` or ``.raster`` as CSV (header ``time,neuron,value,port``).
 
     Integers never need quoting, so only each output port's cell goes through
     ``csv.writer`` (once, as the last field of a row); every spike row is
@@ -387,8 +374,8 @@ def raster_csv(circuit: Circuit, raster: list[SpikeEvent]) -> str:
     return "time,neuron,value,port\n" + "".join(rows)
 
 
-def raster_jsonl(circuit: Circuit, raster: list[SpikeEvent]) -> str:
-    """Render a raster in :class:`RunOutcome` order as JSON lines with the CSV's fields."""
+def raster_jsonl(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:
+    """Render a raster (as for :func:`raster_csv`) as JSON lines with the CSV's fields."""
     lines = []
     for time, neuron, value, port in _raster_rows(circuit, raster):
         lines.append(json.dumps({"time": time, "neuron": neuron, "value": value, "port": port}))

@@ -286,6 +286,20 @@ def test_hostile_program_text_fails_without_a_traceback(tmp_path, capsys, comman
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "command", [["compile"], ["eval", "1"], ["diff", "--args", "1"]], ids=["compile", "eval", "diff"]
+)
+def test_a_program_too_deep_to_compile_or_evaluate_fails_without_a_traceback(tmp_path, capsys, command):
+    # Shallow enough to parse, too deep for the recursive walks after parsing.
+    text = "(proj 1 1)"
+    for _ in range(600):
+        text = f"(compose (succ) ({text}))"
+    src = tmp_path / "deep.rec"
+    src.write_text(text + "\n")
+    assert main([command[0], str(src), *command[1:]]) == 1
+    assert capsys.readouterr().err == "error: program nested too deeply\n"
+
+
 def test_eval_reports_fuel_exhaustion(tmp_path, capsys):
     src = tmp_path / "diverge.rec"
     src.write_text(ALWAYS_POSITIVE_REC + "\n")
@@ -336,6 +350,25 @@ def test_diff_argument_errors(add_rec, capsys):
     capsys.readouterr()
     assert main(["diff", str(add_rec)]) == 2  # neither --args nor --random
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    ("option", "value", "message"),
+    [
+        ("--arity", "-1", "--arity must be a natural, got -1"),
+        ("--max-value", "-1", "--max-value must be a natural, got -1"),
+        ("--fuel", "-1", "--fuel must be a natural, got -1"),
+        ("--max-steps", "-1", "--max-steps must be a natural, got -1"),
+        ("--depth", "-1", "--depth must be a natural, got -1"),
+        ("--samples", "0", "--samples must be at least 1, got 0"),
+    ],
+    ids=["arity", "max_value", "fuel", "max_steps", "depth", "samples"],
+)
+def test_diff_rejects_an_out_of_range_number(capsys, option, value, message):
+    assert main(["diff", "--random", "2", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Event-driven simulator: delivery timing, integration, leak, faults, joins."""
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,10 @@ from conftest import built_circuits
 from murec import (
     INFINITE,
     CircuitBuilder,
+    Delivery,
     EmptyQueue,
     Engine,
+    Fault,
     Injection,
     SimConfig,
     SpikeEvent,
@@ -22,6 +26,7 @@ from murec import (
     run_program,
     simulate,
 )
+from murec.cli import main
 
 
 def _wire(weight: int = 1, delay: int = 0):
@@ -541,6 +546,59 @@ def test_port_spikes_groups_by_name():
 
 
 # ---------------------------------------------------------------------------
+# step order: a step runs its work in raster order
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_circuits(), st.booleans(), st.booleans())
+def test_spikes_come_out_in_raster_order(drawn, trace, small_m):
+    circuit, big_m = drawn
+    config = SimConfig(max_steps=40, big_m=3 if small_m else big_m, trace=trace)
+    outcome = Engine(circuit, config).run()
+    assert outcome.spikes == sorted(outcome.spikes, key=itemgetter(0, 1))
+    assert outcome.raster == list(map(SpikeEvent._make, outcome.spikes))
+    if trace:
+        assert outcome.trace == sorted(outcome.trace, key=itemgetter(0, 1))
+
+
+def _emitter_above_a_neuron():
+    """A neuron ``low`` and a const emitter ``ce`` with a higher id; ``poke`` fires ``ce`` at t=2."""
+    b = CircuitBuilder()
+    low = b.add_neuron(0)
+    poke = b.add_neuron(0)
+    ce = b.add_const_emit(5)
+    b.add_synapse(poke, ce, 1, 0)
+    b.add_injection(poke, 1, 0)  # ce receives at t=1 and fires at t=2
+    return b, low, poke, ce
+
+
+def test_a_step_stops_at_its_first_breach_in_node_order():
+    # At t=2 both `low` (value 100) and `ce`'s fan-out (9 * 5) breach big_m=10.
+    b, low, poke, ce = _emitter_above_a_neuron()
+    sink = b.add_neuron(0)
+    b.add_synapse(ce, sink, 9, 0)
+    b.add_injection(low, 100, 2)
+    outcome = simulate(b.build(), config=SimConfig(big_m=10))
+    assert outcome.fault == Fault("magnitude_breach", 2, low, 100)
+    assert outcome.raster == [SpikeEvent(0, poke, 1)]  # `ce` never fired
+
+
+def test_arrivals_from_one_step_are_traced_by_source_id():
+    # `low` and `ce` both spike at t=2 and both deliver to `target` at t=3.
+    b, low, _, ce = _emitter_above_a_neuron()
+    target = b.add_neuron(100)
+    b.add_synapse(low, target, 1, 0)
+    b.add_synapse(ce, target, 1, 0)
+    b.add_injection(low, 4, 2)
+    outcome = simulate(b.build(), config=SimConfig(trace=True))
+    assert [d for d in outcome.trace if d.target == target] == [
+        Delivery(3, target, low, 4),
+        Delivery(3, target, ce, 5),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # reading an outcome: the whole raster or one node's spikes
 # ---------------------------------------------------------------------------
 
@@ -573,7 +631,9 @@ def test_an_outcome_keeps_its_spikes_when_the_engine_runs_again():
     assert second.raster == first.raster + [SpikeEvent(10, src, 4), SpikeEvent(12, dst, 4)]
 
 
-def test_run_program_reads_the_output_without_building_the_raster(compiled_mul, monkeypatch):
+@pytest.fixture()
+def spike_events_made(monkeypatch):
+    """The fields of every :class:`SpikeEvent` the engine module makes from now on."""
     made = []
 
     class CountedSpikeEvent(SpikeEvent):
@@ -589,11 +649,30 @@ def test_run_program_reads_the_output_without_building_the_raster(compiled_mul, 
             return super()._make(fields)
 
     monkeypatch.setattr(murec.engine, "SpikeEvent", CountedSpikeEvent)
+    return made
+
+
+def test_run_program_reads_the_output_without_building_the_raster(compiled_mul, spike_events_made):
+    made = spike_events_made
     run = run_program(compiled_mul, [3, 3])
     assert (run.status, run.value) == ("ok", 9)
     assert len(made) == 1  # the y spike only
     spikes = len(run.outcome.raster)  # the first read builds the raster
     assert spikes > 100 and len(made) == 1 + spikes
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_murec_run_writes_its_raster_file_without_building_the_raster(
+    compiled_mul, spike_events_made, fmt, tmp_path, capsys
+):
+    circuit_path = tmp_path / "mul.circuit.json"
+    circuit_path.write_text(compiled_mul.serialize())
+    raster_path = tmp_path / f"mul.raster.{fmt}"
+    argv = ["run", str(circuit_path), "--in", "i=3", "--in", "x1=3", "--format", fmt]
+    assert main(argv + ["--raster", str(raster_path)]) == 0
+    assert capsys.readouterr().out.startswith("y=9\n")
+    assert len(raster_path.read_text().splitlines()) > 100
+    assert len(spike_events_made) == 1  # the y spike only
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Golden runs and circuits: byte-exact rasters, traces and circuit text.
 
-Each run case pins the sha256 of ``raster_csv`` and of the trace CSV that
-``murec run --trace`` writes, together with the run's status, final clock and
-fault record.  Any change to the engine's event order, timing or arithmetic
+Each run case pins the sha256 of ``raster_csv``, of the trace CSV that
+``murec run --trace`` writes and of the raster file ``murec run --format
+jsonl`` writes, together with the run's status, final clock and fault record.  Any change to the engine's event order, timing or arithmetic
 shows up here as a changed digest.  The circuit cases pin the sha256 of
 ``Circuit.serialize()`` and of ``CompiledProgram.serialize()`` for compiled
 programs, so any change to lowering, canonical order, the meta block or the
@@ -75,19 +75,48 @@ def test_golden_run_is_byte_identical(name, tmp_path, capsys):
     assert (outcome.status, outcome.final_clock, outcome.fault) == (status, clock, fault)
     assert _sha256(raster_csv(program.circuit, outcome.raster).encode()) == raster_sha
 
-    circuit_path = tmp_path / f"{name}.circuit.json"
-    circuit_path.write_text(json.dumps(doc))
     raster_path = tmp_path / "raster.csv"
     trace_path = tmp_path / "trace.csv"
-    argv = ["run", str(circuit_path), "--raster", str(raster_path), "--trace", str(trace_path)]
-    for port, value in zip(program.meta["ports"]["inputs"], args):
-        argv += ["--in", f"{port}={value}"]
-    if max_steps is not None:
-        argv += ["--max-steps", str(max_steps)]
-    assert main(argv) == code
+    assert _murec_run(name, doc, tmp_path, "--raster", str(raster_path), "--trace", str(trace_path)) == code
     capsys.readouterr()
     assert _sha256(raster_path.read_bytes()) == raster_sha
     assert _sha256(trace_path.read_bytes()) == trace_sha
+
+
+def _murec_run(name, doc, tmp_path, *options):
+    """``murec run`` on a GOLDEN case's circuit document; returns the exit code."""
+    _, args, _, max_steps = GOLDEN[name][:4]
+    circuit_path = tmp_path / f"{name}.circuit.json"
+    circuit_path.write_text(json.dumps(doc))
+    argv = ["run", str(circuit_path), *options]
+    for port, value in zip(doc["meta"]["ports"]["inputs"], args):
+        argv += ["--in", f"{port}={value}"]
+    if max_steps is not None:
+        argv += ["--max-steps", str(max_steps)]
+    return main(argv)
+
+
+# name: sha256 of the raster file ``murec run --format jsonl`` writes for GOLDEN[name]
+JSONL_GOLDEN = {
+    "add": "ed67473abc58849629cea5bc5f8a1b193c1dd01310b0e4b41ffc984d1aafa0b7",
+    "fault": "4802d6d8882703b1da4775ed3eda16eb369eb350836df7fe9e9ffe5e19e033a2",
+    "monus": "c1c36350552b51b5a86bc1ae2a4e53cf5d2a7a38b5290d4aeb7e9b0a2d31e280",
+    "mu_monus": "a16af615c623934688acd0e6749263f73b26c412bcee35c00cf9fd50e658f767",
+    "mul": "0bf6b49b48d79f6095bb6ce3ff3795ff212fc588399198977030b8ec4c2381d0",
+    "timeout": "ce7b65045a85c791d085c67ce6d56502e0254223bfb3edc35b1e3d8a41d757af",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSONL_GOLDEN))
+def test_golden_jsonl_raster_file_is_byte_identical(name, tmp_path, capsys):
+    expr, _, big_m = GOLDEN[name][:3]
+    doc = compile_program(expr).to_document()
+    if big_m is not None:
+        doc["meta"]["big_m"] = big_m
+    raster_path = tmp_path / "raster.jsonl"
+    assert _murec_run(name, doc, tmp_path, "--format", "jsonl", "--raster", str(raster_path)) == GOLDEN[name][7]
+    capsys.readouterr()
+    assert _sha256(raster_path.read_bytes()) == JSONL_GOLDEN[name]
 
 
 def _nest(depth):
