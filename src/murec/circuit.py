@@ -7,7 +7,8 @@ Synapses carry an integer weight and a whole-number delay; total transit time
 for a spike is ``delay + 1``.  Ports name nodes used for external input or
 output, and the injection plan lists externally supplied values a run needs.
 
-Circuits are valid and frozen from construction on: every section is a tuple
+Records are named tuples, so they are immutable and cheap to make.  Circuits
+are valid and frozen from construction on: every section is a tuple
 sorted into canonical order once and then checked (an invalid circuit raises
 :class:`InvalidCircuit`), so canonical JSON (stable key order, sorted records)
 encodes the sections as they stand, and equal circuits give byte-equal text.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Union
+from operator import itemgetter
+from typing import Any, Iterable, NamedTuple, Union
 
 from .errors import (
     DuplicatePortName,
@@ -30,37 +32,32 @@ from .errors import (
 INFINITE: None = None
 
 
-@dataclass(frozen=True)
-class NeuronSpec:
+class NeuronSpec(NamedTuple):
     id: int
     threshold: int
     leak: int | None  # whole number of steps, or INFINITE (None)
 
 
-@dataclass(frozen=True)
-class SynapseSpec:
+class SynapseSpec(NamedTuple):
     pre: int
     post: int
     weight: int
     delay: int
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     name: str
     neuron: int
     role: str  # "input" | "output"
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     neuron: int
     value: int
     time: int
 
 
-@dataclass(frozen=True)
-class ConstEmit:
+class ConstEmit(NamedTuple):
     """Native node that emits a fixed value one step after any delivery batch.
 
     Any incoming delivery at time ``t`` (whatever its value, including 0 and
@@ -72,8 +69,7 @@ class ConstEmit:
     value: int
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(NamedTuple):
     """Native node that synchronizes ``n`` lines.
 
     Line ``m`` buffers deliveries coming from node ``inputs[m]`` (same-batch
@@ -116,11 +112,12 @@ class Circuit:
     def __post_init__(self) -> None:
         # The only place that sorts: everything downstream trusts this order.
         set_field = object.__setattr__
-        set_field(self, "neurons", tuple(sorted(self.neurons, key=lambda n: n.id)))
-        set_field(self, "synapses", tuple(sorted(self.synapses, key=lambda s: (s.pre, s.post))))
-        set_field(self, "ports", tuple(sorted(self.ports, key=lambda p: p.name)))
-        set_field(self, "injections", tuple(sorted(self.injections, key=lambda i: (i.time, i.neuron, i.value))))
-        set_field(self, "gadgets", tuple(sorted(self.gadgets, key=lambda g: g.id)))
+        # Sort keys are field positions: id, (pre, post), name, (time, neuron, value), id.
+        set_field(self, "neurons", tuple(sorted(self.neurons, key=itemgetter(0))))
+        set_field(self, "synapses", tuple(sorted(self.synapses, key=itemgetter(0, 1))))
+        set_field(self, "ports", tuple(sorted(self.ports, key=itemgetter(0))))
+        set_field(self, "injections", tuple(sorted(self.injections, key=itemgetter(2, 0, 1))))
+        set_field(self, "gadgets", tuple(sorted(self.gadgets, key=itemgetter(0))))
         violations = self.validate()
         if violations:
             raise InvalidCircuit(violations)
@@ -283,11 +280,12 @@ def _circuit_json(circuit: Circuit, indent: str) -> str:
             neuron % (n.id, n.threshold, '"inf"' if n.leak is None else n.leak)
             for n in circuit.neurons
         ],
-        "synapses": [synapse % (s.pre, s.post, s.weight, s.delay) for s in circuit.synapses],
+        # Records are tuples in their template's field order.
+        "synapses": [synapse % s for s in circuit.synapses],
         "ports": [port % (json.dumps(p.name), p.neuron, json.dumps(p.role)) for p in circuit.ports],
-        "injections": [injection % (inj.neuron, inj.value, inj.time) for inj in circuit.injections],
+        "injections": [injection % inj for inj in circuit.injections],
         "gadgets": [
-            const_emit % (g.id, g.value)
+            const_emit % g
             if isinstance(g, ConstEmit)
             else join % (g.id, len(g.inputs), line_sep.join(map(str, g.inputs)),
                          line_sep.join(map(str, g.outputs)))
@@ -377,21 +375,21 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
             raise ParseError(f"port: name must be a nonempty string, got {name!r}")
         if role not in ("input", "output"):
             raise ParseError(f"port {name!r}: role must be \"input\" or \"output\"")
-        ports.append(Port(name=name, neuron=_require_int(raw, "neuron", "port"), role=role))
+        ports.append(Port(name, _require_int(raw, "neuron", "port"), role))
     injections = []
     for raw in _section(doc, "injections"):
         injections.append(
             Injection(
-                neuron=_require_int(raw, "neuron", "injection"),
-                value=_require_int(raw, "value", "injection"),
-                time=_require_int(raw, "time", "injection"),
+                _require_int(raw, "neuron", "injection"),
+                _require_int(raw, "value", "injection"),
+                _require_int(raw, "time", "injection"),
             )
         )
     gadgets: list[NativeGadget] = []
     for raw in _section(doc, "gadgets"):
         kind = raw.get("kind")
         if kind == "const_emit":
-            gadgets.append(ConstEmit(id=_require_int(raw, "id", "gadget"), value=_require_int(raw, "k", "gadget")))
+            gadgets.append(ConstEmit(_require_int(raw, "id", "gadget"), _require_int(raw, "k", "gadget")))
         elif kind == "join":
             inputs = raw.get("inputs")
             outputs = raw.get("outputs")
@@ -400,13 +398,7 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
             for x in (*inputs, *outputs):
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ParseError(f"join gadget: line endpoints must be integers, got {x!r}")
-            gadgets.append(
-                Join(
-                    id=_require_int(raw, "id", "gadget"),
-                    inputs=tuple(inputs),
-                    outputs=tuple(outputs),
-                )
-            )
+            gadgets.append(Join(_require_int(raw, "id", "gadget"), tuple(inputs), tuple(outputs)))
         else:
             raise ParseError(f"unknown gadget kind {kind!r}")
     return Circuit(neurons=neurons, synapses=synapses, ports=ports, injections=injections, gadgets=gadgets)
@@ -434,12 +426,12 @@ class CircuitBuilder:
         if leak is not None and leak < 0:
             raise ValueError("leak must be >= 0 or INFINITE")
         nid = self._alloc()
-        self._neurons.append(NeuronSpec(id=nid, threshold=threshold, leak=leak))
+        self._neurons.append(NeuronSpec(nid, threshold, leak))
         return nid
 
     def add_const_emit(self, value: int) -> int:
         nid = self._alloc()
-        self._gadgets.append(ConstEmit(id=nid, value=value))
+        self._gadgets.append(ConstEmit(nid, value))
         return nid
 
     def add_join(self, inputs: Iterable[int], outputs: Iterable[int]) -> int:
@@ -452,7 +444,7 @@ class CircuitBuilder:
         if len(set(ins)) != len(ins) or len(set(outs)) != len(outs):
             raise ValueError("join line endpoints must be distinct")
         nid = self._alloc()
-        self._gadgets.append(Join(id=nid, inputs=ins, outputs=outs))
+        self._gadgets.append(Join(nid, ins, outs))
         # Line synapses are part of the join contract: unit weight, no delay.
         for src in ins:
             self.add_synapse(src, nid, 1, 0)
@@ -474,7 +466,7 @@ class CircuitBuilder:
         key = (pre, post)
         if key in self._synapses:
             raise DuplicateSynapse(f"synapse {key} already exists")
-        self._synapses[key] = SynapseSpec(pre=pre, post=post, weight=weight, delay=delay)
+        self._synapses[key] = SynapseSpec(pre, post, weight, delay)
         return key
 
     def mark_port(self, neuron: int, role: str, name: str) -> None:
@@ -483,13 +475,13 @@ class CircuitBuilder:
             raise ValueError("port role must be \"input\" or \"output\"")
         if name in self._ports:
             raise DuplicatePortName(f"port {name!r} already exists")
-        self._ports[name] = Port(name=name, neuron=neuron, role=role)
+        self._ports[name] = Port(name, neuron, role)
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
         self._check_node(neuron)
         if time < 0:
             raise ValueError("injection time must be >= 0")
-        self._injections.append(Injection(neuron=neuron, value=value, time=time))
+        self._injections.append(Injection(neuron, value, time))
 
     # -- finish ------------------------------------------------------------
 

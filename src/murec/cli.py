@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import os
@@ -121,6 +122,7 @@ def _trace_csv(trace) -> str:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
+    _natural(ns.max_steps, "--max-steps")
     program = CompiledProgram.deserialize(Path(ns.circuit).read_text())
     binding = _parse_bindings(ns.inputs or [])
     run = run_program(program, binding, max_steps=ns.max_steps, trace=ns.trace is not None)
@@ -148,6 +150,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
+    _natural(ns.fuel, "--fuel")
     expr = parse_program(Path(ns.program).read_text())
     args = []
     for raw in ns.args:
@@ -299,10 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: a parse leaves it as it was, so every ``main`` call shares it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         return ns.func(ns)
     except (ParseError, ArityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

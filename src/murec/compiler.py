@@ -511,7 +511,7 @@ def run_program(
 
     port_map = {p.name: p.neuron for p in program.circuit.ports}
     injections = tuple(
-        Injection(neuron=port_map[name], value=value, time=0)
+        Injection(port_map[name], value, 0)
         for name, value in sorted(binding.items())
     )
     outcome = simulate(

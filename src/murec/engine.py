@@ -102,17 +102,81 @@ class RunOutcome:
         return self.status == "quiescent"
 
 
+class _Plan(NamedTuple):
+    """What an engine needs of a circuit, indexed by node id; read-only.
+
+    ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1)``
+    in post order; ``joins[j]`` is, for a join ``j``, its source -> line index
+    map and each line's out-edge, and None for any other node.
+    """
+
+    kind: tuple[int, ...]
+    threshold: tuple[int, ...]
+    leak: tuple[float, ...]  # INFINITE is float("inf"): retained forever
+    const: tuple[int, ...]
+    out: tuple[tuple[tuple[int, int, int], ...], ...]
+    joins: tuple[tuple[dict[int, int], tuple[tuple[int, int, int], ...]] | None, ...]
+    join_ids: tuple[int, ...]
+
+
+def _build_plan(circuit: Circuit) -> _Plan:
+    n = len(circuit.neurons) + len(circuit.gadgets)
+    kind = [_NEURON] * n
+    threshold = [0] * n
+    leak: list[float] = [float("inf")] * n
+    const = [0] * n
+    for spec in circuit.neurons:
+        threshold[spec.id] = spec.threshold
+        if spec.leak is not None:
+            leak[spec.id] = spec.leak
+    # Synapses are sorted by (pre, post), so each out-list is in post order.
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for pre, post, weight, delay in circuit.synapses:
+        out[pre].append((2 * post + 1, weight, delay + 1))
+    joins: list = [None] * n
+    for g in circuit.gadgets:
+        if isinstance(g, ConstEmit):
+            kind[g.id] = _CONST_EMIT
+            const[g.id] = g.value
+        else:
+            kind[g.id] = _JOIN
+            edge_to = {edge[0]: edge for edge in out[g.id]}
+            line_of = {src: m for m, src in enumerate(g.inputs)}
+            joins[g.id] = (line_of, tuple(edge_to[2 * dst + 1] for dst in g.outputs))
+    return _Plan(
+        tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
+        tuple(j for j in range(n) if kind[j] == _JOIN),
+    )
+
+
+def _plan_of(circuit: Circuit) -> _Plan:
+    """The circuit's plan, built the first time an engine sees this object.
+
+    The memo lives in the instance's ``__dict__``, so it dies with the object;
+    a :class:`Circuit` is frozen and valid by construction, so it never goes stale.
+    """
+    plan = circuit.__dict__.get("_engine_plan")
+    if plan is None:
+        plan = circuit.__dict__["_engine_plan"] = _build_plan(circuit)
+    return plan
+
+
 class Engine:
     """Single-owner stepper over one circuit run.
 
-    A :class:`Circuit` is valid by construction, so node ids are dense and
-    per-node state lives in lists indexed by id.  Pending work is one dict per
-    timestep, on the heap iff it exists: key ``2·g`` marks a fire of const
-    emitter ``g``, and key ``2·j + 1`` holds the ``(source, value)``
-    deliveries to node ``j`` in arrival order, so sorted keys run a step in
-    node order (rule 6).  Out-edges and join edges store their target's key.
-    ``raster`` and ``trace`` hold plain tuples, already in raster and
-    ``(time, target)`` order.
+    What depends only on the circuit (node kinds, thresholds, leaks, constant
+    values, out-edges, join line maps) is one read-only plan per
+    :class:`Circuit` object, shared by every engine over it.  An engine owns
+    only its run's state: each neuron's retained value and how long it lives,
+    each join's buffered line values, the pending work and the records.
+
+    Node ids are dense, so per-node state lives in lists indexed by id.
+    Pending work is one dict per timestep, on the heap iff it exists: key
+    ``2·g`` marks a fire of const emitter ``g``, and key ``2·j + 1`` holds the
+    ``(source, value)`` deliveries to node ``j`` in arrival order, so sorted
+    keys run a step in node order (rule 6).  Out-edges and join edges store
+    their target's key.  ``raster`` and ``trace`` hold plain tuples, already
+    in raster and ``(time, target)`` order.
     """
 
     def __init__(
@@ -129,32 +193,11 @@ class Engine:
         self.raster: list[tuple[int, int, int]] = []
         self.trace: list[tuple[int, int, int | None, int]] | None = [] if self.config.trace else None
 
-        n = len(circuit.neurons) + len(circuit.gadgets)
-        self._kind = [_NEURON] * n
-        self._threshold = [0] * n
-        self._leak: list[float] = [float("inf")] * n  # INFINITE: retained forever
-        self._const = [0] * n
+        plan = self._plan = _plan_of(circuit)
+        n = len(plan.kind)
         self._held = [0] * n  # a neuron's retained value ...
         self._until: list[float] = [-1] * n  # ... live through this time
-        for spec in circuit.neurons:
-            self._threshold[spec.id] = spec.threshold
-            if spec.leak is not None:
-                self._leak[spec.id] = spec.leak
-        # Synapses are sorted by (pre, post), so each out-list is in post order.
-        self._out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for s in circuit.synapses:
-            self._out[s.pre].append((2 * s.post + 1, s.weight, s.delay + 1))
-        # A join's (source -> line index, per-line out-edge, buffered line values).
-        self._join: list[tuple[dict[int, int], list, dict[int, int]] | None] = [None] * n
-        for g in circuit.gadgets:
-            if isinstance(g, ConstEmit):
-                self._kind[g.id] = _CONST_EMIT
-                self._const[g.id] = g.value
-            else:
-                self._kind[g.id] = _JOIN
-                edge_to = {edge[0]: edge for edge in self._out[g.id]}
-                line_of = {src: m for m, src in enumerate(g.inputs)}
-                self._join[g.id] = (line_of, [edge_to[2 * dst + 1] for dst in g.outputs], {})
+        self._lines: dict[int, dict[int, int]] = {j: {} for j in plan.join_ids}  # per join: line -> value
         self._pending: dict[int, dict[int, list[tuple[int | None, int]] | None]] = {}
         self._heap: list[int] = []
         for inj in (*circuit.injections, *extra_injections):
@@ -162,9 +205,10 @@ class Engine:
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
         """Schedule a delivery after every processed step; dropped after a fault."""
-        if not 0 <= neuron < len(self._kind):
+        kind = self._plan.kind
+        if not 0 <= neuron < len(kind):
             raise UnknownNeuron(f"node {neuron} does not exist")
-        if self._kind[neuron] == _JOIN:
+        if kind[neuron] == _JOIN:
             raise InvalidCircuit([f"injection into join {neuron} is not allowed"])
         if time < self._open:
             raise ValueError(f"injection time must be >= {self._open}, got {time}")
@@ -183,17 +227,15 @@ class Engine:
 
     def inspect(self, neuron: int, at: int | None = None) -> int:
         """Retained state of a neuron with leak accounted at time ``at``."""
-        if not 0 <= neuron < len(self._kind) or self._kind[neuron] != _NEURON:
+        kind = self._plan.kind
+        if not 0 <= neuron < len(kind) or kind[neuron] != _NEURON:
             raise UnknownNeuron(f"node {neuron} is not a neuron")
         when = self.clock if at is None else at
         return self._held[neuron] if when <= self._until[neuron] else 0
 
     def join_lines(self, join_id: int) -> dict[int, int]:
         """Currently buffered values of a join, keyed by line index."""
-        join = self._join[join_id] if 0 <= join_id < len(self._join) else None
-        if join is None:
-            raise KeyError(join_id)
-        return dict(join[2])
+        return dict(self._lines[join_id])
 
     # -- execution ---------------------------------------------------------
 
@@ -216,8 +258,8 @@ class Engine:
         A fault ends the step at once and empties the queue; None: no step ran.
         """
         heap, pending = self._heap, self._pending
-        kind, threshold, leak, const = self._kind, self._threshold, self._leak, self._const
-        held, until, out, joins = self._held, self._until, self._out, self._join
+        kind, threshold, leak, const, out, joins, _ = self._plan
+        held, until, buffers = self._held, self._until, self._lines
         record, trace = self.raster.append, self.trace
         # lo <= v <= hi iff v passes both the overflow and the big-M check.
         lo = max(INT63_MIN, 1 - 2 * self.config.big_m)
@@ -259,7 +301,8 @@ class Engine:
                     else:
                         # Join: a line keeps its latest batch's sum; once every
                         # line holds a value, all flush along their own edges.
-                        line_of, edges, lines = joins[node]
+                        line_of, edges = joins[node]
+                        lines = buffers[node]
                         sums: dict[int, int] = {}
                         for source, x in arrivals:
                             m = line_of[source]
@@ -280,7 +323,11 @@ class Engine:
                             if nxt is None:
                                 nxt = pending[t + d1] = {}
                                 heappush(heap, t + d1)
-                            nxt.setdefault(post, []).append((node, p))
+                            inbox = nxt.get(post)
+                            if inbox is None:
+                                nxt[post] = [(node, p)]
+                            else:
+                                inbox.append((node, p))
                         lines.clear()
                         continue
                 # A neuron spike or a const-emit fire: fan out along every edge.
@@ -293,7 +340,11 @@ class Engine:
                     if nxt is None:
                         nxt = pending[t + d1] = {}
                         heappush(heap, t + d1)
-                    nxt.setdefault(post, []).append((node, p))
+                    inbox = nxt.get(post)
+                    if inbox is None:
+                        nxt[post] = [(node, p)]
+                    else:
+                        inbox.append((node, p))
         return t
 
     def _stop(self, time: int, node: int, value: int) -> int:

@@ -61,11 +61,11 @@ class TriggerCell:
         injections = []
         for kind, time, value in ops:
             if kind == "store":
-                injections.append(Injection(neuron=self.store, value=value, time=time))
+                injections.append(Injection(self.store, value, time))
             elif kind == "erase":
-                injections.append(Injection(neuron=self.store, value=-value, time=time))
+                injections.append(Injection(self.store, -value, time))
             elif kind == "trigger":
-                injections.append(Injection(neuron=self.store, value=self.big_m, time=time))
+                injections.append(Injection(self.store, self.big_m, time))
             else:
                 raise ValueError(f"unknown trigger cell operation {kind!r}")
         return injections

@@ -284,6 +284,18 @@ def test_circuit_is_frozen_with_tuple_sections():
         assert isinstance(getattr(circuit, f.name), tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(circuit, f.name, ())
+    records = (
+        NeuronSpec(0, 1, 0),
+        SynapseSpec(0, 1, 1, 0),
+        Port("y", 0, "output"),
+        Injection(0, 1, 0),
+        ConstEmit(1, 5),
+        Join(2, (0, 1), (3, 4)),
+    )
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
 
 
 def test_serialize_encodes_infinite_leak_and_gadget_kinds():

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import ADD_REC, MONUS_REC
 import murec
-from murec import CircuitBuilder, CompiledProgram
+from murec import CircuitBuilder, CompiledProgram, cli
 from murec.cli import main
 
 ALWAYS_POSITIVE_REC = "(mu (compose (succ) ((proj 1 2))))"
@@ -369,6 +369,59 @@ def test_diff_rejects_an_out_of_range_number(capsys, option, value, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (
+            ["run", "{circuit}", "--in", "i=2", "--in", "x1=3", "--max-steps", "-1"],
+            "--max-steps must be a natural, got -1",
+        ),
+        (["eval", "{rec}", "2", "3", "--fuel", "-5"], "--fuel must be a natural, got -5"),
+    ],
+    ids=["run_max_steps", "eval_fuel"],
+)
+def test_run_and_eval_reject_a_negative_budget(add_rec, add_circuit, capsys, argv, message):
+    assert main([arg.format(circuit=add_circuit, rec=add_rec) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# many calls in one process
+# ---------------------------------------------------------------------------
+
+
+def test_main_builds_its_parser_once(add_rec, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for x in range(3):
+        assert main(["eval", str(add_rec), str(x), "1"]) == 0
+    assert capsys.readouterr().out == "1\n2\n3\n"
+    assert len(built) == 1
+
+
+def test_repeated_runs_do_not_carry_bindings_over(add_circuit, capsys):
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "y=5"
+    assert main(["run", str(add_circuit), "--in", "i=4", "--in", "x1=0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "y=4"
+    assert main(["run", str(add_circuit), "--in", "i=1"]) == 64  # x1 is not left bound
+    assert capsys.readouterr().err == "error: unbound input port(s): x1\n"
+
+
+def test_a_call_that_exits_in_argument_parsing_leaves_the_next_call_whole(add_rec, capsys):
+    for argv in (["eval", str(add_rec), "--fuel", "lots"], ["frobnicate"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert main(["eval", str(add_rec), "2", "3"]) == 0
+    assert capsys.readouterr() == ("5\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import murec.engine
-from conftest import built_circuits
+from conftest import ADD, built_circuits
 from murec import (
     INFINITE,
+    Circuit,
     CircuitBuilder,
+    CompiledProgram,
     Delivery,
     EmptyQueue,
     Engine,
@@ -19,10 +21,13 @@ from murec import (
     Injection,
     SimConfig,
     SpikeEvent,
+    Join,
     UnknownNeuron,
+    compile_program,
     port_spikes,
     raster_csv,
     raster_jsonl,
+    run_diff,
     run_program,
     simulate,
 )
@@ -673,6 +678,74 @@ def test_murec_run_writes_its_raster_file_without_building_the_raster(
     assert capsys.readouterr().out.startswith("y=9\n")
     assert len(raster_path.read_text().splitlines()) > 100
     assert len(spike_events_made) == 1  # the y spike only
+
+
+# ---------------------------------------------------------------------------
+# engines over one circuit share its plan, not their runs
+# ---------------------------------------------------------------------------
+
+# A step (None), or an injection (node, value, dt) at the engine's clock + 1 + dt.
+_ACTIONS = st.lists(
+    st.one_of(st.none(), st.tuples(st.integers(0, 7), st.integers(-9, 9), st.integers(0, 4))),
+    max_size=12,
+)
+
+
+def _act(engine: Engine, action, log: list) -> None:
+    """Apply one action, then log the engine's clock, queue head, retained state and join buffers."""
+    circuit = engine.circuit
+    joins = [g.id for g in circuit.gadgets if isinstance(g, Join)]
+    if action is None:
+        if engine.peek_time() is not None:
+            engine.step()
+    else:
+        node, value, dt = action
+        node %= len(circuit.neurons) + len(circuit.gadgets)
+        if node not in joins:
+            engine.add_injection(node, value, engine.clock + 1 + dt)
+    log.append((
+        engine.clock,
+        engine.peek_time(),
+        [engine.inspect(n.id) for n in circuit.neurons],
+        [engine.join_lines(j) for j in joins],
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_circuits(), _ACTIONS, _ACTIONS)
+def test_engines_sharing_a_circuit_run_as_if_each_had_its_own(drawn, script_a, script_b):
+    circuit, big_m = drawn
+    config = SimConfig(max_steps=40, big_m=big_m, trace=True)
+    scripts = (script_a, script_b)
+    shared = [Engine(circuit, config), Engine(circuit, config)]
+    shared_logs: list[list] = [[], []]
+    for i in range(max(map(len, scripts))):  # the two engines take turns
+        for engine, script, log in zip(shared, scripts, shared_logs):
+            if i < len(script):
+                _act(engine, script[i], log)
+    shared_outcomes = [engine.run() for engine in shared]
+    for script, log, outcome in zip(scripts, shared_logs, shared_outcomes):
+        alone = Engine(Circuit.deserialize(circuit.serialize()), config)  # equal, built apart
+        alone_log: list = []
+        for action in script:
+            _act(alone, action, alone_log)
+        assert alone_log == log
+        assert alone.run() == outcome
+
+
+def test_run_diff_builds_one_plan_for_all_its_cases(monkeypatch):
+    program = compile_program(ADD)
+    built = []
+    build = murec.engine._build_plan
+    monkeypatch.setattr(murec.engine, "_build_plan", lambda circuit: built.append(circuit) or build(circuit))
+    report = run_diff(ADD, program, [(0, 0), (1, 2), (3, 1), (2, 2)])
+    assert (report.cases, report.mismatches) == (4, [])
+    assert len(built) == 1 and built[0] is program.circuit
+    # The plan belongs to the object, not to its value: an equal circuit builds its own.
+    twin = Circuit.deserialize(program.circuit.serialize())
+    assert twin == program.circuit
+    assert run_diff(ADD, CompiledProgram(twin, program.meta), [(2, 3)]).ok
+    assert len(built) == 2 and built[1] is twin
 
 
 # ---------------------------------------------------------------------------
