@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Union
 
-from .errors import (
-    DuplicatePortName,
-    DuplicateSynapse,
-    InvalidCircuit,
-    ParseError,
-    UnknownNeuron,
-)
+from .errors import InvalidCircuit, ParseError
 
 #: Leak value meaning "retain state until the next integration or spike".
 INFINITE: None = None
@@ -405,13 +399,16 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
 
 
 class CircuitBuilder:
-    """Mutable constructor allocating one dense id space for all nodes."""
+    """Mutable recorder allocating one dense id space for all nodes.
+
+    Its calls never raise: :meth:`build` makes the :class:`Circuit`, which checks every rule.
+    """
 
     def __init__(self) -> None:
         self._neurons: list[NeuronSpec] = []
         self._gadgets: list[NativeGadget] = []
-        self._synapses: dict[tuple[int, int], SynapseSpec] = {}
-        self._ports: dict[str, Port] = {}
+        self._synapses: list[SynapseSpec] = []
+        self._ports: list[Port] = []
         self._injections: list[Injection] = []
         self._next_id = 0
 
@@ -423,8 +420,6 @@ class CircuitBuilder:
         return nid
 
     def add_neuron(self, threshold: int, leak: int | None = 0) -> int:
-        if leak is not None and leak < 0:
-            raise ValueError("leak must be >= 0 or INFINITE")
         nid = self._alloc()
         self._neurons.append(NeuronSpec(nid, threshold, leak))
         return nid
@@ -437,12 +432,6 @@ class CircuitBuilder:
     def add_join(self, inputs: Iterable[int], outputs: Iterable[int]) -> int:
         ins = tuple(inputs)
         outs = tuple(outputs)
-        if len(ins) < 2 or len(outs) != len(ins):
-            raise ValueError("join needs n >= 2 input lines and as many outputs")
-        for node in (*ins, *outs):
-            self._check_node(node)
-        if len(set(ins)) != len(ins) or len(set(outs)) != len(outs):
-            raise ValueError("join line endpoints must be distinct")
         nid = self._alloc()
         self._gadgets.append(Join(nid, ins, outs))
         # Line synapses are part of the join contract: unit weight, no delay.
@@ -452,35 +441,15 @@ class CircuitBuilder:
             self.add_synapse(nid, dst, 1, 0)
         return nid
 
-    def _check_node(self, nid: int) -> None:
-        if not (0 <= nid < self._next_id):
-            raise UnknownNeuron(f"node {nid} does not exist")
-
     # -- edges, ports, plan ------------------------------------------------
 
-    def add_synapse(self, pre: int, post: int, weight: int, delay: int = 0) -> tuple[int, int]:
-        self._check_node(pre)
-        self._check_node(post)
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
-        key = (pre, post)
-        if key in self._synapses:
-            raise DuplicateSynapse(f"synapse {key} already exists")
-        self._synapses[key] = SynapseSpec(pre, post, weight, delay)
-        return key
+    def add_synapse(self, pre: int, post: int, weight: int, delay: int = 0) -> None:
+        self._synapses.append(SynapseSpec(pre, post, weight, delay))
 
     def mark_port(self, neuron: int, role: str, name: str) -> None:
-        self._check_node(neuron)
-        if role not in ("input", "output"):
-            raise ValueError("port role must be \"input\" or \"output\"")
-        if name in self._ports:
-            raise DuplicatePortName(f"port {name!r} already exists")
-        self._ports[name] = Port(name, neuron, role)
+        self._ports.append(Port(name, neuron, role))
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
-        self._check_node(neuron)
-        if time < 0:
-            raise ValueError("injection time must be >= 0")
         self._injections.append(Injection(neuron, value, time))
 
     # -- finish ------------------------------------------------------------
@@ -488,8 +457,8 @@ class CircuitBuilder:
     def build(self) -> Circuit:
         return Circuit(
             neurons=self._neurons,
-            synapses=self._synapses.values(),
-            ports=self._ports.values(),
+            synapses=self._synapses,
+            ports=self._ports,
             injections=self._injections,
             gadgets=self._gadgets,
         )

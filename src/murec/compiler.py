@@ -495,16 +495,15 @@ def run_program(
     args: Union[list[int], tuple[int, ...], dict[str, int]],
     max_steps: int = SimConfig.max_steps,
     trace: bool = False,
-    big_m: int | None = None,
 ) -> ProgramRun:
     binding = bind_args(program, args)
-    eff_big_m = big_m if big_m is not None else program.meta["big_m"]
+    big_m = program.meta["big_m"]
     for name, value in binding.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"argument {name} must be an integer, got {value!r}")
         if value < 0:
             raise ConfigError(f"argument {name} must be a natural, got {value}")
-        if 2 * value >= eff_big_m:
+        if 2 * value >= big_m:
             raise ConfigError(
                 f"argument {name}={value} breaks the separation bound (must be < big_m/2)"
             )
@@ -517,7 +516,7 @@ def run_program(
     outcome = simulate(
         program.circuit,
         extra_injections=injections,
-        config=SimConfig(max_steps=max_steps, big_m=eff_big_m, trace=trace),
+        config=SimConfig(max_steps=max_steps, big_m=big_m, trace=trace),
     )
     outputs = {p.name: p.neuron for p in program.circuit.ports_by_role("output")}
     y_node = outputs.get(program.meta["ports"]["output"])

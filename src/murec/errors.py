@@ -40,14 +40,6 @@ class UnknownNeuron(CircuitError):
     """A referenced node id does not exist."""
 
 
-class DuplicateSynapse(CircuitError):
-    """A second synapse was added for an existing (pre, post) pair."""
-
-
-class DuplicatePortName(CircuitError):
-    """A port name was registered twice."""
-
-
 class InvalidCircuit(CircuitError):
     """A circuit failed validation; carries the violation list."""
 

@@ -1,4 +1,4 @@
-"""Circuit data model: builder checks, structural validation, serialization."""
+"""Circuit data model: builder records, structural validation, serialization."""
 from __future__ import annotations
 
 import csv
@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PORT_NAME_CHARS, built_circuits
@@ -17,8 +17,6 @@ from murec import (
     CircuitBuilder,
     CompiledProgram,
     ConstEmit,
-    DuplicatePortName,
-    DuplicateSynapse,
     Engine,
     Injection,
     InvalidCircuit,
@@ -28,10 +26,10 @@ from murec import (
     Port,
     SimConfig,
     SynapseSpec,
-    UnknownNeuron,
     circuit_from_document,
     parse_json_document,
     raster_csv,
+    raster_jsonl,
 )
 
 
@@ -51,24 +49,32 @@ def test_builder_allocates_dense_ids_across_node_kinds():
     assert circuit.validate() == []
 
 
+def _violations_at_build(b):
+    with pytest.raises(InvalidCircuit) as err:
+        b.build()
+    return err.value.violations
+
+
 def test_builder_rejects_duplicate_synapse():
     b = CircuitBuilder()
     a = b.add_neuron(0)
     c = b.add_neuron(0)
     b.add_synapse(a, c, 1, 0)
-    with pytest.raises(DuplicateSynapse):
-        b.add_synapse(a, c, 2, 3)
+    b.add_synapse(a, c, 2, 3)
+    assert _violations_at_build(b) == ["synapse (0, 1): duplicate (pre, post) pair"]
 
 
 def test_builder_rejects_unknown_endpoints():
     b = CircuitBuilder()
     a = b.add_neuron(0)
-    with pytest.raises(UnknownNeuron):
-        b.add_synapse(a, a + 1, 1)
-    with pytest.raises(UnknownNeuron):
-        b.add_injection(a + 7, 1, 0)
-    with pytest.raises(UnknownNeuron):
-        b.mark_port(a + 7, "input", "x1")
+    b.add_synapse(a, a + 1, 1)
+    b.add_injection(a + 7, 1, 0)
+    b.mark_port(a + 7, "input", "x1")
+    assert _violations_at_build(b) == [
+        "synapse (0, 1): unknown endpoint",
+        "port 'x1': unknown node 7",
+        "injection into unknown node 7",
+    ]
 
 
 def test_builder_rejects_duplicate_port_name():
@@ -76,35 +82,50 @@ def test_builder_rejects_duplicate_port_name():
     a = b.add_neuron(0)
     c = b.add_neuron(0)
     b.mark_port(a, "input", "x1")
-    with pytest.raises(DuplicatePortName):
-        b.mark_port(c, "output", "x1")
+    b.mark_port(c, "output", "x1")
+    assert _violations_at_build(b) == ["port 'x1': duplicate name"]
+
+
+def _two_neurons():
+    b = CircuitBuilder()
+    return b, b.add_neuron(0), b.add_neuron(0)
 
 
 def test_builder_rejects_bad_port_role_and_negative_scalars():
+    b, a, _ = _two_neurons()
+    b.mark_port(a, "sideways", "p")
+    assert _violations_at_build(b) == ["port 'p': role must be input or output"]
     b = CircuitBuilder()
-    a = b.add_neuron(0)
-    c = b.add_neuron(0)
-    with pytest.raises(ValueError):
-        b.mark_port(a, "sideways", "p")
-    with pytest.raises(ValueError):
-        b.add_neuron(0, leak=-1)
-    with pytest.raises(ValueError):
-        b.add_synapse(a, c, 1, delay=-1)
-    with pytest.raises(ValueError):
-        b.add_injection(a, 1, time=-1)
+    b.add_neuron(0, leak=-1)
+    assert _violations_at_build(b) == ["neuron 0: leak must be >= 0 or INFINITE"]
+    b, a, c = _two_neurons()
+    b.add_synapse(a, c, 1, delay=-1)
+    assert _violations_at_build(b) == ["synapse (0, 1): delay must be >= 0"]
+    b, a, _ = _two_neurons()
+    b.add_injection(a, 1, time=-1)
+    assert _violations_at_build(b) == ["injection into 0: time must be >= 0"]
 
 
 def test_builder_join_requires_two_distinct_lines():
-    b = CircuitBuilder()
-    nodes = [b.add_neuron(0) for _ in range(4)]
-    with pytest.raises(ValueError):
-        b.add_join([nodes[0]], [nodes[1]])
-    with pytest.raises(ValueError):
-        b.add_join([nodes[0], nodes[0]], [nodes[1], nodes[2]])
-    with pytest.raises(ValueError):
-        b.add_join([nodes[0], nodes[1]], [nodes[2]])  # unequal lengths
-    with pytest.raises(UnknownNeuron):
-        b.add_join([nodes[0], 99], [nodes[1], nodes[2]])
+    # Each case joins over four fresh neurons 0..3, so the join is node 4.
+    cases = [
+        (([0], [1]), ["join 4: needs at least 2 lines"]),
+        (
+            ([0, 0], [1, 2]),
+            ["synapse (0, 4): duplicate (pre, post) pair", "join 4: input lines must be distinct"],
+        ),
+        (([0, 1], [2]), ["join 4: inputs and outputs must have equal length"]),
+        (
+            ([0, 99], [1, 2]),
+            ["synapse (99, 4): unknown endpoint", "join 4: unknown line endpoint 99"],
+        ),
+    ]
+    for (inputs, outputs), expected in cases:
+        b = CircuitBuilder()
+        for _ in range(4):
+            b.add_neuron(0)
+        assert b.add_join(inputs, outputs) == 4
+        assert _violations_at_build(b) == expected
 
 
 def test_builder_join_creates_unit_line_synapses():
@@ -131,6 +152,40 @@ def test_builder_rejects_injection_into_join_at_build():
     with pytest.raises(InvalidCircuit) as err:
         b.build()
     assert any("join" in v for v in err.value.violations)
+
+
+@st.composite
+def builder_calls(draw):
+    """Arbitrary builder calls: ids in -2..n+2, negative scalars, repeats, bad roles and joins."""
+    n = draw(st.integers(0, 5))
+    node = st.integers(-2, n + 2)
+    small = st.integers(-3, 3)
+    lines = st.lists(node, max_size=3)
+    call = st.one_of(
+        st.tuples(st.just("add_neuron"), small, st.one_of(st.none(), small)),
+        st.tuples(st.just("add_const_emit"), small),
+        st.tuples(st.just("add_synapse"), node, node, small, small),
+        st.tuples(st.just("mark_port"), node, st.sampled_from(["input", "output", "sideways"]),
+                  st.sampled_from(["x1", "x2", "y"])),
+        st.tuples(st.just("add_injection"), node, small, small),
+        st.tuples(st.just("add_join"), lines, lines),
+    )
+    nodes = [draw(st.sampled_from([("add_neuron", 0, 0), ("add_const_emit", 1)])) for _ in range(n)]
+    return draw(st.permutations(nodes + draw(st.lists(call, max_size=10))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(builder_calls())
+def test_builder_records_anything_and_build_either_validates_or_lists_violations(calls):
+    b = CircuitBuilder()
+    for name, *args in calls:
+        getattr(b, name)(*args)  # recording never raises
+    try:
+        circuit = b.build()
+    except InvalidCircuit as exc:
+        assert exc.violations
+    else:
+        assert circuit.validate() == []
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +518,41 @@ def test_raster_csv_equals_a_csv_writer_rendering(drawn):
     circuit, big_m = drawn
     raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster
     assert raster_csv(circuit, raster) == _reference_raster_csv(circuit, raster)
+
+
+def _reference_raster_jsonl(circuit, raster):
+    """``raster_jsonl`` as one ``json.dumps`` line per spike and output port name."""
+    names = {}
+    for p in circuit.ports_by_role("output"):
+        names.setdefault(p.neuron, []).append(p.name)
+    return "".join(
+        json.dumps({"time": time, "neuron": neuron, "value": value, "port": name}) + "\n"
+        for time, neuron, value in raster
+        for name in names.get(neuron, [""])
+    )
+
+
+def _two_names_on_one_node():
+    """A spiking node with two output names that JSON escapes, one of them non-ASCII."""
+    b = CircuitBuilder()
+    src = b.add_neuron(0)
+    dst = b.add_neuron(0)
+    b.add_synapse(src, dst, 3, 1)
+    b.mark_port(dst, "output", 'q"\\,\n')
+    b.mark_port(dst, "output", "\u00e9\U0001f642")
+    b.mark_port(src, "output", "y")
+    b.add_injection(src, 2, 0)
+    return b.build(), 10**9
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_circuits())
+@example(_two_names_on_one_node())
+@example((CircuitBuilder().build(), 10**9))  # an empty raster
+def test_raster_jsonl_equals_a_json_dumps_rendering(drawn):
+    circuit, big_m = drawn
+    raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster
+    assert raster_jsonl(circuit, raster) == _reference_raster_jsonl(circuit, raster)
 
 
 @settings(max_examples=150, deadline=None)

@@ -339,8 +339,10 @@ def test_run_program_validates_argument_values(compiled_add):
         run_program(compiled_add, [-1, 2])
     with pytest.raises(ConfigError):
         run_program(compiled_add, [1, True])
+    doc = compiled_add.to_document()
+    doc["meta"]["big_m"] = 4  # a run-time big_m, as a hand-edited file would set it
     with pytest.raises(ConfigError):
-        run_program(compiled_add, [1, 2], big_m=4)  # 2*2 >= 4
+        run_program(CompiledProgram.from_document(doc), [1, 2])  # 2*2 >= 4
 
 
 def test_dummy_port_binding_is_automatic():
