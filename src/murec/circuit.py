@@ -66,8 +66,8 @@ class ConstEmit(NamedTuple):
 class Join(NamedTuple):
     """Native node that synchronizes ``n`` lines.
 
-    Line ``m`` buffers deliveries coming from node ``inputs[m]`` (same-batch
-    deliveries sum; a later batch overwrites the parked value).  At the
+    Line ``m`` buffers the value coming from node ``inputs[m]`` along its one
+    synapse, at most one per step (a later step overwrites it).  At the
     timestep the last empty line fills, every line emits its buffered value
     toward ``outputs[m]`` through the single (join, outputs[m]) synapse, and
     all buffers clear.

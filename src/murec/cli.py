@@ -74,7 +74,6 @@ def cmd_compile(ns: argparse.Namespace) -> int:
     expr = parse_program(Path(ns.program).read_text())
     cfg = LoweringConfig(
         big_m=_env_big_m() if ns.big_m is None else ns.big_m,
-        max_arg_magnitude=ns.max_arg,
         strict_primitive=ns.strict_primitive,
     )
     program = compile_program(expr, cfg)
@@ -207,7 +206,7 @@ def cmd_diff(ns: argparse.Namespace) -> int:
         _natural(getattr(ns, option[2:].replace("-", "_")) or 0, option)  # --arity may be None
     if ns.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
-    cfg = LoweringConfig(big_m=_env_big_m() if ns.big_m is None else ns.big_m, max_arg_magnitude=ns.max_arg)
+    cfg = LoweringConfig(big_m=_env_big_m() if ns.big_m is None else ns.big_m)
     if ns.random is not None:
         rng = random.Random(ns.seed)
         total_cases = 0
@@ -252,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="circuit file to write (default <stem>.circuit.json)")
     p.add_argument("--big-m", type=int, help="separation constant")
     p.add_argument(
-        "--max-arg",
-        type=int,
-        default=LoweringConfig.max_arg_magnitude,
-        help="largest argument the circuit must accept",
-    )
-    p.add_argument(
         "--strict-primitive",
         action="store_true",
         help="reject constructions that need native gadgets or loops",
@@ -297,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
     p.add_argument("--big-m", type=int)
-    p.add_argument("--max-arg", type=int, default=LoweringConfig.max_arg_magnitude)
     p.set_defaults(func=cmd_diff)
     return parser
 
@@ -312,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parser().parse_args(argv)
         return ns.func(ns)
-    except (ParseError, ArityError) as exc:
+    except (ParseError, ArityError, InvalidCircuit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, StrictModeViolation) as exc:
@@ -321,14 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownPort, UnboundPort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except InvalidCircuit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except RecursionError:  # a program that parses but is too deep for the walks over it
         print("error: program nested too deeply", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -71,7 +71,6 @@ _CONVENTIONS = {
 @dataclass(frozen=True)
 class LoweringConfig:
     big_m: int = SimConfig.big_m
-    max_arg_magnitude: int = 1_000_000
     strict_primitive: bool = False
 
 
@@ -412,10 +411,8 @@ def _reject_non_primitive(expr: RecExpr) -> None:
 def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> CompiledProgram:
     cfg = config or LoweringConfig()
     n_args = check_arity(expr)
-    if cfg.big_m <= 2 * cfg.max_arg_magnitude:
-        raise ConfigError(
-            f"big_m={cfg.big_m} must exceed twice the argument bound {cfg.max_arg_magnitude}"
-        )
+    if cfg.big_m < 2:
+        raise ConfigError(f"big_m={cfg.big_m} must be at least 2")
     if cfg.strict_primitive:
         _reject_non_primitive(expr)
 

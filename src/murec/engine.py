@@ -299,18 +299,13 @@ class Engine:
                         nxt[key - 1] = None  # the fire key 2·node
                         continue
                     else:
-                        # Join: a line keeps its latest batch's sum; once every
-                        # line holds a value, all flush along their own edges.
+                        # Join: a line's one synapse brings at most one value
+                        # per step, range-checked when sent; once every line
+                        # holds a value, all flush along their own edges.
                         line_of, edges = joins[node]
                         lines = buffers[node]
-                        sums: dict[int, int] = {}
                         for source, x in arrivals:
-                            m = line_of[source]
-                            sums[m] = sums.get(m, 0) + x
-                        for m, x in sums.items():
-                            if not lo <= x <= hi:
-                                return self._stop(t, node, x)
-                            lines[m] = x
+                            lines[line_of[source]] = x
                         if len(lines) < len(edges):
                             continue
                         for m, (post, w, d1) in enumerate(edges):
@@ -385,44 +380,40 @@ def port_spikes(circuit: Circuit, raster: list[SpikeEvent], role: str = "output"
     return found
 
 
+def _render(circuit: Circuit, raster: list[tuple[int, int, int]], bare: str, head: str, tail) -> str:
+    """Each spike's row: ``bare % event``, or on an output node ``head % event`` per port name."""
+    # Per output node ["", tail(name1), ...]: joined by the spike's head, it
+    # gives that spike's row once per port name.
+    tails: dict[int, list[str]] = {}
+    for p in circuit.ports_by_role("output"):
+        tails.setdefault(p.neuron, [""]).append(tail(p.name))
+    return "".join(
+        [bare % event if event[1] not in tails else (head % event).join(tails[event[1]]) for event in raster]
+    )
+
+
 def raster_csv(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:
     """Render ``RunOutcome.spikes`` or ``.raster`` as CSV (header ``time,neuron,value,port``).
 
     Integers never need quoting, so only each output port's cell goes through
-    ``csv.writer`` (once, as the last field of a row); every spike row is
-    then one ``%`` format of the ``(time, neuron, value)`` event tuple.
+    ``csv.writer``.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    # Per output node, ["", "cell1\n", "cell2\n", ...]: joined by a spike's
-    # "time,neuron,value," it gives that spike's row once per port name.
-    cells: dict[int, list[str]] = {}
-    for p in circuit.ports_by_role("output"):
+
+    def cell(name: str) -> str:
         out.seek(0)
         out.truncate()
-        writer.writerow((0, p.name))
-        cells.setdefault(p.neuron, [""]).append(out.getvalue()[2:])
-    rows = [
-        "%d,%d,%d,\n" % event if event[1] not in cells else ("%d,%d,%d," % event).join(cells[event[1]])
-        for event in raster
-    ]
-    return "time,neuron,value,port\n" + "".join(rows)
+        writer.writerow((0, name))
+        return out.getvalue()[2:]
+
+    return "time,neuron,value,port\n" + _render(circuit, raster, "%d,%d,%d,\n", "%d,%d,%d,", cell)
 
 
 def raster_jsonl(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:
     """Render a raster (as for :func:`raster_csv`) as JSON lines with the CSV's fields.
 
-    Each line is the text ``json.dumps`` gives for the row's dict, made the
-    way :func:`raster_csv` makes its rows: each port name is encoded once.
+    Each line is the text ``json.dumps`` gives for the row's dict.
     """
-    # Per output node, ["", tail1, tail2, ...], joined by a spike's line head.
-    tails: dict[int, list[str]] = {}
-    for p in circuit.ports_by_role("output"):
-        tails.setdefault(p.neuron, [""]).append(', "port": %s}\n' % json.dumps(p.name))
-    rows = [
-        '{"time": %d, "neuron": %d, "value": %d, "port": ""}\n' % event
-        if event[1] not in tails
-        else ('{"time": %d, "neuron": %d, "value": %d' % event).join(tails[event[1]])
-        for event in raster
-    ]
-    return "".join(rows)
+    head = '{"time": %d, "neuron": %d, "value": %d'
+    return _render(circuit, raster, head + ', "port": ""}\n', head, lambda name: ', "port": %s}\n' % json.dumps(name))

@@ -10,6 +10,7 @@ differential tests.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -133,61 +134,27 @@ def to_sexpr(expr: RecExpr) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(_Token(ch, line, column))
-            column += 1
-            i += 1
-            continue
-        start = i
-        start_column = column
-        while i < len(text) and not text[i].isspace() and text[i] not in "();":
-            i += 1
-            column += 1
-        tokens.append(_Token(text[start:i], line, start_column))
-    return tokens
+# A comment, a parenthesis or an atom.  Regex ``\s`` matches exactly the
+# characters ``str.isspace`` accepts, so whitespace is what separates atoms.
+_TOKEN = re.compile(r";[^\n]*|[()]|[^\s();]+")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        # (text, offset) pairs; the offsets only serve error positions.
+        self.tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text) if m[0][0] != ";"]
         self.pos = 0
 
     def _fail(self, message: str) -> ParseError:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return ParseError(message, line=tok.line, column=tok.column)
-        if self.tokens:
-            tok = self.tokens[-1]
-            return ParseError(message + " at end of input", line=tok.line, column=tok.column)
-        return ParseError(message + " in empty input")
+        """The error at the current token (past the end, the last one); only ``\\n`` starts a line."""
+        if not self.tokens:
+            return ParseError(message)
+        at = self.tokens[min(self.pos, len(self.tokens) - 1)][1]
+        line = self.text.count("\n", 0, at) + 1
+        return ParseError(message, line=line, column=at - self.text.rfind("\n", 0, at))
 
-    def _next(self) -> _Token:
+    def _next(self) -> tuple[str, int]:
         if self.pos >= len(self.tokens):
             raise self._fail("unexpected end of input")
         tok = self.tokens[self.pos]
@@ -196,17 +163,17 @@ class _Parser:
 
     def _expect(self, text: str) -> None:
         tok = self._next()
-        if tok.text != text:
+        if tok[0] != text:
             self.pos -= 1
-            raise self._fail(f"expected {text!r}, got {tok.text!r}")
+            raise self._fail(f"expected {text!r}, got {tok[0]!r}")
 
     def _natural(self) -> int:
         tok = self._next()
-        if not tok.text.isdecimal():  # isdigit() would pass "²", which int() refuses
+        if not tok[0].isdecimal():  # isdigit() would pass "²", which int() refuses
             self.pos -= 1
-            raise self._fail(f"expected a natural number, got {tok.text!r}")
+            raise self._fail(f"expected a natural number, got {tok[0]!r}")
         try:
-            return int(tok.text)
+            return int(tok[0])
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             self.pos -= 1
             raise self._fail(f"number too long: {exc}") from exc
@@ -214,33 +181,33 @@ class _Parser:
     def expr(self) -> RecExpr:
         self._expect("(")
         head = self._next()
-        if head.text == "const":
+        if head[0] == "const":
             value = self._natural()
             ar = self._natural()
             node: RecExpr = Const(value, ar)
-        elif head.text == "succ":
+        elif head[0] == "succ":
             node = Succ()
-        elif head.text == "proj":
+        elif head[0] == "proj":
             index = self._natural()
             ar = self._natural()
             node = Proj(index, ar)
-        elif head.text == "compose":
+        elif head[0] == "compose":
             outer = self.expr()
             self._expect("(")
             inner = [self.expr()]
-            while self.pos < len(self.tokens) and self.tokens[self.pos].text == "(":
+            while self.pos < len(self.tokens) and self.tokens[self.pos][0] == "(":
                 inner.append(self.expr())
             self._expect(")")
             node = Compose(outer, tuple(inner))
-        elif head.text == "prec":
+        elif head[0] == "prec":
             base = self.expr()
             step = self.expr()
             node = PrimRec(base, step)
-        elif head.text == "mu":
+        elif head[0] == "mu":
             node = Mu(self.expr())
         else:
             self.pos -= 1
-            raise self._fail(f"unknown form {head.text!r}")
+            raise self._fail(f"unknown form {head[0]!r}")
         self._expect(")")
         return node
 
@@ -251,7 +218,7 @@ def parse_program(text: str) -> RecExpr:
     Malformed text, nesting past the recursion limit and a number too long
     to convert all raise ParseError.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     try:
         node = parser.expr()
     except RecursionError as exc:

@@ -82,7 +82,7 @@ def test_compile_missing_file_is_an_io_error(tmp_path, capsys):
 
 
 def test_compile_rejects_an_unseparated_big_m(add_rec, capsys):
-    assert main(["compile", str(add_rec), "--big-m", "100", "--max-arg", "50"]) == 2
+    assert main(["compile", str(add_rec), "--big-m", "1"]) == 2
     capsys.readouterr()
 
 
@@ -431,7 +431,7 @@ def test_a_call_that_exits_in_argument_parsing_leaves_the_next_call_whole(add_re
 
 def test_env_big_m_feeds_the_compile_default(add_rec, monkeypatch, capsys):
     monkeypatch.setenv("MUREC_BIG_M", "5001")
-    assert main(["compile", str(add_rec), "--max-arg", "100"]) == 0
+    assert main(["compile", str(add_rec)]) == 0
     assert "big_m=5001" in capsys.readouterr().out
 
 

@@ -829,3 +829,22 @@ def test_leak_expiry_property(leak, gap):
         assert fired == [SpikeEvent(gap, n, 12)]
     else:
         assert fired == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_circuits())
+def test_a_join_line_takes_at_most_one_value_per_step(drawn):
+    circuit, big_m = drawn
+    outcome = simulate(circuit, config=SimConfig(max_steps=40, big_m=big_m, trace=True))
+    joins = {g.id: g.inputs for g in circuit.gadgets if isinstance(g, Join)}
+    arrivals = [(d.time, d.target, d.source) for d in outcome.trace if d.target in joins]
+    assert all(source in joins[join] for _, join, source in arrivals)
+    assert len(set(arrivals)) == len(arrivals)  # one value per (step, join, line)
+    fault = outcome.fault
+    if fault is not None and fault.node in joins:
+        # A send's weighted value can break the band and name its target, but
+        # the join itself checks nothing: its fault is some sender's spike.
+        weight = {s.pre: s.weight for s in circuit.synapses if s.post == fault.node}
+        assert any(
+            t == fault.time and pre in weight and weight[pre] * v == fault.value for t, pre, v in outcome.spikes
+        )

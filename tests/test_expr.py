@@ -85,6 +85,36 @@ def test_parse_rejects_malformed_programs(text):
         parse_program(text)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("", "unexpected end of input", None, None),
+        ("(", "unexpected end of input", 1, 1),
+        (")", "expected '(', got ')'", 1, 1),
+        ("(const 1 1) extra", "trailing input after program", 1, 13),
+        ("(frobnicate 1)", "unknown form 'frobnicate'", 1, 2),
+        ("(const -1 1)", "expected a natural number, got '-1'", 1, 8),
+        ("(const x 1)", "expected a natural number, got 'x'", 1, 8),
+        ("(succ 1)", "expected ')', got '1'", 1, 7),
+        ("(compose (succ))", "expected '(', got ')'", 1, 16),
+        ("(compose (succ) (proj 1 1))", "expected '(', got 'proj'", 1, 18),
+        ("(mu)", "expected '(', got ')'", 1, 4),
+        # Only "\n" starts a line; other line breaks are whitespace in a column.
+        ("(const 1 1\u2028 2)", "expected ')', got '2'", 1, 13),
+        ("(const 1 1)\t\x85(", "trailing input after program", 1, 14),
+        (";c\n", "unexpected end of input", None, None),
+        # Past the last token the error points at that token.
+        ("(prec (succ)\n  ; step\n  (proj 1 3)", "unexpected end of input", 3, 12),
+        ("(const \u00b2 1)", "expected a natural number, got '\u00b2'", 1, 8),
+    ],
+)
+def test_parse_error_message_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    where = "" if line is None else f" (line {line}, column {column})"
+    assert (str(err.value), err.value.line, err.value.column) == (message + where, line, column)
+
+
 def test_sexpr_roundtrip_for_the_program_family():
     for expr in [ADD, MUL, PRED, MONUS, MU_MONUS, ALWAYS_POSITIVE]:
         assert parse_program(to_sexpr(expr)) == expr

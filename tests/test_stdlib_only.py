@@ -1,0 +1,23 @@
+"""The package imports nothing outside the standard library."""
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "murec").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    foreign = {name.partition(".")[0] for name in names} - set(sys.stdlib_module_names) - {"murec"}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "expr.py", "engine.py", "cli.py"}
