@@ -121,9 +121,6 @@ class Circuit:
     def node_ids(self) -> set[int]:
         return {n.id for n in self.neurons} | {g.id for g in self.gadgets}
 
-    def gadget_map(self) -> dict[int, NativeGadget]:
-        return {g.id: g for g in self.gadgets}
-
     def ports_by_role(self, role: str) -> list[Port]:
         return [p for p in self.ports if p.role == role]
 

@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strict-primitive",
         action="store_true",
-        help="reject constructions that need native gadgets or loops",
+        help="reject a program whose built circuit holds a native gadget",
     )
     p.set_defaults(func=cmd_compile)
 

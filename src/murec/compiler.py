@@ -9,8 +9,10 @@ minimization compile to event-driven loops built on trigger-cell memory, so
 their latency is input-dependent.
 
 The compiled artifact bundles the circuit with a ``meta`` block: port names,
-latency, counts, the big-M separation constant, and marker node ids that let
-tests observe loop internals (iteration checks, store/erase/trigger ordering).
+latency, counts, the big-M separation constant, and one ``instances`` entry
+per loop, in lowering order (the top-level loop last), whose marker node ids
+let tests and the benchmark observe loop internals (iteration checks,
+store/erase/trigger ordering).
 """
 from __future__ import annotations
 
@@ -55,18 +57,12 @@ from .expr import (
 )
 from .gadgets import (
     Box,
+    TriggerCell,
     build_constant,
     build_projection,
     build_successor,
     build_trigger_cell,
 )
-
-_CONVENTIONS = {
-    "relay": "threshold 0, leak 0, unit-weight synapses for plain value routing",
-    "zero_test": "threshold 0 fed by weight -1: spikes iff the tested natural is 0",
-    "nonzero_test": "threshold 1 fed by weight +1: spikes iff the tested natural is >= 1",
-}
-
 
 @dataclass(frozen=True)
 class LoweringConfig:
@@ -83,6 +79,38 @@ class _Lowering:
 
 def _relay(b: CircuitBuilder) -> int:
     return b.add_neuron(0, 0)
+
+
+def _wire_branches(
+    b: CircuitBuilder,
+    store_src: int,
+    ret: TriggerCell,
+    loop: TriggerCell,
+    ret_fire: int,
+    loop_fire: int,
+    out: int,
+) -> dict[str, int]:
+    """Wire a loop's return/continue branch and return its marker node ids.
+
+    Each candidate from ``store_src`` is stored in both trigger cells; a fire
+    emitter triggers its cell, the fired cell erases the other cell's copy,
+    and the return cell's value leaves through ``out``.
+    """
+    b.add_synapse(ret_fire, ret.store, 1, 0)
+    b.add_synapse(loop_fire, loop.store, 1, 0)
+    b.add_synapse(store_src, ret.store, 1, 0)
+    b.add_synapse(store_src, loop.store, 1, 0)
+    b.add_synapse(ret.out, loop.store, -1, 0)
+    b.add_synapse(loop.out, ret.store, -1, 0)
+    b.add_synapse(ret.out, out, 1, 0)
+    return {
+        "store_src": store_src,
+        "cont_out": loop.out,
+        "ret_fire": ret_fire,
+        "ret_store": ret.store,
+        "ret_out": ret.out,
+        "y_out": out,
+    }
 
 
 # -- lowering ----------------------------------------------------------------
@@ -210,19 +238,12 @@ def _lower_primrec(low: _Lowering, expr: PrimRec) -> Box:
     b.add_synapse(gate_loop, loop_fire, 1, 0)
     b.add_synapse(gate_loop, cancel_ret, 1, 0)
     b.add_synapse(cancel_ret, gate_ret, 1, 0)
-    b.add_synapse(ret_fire, ret.store, 1, 0)
-    b.add_synapse(loop_fire, loop.store, 1, 0)
 
-    # Accumulator plumbing: each candidate is stored in both cells; the
-    # branch that fires erases the other cell's copy.
+    # Accumulator plumbing: the base and step results are the candidates.
     b.add_synapse(g_box.output, f_ready, 1, 0)
     b.add_synapse(h_box.output, f_ready, 1, 0)
-    b.add_synapse(f_ready, ret.store, 1, 0)
-    b.add_synapse(f_ready, loop.store, 1, 0)
     b.add_synapse(f_ready, ce_ready, 1, 0)
-    b.add_synapse(ret.out, out, 1, 0)
-    b.add_synapse(ret.out, loop.store, -1, 0)
-    b.add_synapse(loop.out, ret.store, -1, 0)
+    branches = _wire_branches(b, f_ready, ret, loop, ret_fire, loop_fire, out)
 
     # Counter bump and the constant-1 flag for the next round.
     b.add_synapse(c_n, bump, 1, 0)
@@ -249,19 +270,14 @@ def _lower_primrec(low: _Lowering, expr: PrimRec) -> Box:
         "kind": "primrec",
         "check": check,
         "h_out": h_box.output,
-        "store_src": f_ready,
-        "cont_out": loop.out,
-        "ret_fire": ret_fire,
-        "ret_store": ret.store,
-        "ret_out": ret.out,
-        "y_out": out,
+        **branches,
         "gate_ret": gate_ret,
         "gate_loop": gate_loop,
         "state_join": state_join,
         "h_join": h_join,
     }
     low.instances.append(markers)
-    return Box(inputs=[in_i, *in_xs], output=out, latency=None, markers=markers)
+    return Box(inputs=[in_i, *in_xs], output=out, latency=None)
 
 
 def _lower_mu(low: _Lowering, expr: Mu) -> Box:
@@ -310,16 +326,10 @@ def _lower_mu(low: _Lowering, expr: Mu) -> Box:
     b.add_synapse(probe, not_zero, 1, 0)
     b.add_synapse(is_zero, ret_fire, 1, 0)
     b.add_synapse(not_zero, loop_fire, 1, 0)
-    b.add_synapse(ret_fire, ret.store, 1, 0)
-    b.add_synapse(loop_fire, loop.store, 1, 0)
 
-    # Candidate bookkeeping: store z in both cells, fired branch erases the
-    # other copy; the continue branch increments z for the next round.
-    b.add_synapse(c_z, ret.store, 1, 0)
-    b.add_synapse(c_z, loop.store, 1, 0)
-    b.add_synapse(ret.out, out, 1, 0)
-    b.add_synapse(ret.out, loop.store, -1, 0)
-    b.add_synapse(loop.out, ret.store, -1, 0)
+    # Candidate bookkeeping: z is the candidate; the continue branch
+    # increments it for the next round.
+    branches = _wire_branches(b, c_z, ret, loop, ret_fire, loop_fire, out)
     b.add_synapse(loop.out, succ_out, 1, 2)
     b.add_synapse(loop.out, ce_one, 1, 0)
     b.add_synapse(ce_one, succ_out, 1, 0)
@@ -336,18 +346,13 @@ def _lower_mu(low: _Lowering, expr: Mu) -> Box:
         "zero_det": is_zero,
         "nonzero_det": not_zero,
         "f_out": f_box.output,
-        "store_src": c_z,
-        "cont_out": loop.out,
-        "ret_fire": ret_fire,
-        "ret_store": ret.store,
-        "ret_out": ret.out,
-        "y_out": out,
+        **branches,
         "succ_out": succ_out,
     }
     if state_join is not None:
         markers["state_join"] = state_join
     low.instances.append(markers)
-    return Box(inputs=ins, output=out, latency=None, markers=markers)
+    return Box(inputs=ins, output=out, latency=None)
 
 
 # -- compiled programs -------------------------------------------------------
@@ -393,28 +398,11 @@ class CompiledProgram:
         return cls.from_document(parse_json_document(text))
 
 
-def _reject_non_primitive(expr: RecExpr) -> None:
-    if isinstance(expr, (PrimRec, Mu)):
-        raise StrictModeViolation(
-            f"strict primitive mode forbids {type(expr).__name__.lower()} constructions"
-        )
-    if isinstance(expr, Proj):
-        raise StrictModeViolation(
-            "strict primitive mode forbids projections (their lane release needs emitter gadgets)"
-        )
-    if isinstance(expr, Compose):
-        _reject_non_primitive(expr.outer)
-        for g in expr.inner:
-            _reject_non_primitive(g)
-
-
 def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> CompiledProgram:
     cfg = config or LoweringConfig()
     n_args = check_arity(expr)
     if cfg.big_m < 2:
         raise ConfigError(f"big_m={cfg.big_m} must be at least 2")
-    if cfg.strict_primitive:
-        _reject_non_primitive(expr)
 
     low = _Lowering(b=CircuitBuilder(), cfg=cfg)
     box = lower_expr(low, expr, 0)
@@ -433,9 +421,12 @@ def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> Comp
     low.b.mark_port(box.output, "output", "y")
 
     circuit = low.b.build()
+    if cfg.strict_primitive and circuit.gadgets:
+        raise StrictModeViolation(
+            f"strict primitive mode forbids native gadgets; the circuit has {len(circuit.gadgets)}"
+        )
     meta = {
         "ports": {"inputs": input_names, "output": "y", "dummy": dummy_names},
-        "arity": n_args,
         "latency": box.latency,
         "stats": {
             "neurons": len(circuit.neurons),
@@ -445,9 +436,7 @@ def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> Comp
             "trigger_cells": 2 * len(low.instances),
         },
         "big_m": cfg.big_m,
-        "markers": dict(box.markers),
-        "instances": list(low.instances),
-        "conventions": dict(_CONVENTIONS),
+        "instances": low.instances,
     }
     return CompiledProgram(circuit=circuit, meta=meta)
 

@@ -13,7 +13,7 @@ can be fired at data-dependent times by arbitrary-valued spikes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import CircuitBuilder, Injection, INFINITE
 from .errors import ArityError
@@ -30,7 +30,6 @@ class Box:
     inputs: list[int]
     output: int
     latency: int | None
-    markers: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass

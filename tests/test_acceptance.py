@@ -222,7 +222,7 @@ def test_criterion_5_random_programs_match_the_interpreter(capsys):
 def test_criterion_6_recursion_loops(capsys):
     with criterion(6, "recursion loops vs interpreter", capsys, budget=120.0):
         add = compile_program(ADD)
-        add_markers = add.meta["markers"]
+        add_markers = add.meta["instances"][-1]
         for i in range(11):
             for x in range(11):
                 run = run_program(add, [i, x])
@@ -233,7 +233,7 @@ def test_criterion_6_recursion_loops(capsys):
                     assert_return_precedes_erase(run.outcome.raster, markers, require_fire=False)
 
         mul = compile_program(MUL)
-        mul_markers = mul.meta["markers"]
+        mul_markers = mul.meta["instances"][-1]
         for i in range(9):
             for x in range(9):
                 run = run_program(mul, [i, x])
@@ -244,7 +244,7 @@ def test_criterion_6_recursion_loops(capsys):
                     assert_return_precedes_erase(run.outcome.raster, markers, require_fire=False)
 
         pred = compile_program(PRED)
-        pred_markers = pred.meta["markers"]
+        pred_markers = pred.meta["instances"][-1]
         for i in range(21):
             run = run_program(pred, [i, 0])
             assert (run.status, run.value) == ("ok", max(i - 1, 0)), i

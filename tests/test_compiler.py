@@ -1,7 +1,10 @@
 """Compilation of expressions to circuits, program runs, differential checks."""
 from __future__ import annotations
 
+import copy
 import itertools
+import json
+import random
 
 import pytest
 
@@ -22,7 +25,9 @@ from murec import (
     ConfigError,
     Const,
     LoweringConfig,
+    Mu,
     ParseError,
+    PrimRec,
     Proj,
     StrictModeViolation,
     Succ,
@@ -32,6 +37,7 @@ from murec import (
     Value,
     compile_program,
     eval_oracle,
+    gen_expr,
     parse_program,
     run_diff,
     run_program,
@@ -167,7 +173,7 @@ def test_addition_small_grid(compiled_add):
 
 
 def test_addition_marker_trail(compiled_add):
-    markers = compiled_add.meta["markers"]
+    markers = compiled_add.meta["instances"][-1]
     assert markers["kind"] == "primrec"
     run = run_program(compiled_add, [3, 4])
     assert run.value == 7
@@ -179,7 +185,7 @@ def test_addition_marker_trail(compiled_add):
 
 
 def test_zero_iterations_returns_the_base_case(compiled_add):
-    markers = compiled_add.meta["markers"]
+    markers = compiled_add.meta["instances"][-1]
     run = run_program(compiled_add, [0, 9])
     assert run.value == 9
     assert [e for e in run.outcome.raster if e.neuron == markers["h_out"]] == []
@@ -216,7 +222,7 @@ def test_return_never_races_the_erase(compiled_add, compiled_mul):
 def test_loop_machinery_is_clean_after_the_run(compiled_add):
     engine, outcome = engine_run(compiled_add, [3, 4])
     assert outcome.status == "quiescent"
-    markers = compiled_add.meta["markers"]
+    markers = compiled_add.meta["instances"][-1]
     big_m = compiled_add.meta["big_m"]
     assert engine.inspect(markers["ret_store"]) == 0
     assert engine.inspect(markers["ret_out"]) == -big_m  # re-armed
@@ -225,7 +231,8 @@ def test_loop_machinery_is_clean_after_the_run(compiled_add):
     # The final round parks carrier values in the joins (a later activation
     # overwrites them); what must be missing is each join's release line.
     state_lines = engine.join_lines(markers["state_join"])
-    go_line = len(compiled_add.circuit.gadget_map()[markers["state_join"]].inputs) - 1
+    state_join, = (g for g in compiled_add.circuit.gadgets if g.id == markers["state_join"])
+    go_line = len(state_join.inputs) - 1
     assert go_line not in state_lines
     h_lines = engine.join_lines(markers["h_join"])
     assert 1 not in h_lines  # the accumulator line only fills on a continue
@@ -252,7 +259,7 @@ def test_minimization_searches_from_one_not_zero():
 
 
 def test_minimization_probe_counts_down(compiled_mu_monus):
-    markers = compiled_mu_monus.meta["markers"]
+    markers = compiled_mu_monus.meta["instances"][-1]
     assert markers["kind"] == "mu"
     run = run_program(compiled_mu_monus, [4])
     probes = [e.value for e in run.outcome.raster if e.neuron == markers["probe"]]
@@ -276,7 +283,7 @@ def test_divergent_search_times_out_with_no_output():
 def test_minimization_instances_cover_the_nested_recursions(compiled_mu_monus):
     kinds = [m["kind"] for m in compiled_mu_monus.meta["instances"]]
     assert sorted(kinds) == ["mu", "primrec", "primrec"]
-    assert compiled_mu_monus.meta["markers"]["kind"] == "mu"
+    assert compiled_mu_monus.meta["instances"][-1]["kind"] == "mu"
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +309,52 @@ def test_strict_mode_rejects_loops_and_projections(expr):
         compile_program(expr, LoweringConfig(strict_primitive=True))
 
 
-def test_meta_records_conventions_and_stats_consistently(compiled_add):
+def _needs_native_gadgets(expr):
+    """Whether ``expr`` holds a projection (lane emitters) or a loop."""
+    if isinstance(expr, (Proj, PrimRec, Mu)):
+        return True
+    if isinstance(expr, Compose):
+        return any(_needs_native_gadgets(e) for e in (expr.outer, *expr.inner))
+    return False
+
+
+def _chain(rng, n_args, depth):
+    """A random const/succ/compose chain of the given arity, now and then with a projection leaf."""
+    if depth <= 0 or rng.random() < 0.3:
+        if n_args >= 1 and rng.random() < 0.1:
+            return Proj(rng.randint(1, n_args), n_args)
+        return Const(rng.randint(0, 9), n_args)
+    if rng.random() < 0.5:
+        return Compose(Succ(), (_chain(rng, n_args, depth - 1),))
+    operands = rng.randint(1, 3)
+    inner = tuple(_chain(rng, n_args, depth - 1) for _ in range(operands))
+    return Compose(Const(rng.randint(0, 9), operands), inner)
+
+
+def test_strict_mode_rejects_exactly_the_programs_with_projections_or_loops():
+    rng = random.Random(20211)
+    programs = [ADD, MUL, PRED, MONUS, MU_MONUS, ALWAYS_POSITIVE]
+    programs += [gen_expr(rng, rng.randint(1, 3), rng.randint(0, 3)) for _ in range(300)]
+    programs += [_chain(rng, rng.randint(0, 3), rng.randint(0, 4)) for _ in range(200)]
+    cfg = LoweringConfig(strict_primitive=True)
+    verdicts = {True: 0, False: 0}
+    for expr in programs:
+        expected = _needs_native_gadgets(expr)
+        try:
+            compile_program(expr, cfg)
+            rejected = False
+        except StrictModeViolation:
+            rejected = True
+        assert rejected == expected, expr
+        verdicts[rejected] += 1
+    assert min(verdicts.values()) >= 100  # both sides of the rule are exercised
+
+
+def test_meta_records_ports_and_stats_consistently(compiled_add):
     meta = compiled_add.meta
-    assert meta["arity"] == 2
+    assert len(meta["ports"]["inputs"]) == 2
     assert meta["latency"] is None  # loops finish at input-dependent times
     assert meta["ports"]["inputs"] == ["i", "x1"]
-    assert meta["conventions"]  # naming conventions ride along with the artifact
     stats = meta["stats"]
     assert stats["neurons"] == len(compiled_add.circuit.neurons)
     assert stats["synapses"] == len(compiled_add.circuit.synapses)
@@ -363,6 +410,27 @@ def test_compiled_program_roundtrip(compiled_add):
     assert again.circuit == compiled_add.circuit
     assert again.meta == compiled_add.meta
     assert run_program(again, [2, 3]).value == 5
+
+
+def test_a_file_with_the_older_meta_keys_still_runs(compiled_add):
+    # Compiled files once also carried meta.arity, meta.markers (the
+    # top-level loop's marker ids) and meta.conventions; loading ignores them.
+    doc = compiled_add.to_document()
+    old = copy.deepcopy(doc)
+    old["meta"]["arity"] = 2
+    old["meta"]["markers"] = dict(old["meta"]["instances"][-1])
+    old["meta"]["conventions"] = {
+        "relay": "threshold 0, leak 0, unit-weight synapses for plain value routing",
+        "zero_test": "threshold 0 fed by weight -1: spikes iff the tested natural is 0",
+        "nonzero_test": "threshold 1 fed by weight +1: spikes iff the tested natural is >= 1",
+    }
+    runs = [
+        run_program(CompiledProgram.deserialize(json.dumps(d)), [3, 4])
+        for d in (doc, old)
+    ]
+    assert [(r.status, r.value) for r in runs] == [("ok", 7)] * 2
+    assert runs[0].outcome.final_clock == runs[1].outcome.final_clock
+    assert runs[0].outcome.raster == runs[1].outcome.raster
 
 
 @pytest.mark.parametrize(

@@ -132,22 +132,22 @@ CIRCUIT_GOLDEN = {
     "add": (
         ADD,
         "7d6bfe8ff74b7dc84fb6ea633af3fb95efe4aec06ecbaf8e64640ed836fef876",
-        "3a6d479da2e041a11cf8602fffba7b16a2e6526dab058f2f2d678d46df8b128b",
+        "5ce7da4972813600fdb6abbd47beb99e01506e2af2e1aad9d3af499180af3cab",
     ),
     "mul": (
         MUL,
         "fe590c65baf201c40bdf29e635a4109a163b688047b62c04b5a60bb4fa3104ab",
-        "a59150e90c3ea50e41e94345be45e96db0092775966ad3f7c00d91998663a1aa",
+        "fdfebf528b4440622845d9da53b3ff02208aca9c1af512a384533f318c22615b",
     ),
     "mu_monus": (
         MU_MONUS,
         "53fa16629d46aeef090b26ab21b56208a1e21e8ad07a91b824d90084ec59be7d",
-        "14ec29f999a73dc9892b3faf096c2c6fb463899a1ce5b4eb7bff05403c9a0ddd",
+        "a02ce1e283affe576925ffc24e4cf36c0feb4a0a916471dca78ba899e7888058",
     ),
     "nest3": (
         _nest(3),
         "5eb3e3a962a92ae2ae1dc38c3370c8193c2d9d490c67bce026f43d101761a1f2",
-        "697b740ea4749afb2d2ae07518c38b266de46fe442b1744a30da949c334096b9",
+        "aff548f2a8197ff058492cf90a90ee4ea3f7c6700e95438670b050b49e228d15",
     ),
 }
 
