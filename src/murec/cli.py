@@ -79,11 +79,11 @@ def cmd_compile(ns: argparse.Namespace) -> int:
     program = compile_program(expr, cfg)
     out = Path(ns.output) if ns.output else _default_compile_out(Path(ns.program))
     out.write_text(program.serialize())
-    stats = program.meta["stats"]
+    circuit = program.circuit
     print(f"wrote {out}")
     print(
-        "neurons={neurons} synapses={synapses} native_gadgets={native_gadgets} "
-        "trigger_cells={trigger_cells}".format(**stats)
+        f"neurons={len(circuit.neurons)} synapses={len(circuit.synapses)} "
+        f"native_gadgets={len(circuit.gadgets)} trigger_cells={program.meta['stats']['trigger_cells']}"
     )
     print(f"latency={_latency_str(program.meta['latency'])} big_m={program.meta['big_m']}")
     return 0
@@ -206,6 +206,8 @@ def cmd_diff(ns: argparse.Namespace) -> int:
         _natural(getattr(ns, option[2:].replace("-", "_")) or 0, option)  # --arity may be None
     if ns.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
+    if ns.arity == 0:  # gen_expr needs at least one argument
+        raise ConfigError("--arity must be at least 1, got 0")
     cfg = LoweringConfig(big_m=_env_big_m() if ns.big_m is None else ns.big_m)
     if ns.random is not None:
         rng = random.Random(ns.seed)

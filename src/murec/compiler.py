@@ -8,11 +8,12 @@ latencies are known and by a join gadget otherwise; primitive recursion and
 minimization compile to event-driven loops built on trigger-cell memory, so
 their latency is input-dependent.
 
-The compiled artifact bundles the circuit with a ``meta`` block: port names,
-latency, counts, the big-M separation constant, and one ``instances`` entry
-per loop, in lowering order (the top-level loop last), whose marker node ids
-let tests and the benchmark observe loop internals (iteration checks,
-store/erase/trigger ordering).
+The compiled artifact bundles the circuit with a ``meta`` block of what the
+circuit cannot say: latency, trigger-cell count, the big-M separation
+constant, and one ``instances`` entry per loop, in lowering order (the
+top-level loop last), whose marker node ids let tests and the benchmark
+observe loop internals.  Arguments bind the input ports in node-id order;
+the value is the spike on output port ``y``.
 """
 from __future__ import annotations
 
@@ -386,9 +387,6 @@ class CompiledProgram:
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise ParseError("meta block must be an object")
-        ports = meta.get("ports")
-        if not isinstance(ports, dict) or "inputs" not in ports or "output" not in ports:
-            raise ParseError("meta.ports must list inputs and output")
         if type(meta.get("big_m")) is not int:  # a bool is an int to isinstance
             raise ParseError("meta.big_m must be an integer")
         return cls(circuit=circuit_from_document(doc["circuit"]), meta=meta)
@@ -407,17 +405,15 @@ def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> Comp
     low = _Lowering(b=CircuitBuilder(), cfg=cfg)
     box = lower_expr(low, expr, 0)
 
-    if n_args == 0:
-        input_names: list[str] = []
-        dummy_names = ["x1"]
-    elif isinstance(expr, PrimRec):
+    if isinstance(expr, PrimRec):
         input_names = ["i"] + [f"x{j}" for j in range(1, n_args)]
-        dummy_names = []
     else:
         input_names = [f"x{j}" for j in range(1, n_args + 1)]
-        dummy_names = []
-    for name, node in zip(input_names or dummy_names, box.inputs):
+    for name, node in zip(input_names, box.inputs):
         low.b.mark_port(node, "input", name)
+    if n_args == 0:
+        # A nullary program starts itself with the pulse an argument would deliver.
+        low.b.add_injection(box.inputs[0], 0, 0)
     low.b.mark_port(box.output, "output", "y")
 
     circuit = low.b.build()
@@ -426,15 +422,9 @@ def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> Comp
             f"strict primitive mode forbids native gadgets; the circuit has {len(circuit.gadgets)}"
         )
     meta = {
-        "ports": {"inputs": input_names, "output": "y", "dummy": dummy_names},
         "latency": box.latency,
-        "stats": {
-            "neurons": len(circuit.neurons),
-            "synapses": len(circuit.synapses),
-            "native_gadgets": len(circuit.gadgets),
-            # Every prec/mu instance holds one return and one continue cell.
-            "trigger_cells": 2 * len(low.instances),
-        },
+        # Every prec/mu instance holds one return and one continue cell.
+        "stats": {"trigger_cells": 2 * len(low.instances)},
         "big_m": cfg.big_m,
         "instances": low.instances,
     }
@@ -455,9 +445,8 @@ class ProgramRun:
 def bind_args(
     program: CompiledProgram, args: Union[list[int], tuple[int, ...], dict[str, int]]
 ) -> dict[str, int]:
-    """Resolve positional or named arguments to a full port->value binding."""
-    inputs = list(program.meta["ports"]["inputs"])
-    dummy = list(program.meta["ports"].get("dummy", []))
+    """Bind named arguments, or positional ones to the input ports in node-id order."""
+    inputs = [p.name for p in sorted(program.circuit.ports_by_role("input"), key=lambda p: p.neuron)]
     if isinstance(args, dict):
         unknown = set(args) - set(inputs)
         if unknown:
@@ -465,15 +454,11 @@ def bind_args(
         missing = set(inputs) - set(args)
         if missing:
             raise UnboundPort(f"unbound input port(s): {', '.join(sorted(missing))}")
-        binding = {name: args[name] for name in inputs}
-    else:
-        values = list(args)
-        if len(values) != len(inputs):
-            raise ArityError(f"expected {len(inputs)} arguments, got {len(values)}")
-        binding = dict(zip(inputs, values))
-    for name in dummy:
-        binding[name] = 0
-    return binding
+        return {name: args[name] for name in inputs}
+    values = list(args)
+    if len(values) != len(inputs):
+        raise ArityError(f"expected {len(inputs)} arguments, got {len(values)}")
+    return dict(zip(inputs, values))
 
 
 def run_program(
@@ -505,7 +490,7 @@ def run_program(
         config=SimConfig(max_steps=max_steps, big_m=big_m, trace=trace),
     )
     outputs = {p.name: p.neuron for p in program.circuit.ports_by_role("output")}
-    y_node = outputs.get(program.meta["ports"]["output"])
+    y_node = outputs.get("y")
     y_spikes = [] if y_node is None else outcome.spikes_of(y_node)
     if outcome.status == "fault":
         return ProgramRun("fault", None, y_spikes, outcome)

@@ -489,7 +489,7 @@ def test_serialize_equals_the_generic_indent_2_encoder(drawn, note):
     circuit, big_m = drawn
     assert circuit.serialize() == json.dumps(circuit.to_document(), indent=2) + "\n"
     meta = {
-        "ports": {"inputs": [p.name for p in circuit.ports_by_role("input")], "output": note, "dummy": []},
+        "ports": {"inputs": [p.name for p in circuit.ports_by_role("input")], "output": note},
         "big_m": big_m,
         "markers": {note: [1, {"k": None}]},
         "empty": {},

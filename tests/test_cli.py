@@ -12,7 +12,7 @@ import pytest
 
 from conftest import ADD_REC, MONUS_REC
 import murec
-from murec import CircuitBuilder, CompiledProgram, cli
+from murec import CircuitBuilder, CompiledProgram, Proj, cli, compile_program, run_program
 from murec.cli import main
 
 ALWAYS_POSITIVE_REC = "(mu (compose (succ) ((proj 1 2))))"
@@ -44,9 +44,12 @@ def test_compile_writes_default_output_and_stats(add_rec, tmp_path, capsys):
     assert artifact.exists()
     assert out[0] == f"wrote {artifact}"
     assert out[1].startswith("neurons=") and "trigger_cells=2" in out[1]
+    assert out[1] == "neurons=56 synapses=115 native_gadgets=22 trigger_cells=2"
     assert out[2] == "latency=dynamic big_m=1000000000"
-    program = CompiledProgram.deserialize(artifact.read_text())
-    assert program.meta["ports"]["inputs"] == ["i", "x1"]
+    circuit = CompiledProgram.deserialize(artifact.read_text()).circuit
+    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (56, 115, 22)
+    inputs = sorted(circuit.ports_by_role("input"), key=lambda p: p.neuron)
+    assert [p.name for p in inputs] == ["i", "x1"]
 
 
 def test_compile_honours_explicit_output_path(add_rec, tmp_path, capsys):
@@ -153,6 +156,83 @@ def test_run_rejects_malformed_bindings(add_circuit, capsys):
     capsys.readouterr()
 
 
+def test_arguments_bind_input_ports_in_node_id_order(tmp_path, capsys):
+    # In name order x10..x12 would come before x2.
+    args = list(range(100, 112))
+    for k in range(1, 13):
+        program = compile_program(Proj(k, 12))
+        assert run_program(program, args).value == args[k - 1]
+        artifact = tmp_path / f"proj{k}.circuit.json"
+        artifact.write_text(program.serialize())
+        argv = ["run", str(artifact)]
+        for j, value in enumerate(args, 1):
+            argv += ["--in", f"x{j}={value}"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"y={args[k - 1]}"
+
+
+@pytest.mark.parametrize(
+    "ports",
+    [
+        {"inputs": ["i", "x1"], "output": "y", "dummy": []},
+        5,
+        {"inputs": ["i", "nope"], "output": "y", "dummy": []},
+        {"inputs": ["i", "x1"], "output": ["y"], "dummy": []},
+    ],
+    ids=["as_written", "not_an_object", "unknown_name", "list_output"],
+)
+def test_a_file_with_the_older_meta_ports_runs_like_the_new_one(add_circuit, tmp_path, capsys, ports):
+    # Earlier versions copied the circuit's ports into meta.ports and its
+    # counts into meta.stats; loading ignores both, whatever they hold.
+    old = json.loads(add_circuit.read_text())
+    circuit = old["circuit"]
+    old["meta"] = {"ports": ports, **old["meta"]}
+    old["meta"]["stats"] = {
+        "neurons": len(circuit["neurons"]),
+        "synapses": len(circuit["synapses"]),
+        "native_gadgets": len(circuit["gadgets"]),
+        "trigger_cells": 2,
+    }
+    old_path = tmp_path / "old.circuit.json"
+    old_path.write_text(json.dumps(old, indent=2))
+    results = []
+    for path in (add_circuit, old_path):
+        raster = tmp_path / f"{path.stem}.csv"
+        assert main(["run", str(path), "--in", "i=2", "--in", "x1=3", "--raster", str(raster)]) == 0
+        results.append((capsys.readouterr().out, raster.read_text()))
+    assert results[0] == results[1]
+    assert results[0][0] == "y=5\nstatus=quiescent clock=71\n"
+
+
+def test_an_older_nullary_file_needs_its_hidden_port_bound(tmp_path, capsys):
+    # Earlier versions gave a nullary program a hidden input port x1 in place
+    # of the pulse it now injects itself, and bound that port to 0 by default.
+    src = tmp_path / "c7.rec"
+    src.write_text("(compose (succ) ((const 6 0)))\n")
+    assert main(["compile", str(src)]) == 0
+    capsys.readouterr()
+    new = tmp_path / "c7.circuit.json"
+    doc = json.loads(new.read_text())
+    (pulse,) = [inj for inj in doc["circuit"]["injections"] if inj["value"] == 0]
+    doc["circuit"]["injections"].remove(pulse)
+    doc["circuit"]["ports"].insert(0, {"name": "x1", "neuron": pulse["neuron"], "role": "input"})
+    doc["meta"] = {"ports": {"inputs": [], "output": "y", "dummy": ["x1"]}, **doc["meta"]}
+    old = tmp_path / "old_c7.circuit.json"
+    old.write_text(json.dumps(doc, indent=2))
+
+    assert main(["run", str(old)]) == 64
+    assert capsys.readouterr().err == "error: unbound input port(s): x1\n"
+    assert main(["run", str(new), "--in", "x1=0"]) == 64
+    assert capsys.readouterr().err == "error: unknown input port(s): x1\n"
+    results = []
+    for argv in (["run", str(old), "--in", "x1=0"], ["run", str(new)]):
+        raster = tmp_path / f"{len(results)}.csv"
+        assert main([*argv, "--raster", str(raster)]) == 0
+        results.append((capsys.readouterr().out, raster.read_text()))
+    assert results[0] == results[1]
+    assert results[0][0].startswith("y=7\n")
+
+
 def test_run_timeout_exit_code_and_raster(tmp_path, capsys):
     src = tmp_path / "diverge.rec"
     src.write_text(ALWAYS_POSITIVE_REC + "\n")
@@ -174,11 +254,7 @@ def test_run_fault_exit_code(tmp_path, capsys):
     b.add_synapse(x, y, 10**9, 0)
     b.mark_port(x, "input", "x1")
     b.mark_port(y, "output", "y")
-    meta = {
-        "ports": {"inputs": ["x1"], "output": "y", "dummy": []},
-        "arity": 1,
-        "big_m": 10**9,
-    }
+    meta = {"big_m": 10**9}
     artifact = tmp_path / "amp.circuit.json"
     artifact.write_text(CompiledProgram(circuit=b.build(), meta=meta).serialize())
     assert main(["run", str(artifact), "--in", "x1=4"]) == 4
@@ -361,8 +437,9 @@ def test_diff_argument_errors(add_rec, capsys):
         ("--max-steps", "-1", "--max-steps must be a natural, got -1"),
         ("--depth", "-1", "--depth must be a natural, got -1"),
         ("--samples", "0", "--samples must be at least 1, got 0"),
+        ("--arity", "0", "--arity must be at least 1, got 0"),  # gen_expr needs an argument
     ],
-    ids=["arity", "max_value", "fuel", "max_steps", "depth", "samples"],
+    ids=["arity", "max_value", "fuel", "max_steps", "depth", "samples", "arity_zero"],
 )
 def test_diff_rejects_an_out_of_range_number(capsys, option, value, message):
     assert main(["diff", "--random", "2", option, value]) == 2

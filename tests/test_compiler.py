@@ -51,8 +51,8 @@ from murec import (
 
 def test_constant_program_shape_and_run():
     program = compile_program(Const(5, 1))
-    stats = program.meta["stats"]
-    assert (stats["neurons"], stats["synapses"], stats["native_gadgets"]) == (3, 2, 0)
+    circuit = program.circuit
+    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (3, 2, 0)
     assert program.meta["latency"] == 1
     for x in (0, 3, 20):
         run = run_program(program, [x])
@@ -63,8 +63,8 @@ def test_constant_program_shape_and_run():
 
 def test_successor_program_shape_and_run():
     program = compile_program(Succ())
-    stats = program.meta["stats"]
-    assert (stats["neurons"], stats["synapses"], stats["native_gadgets"]) == (3, 2, 0)
+    circuit = program.circuit
+    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (3, 2, 0)
     assert program.meta["latency"] == 1
     for x in (0, 41, 100):
         run = run_program(program, [x])
@@ -74,8 +74,7 @@ def test_successor_program_shape_and_run():
 
 def test_projection_program_selects_and_counts_nodes():
     program = compile_program(Proj(2, 2))
-    stats = program.meta["stats"]
-    assert stats["native_gadgets"] == 3  # two lane emitters plus the replenisher
+    assert len(program.circuit.gadgets) == 3  # two lane emitters plus the replenisher
     assert program.meta["latency"] == 7
     run = run_program(program, [4, 9])
     assert (run.status, run.value) == ("ok", 9)
@@ -151,8 +150,9 @@ def test_known_latency_equals_observed_spike_time():
 
 def test_nullary_programs_run_off_the_dummy_pulse():
     program = compile_program(Const(7, 0))
-    assert program.meta["ports"]["inputs"] == []
-    assert program.meta["ports"]["dummy"] == ["x1"]
+    assert [p.name for p in program.circuit.ports] == ["y"]
+    # The program injects its own activation pulse: value 0 at time 0.
+    assert sum(1 for i in program.circuit.injections if (i.value, i.time) == (0, 0)) == 1
     run = run_program(program, [])
     assert (run.status, run.value) == ("ok", 7)
 
@@ -350,15 +350,12 @@ def test_strict_mode_rejects_exactly_the_programs_with_projections_or_loops():
     assert min(verdicts.values()) >= 100  # both sides of the rule are exercised
 
 
-def test_meta_records_ports_and_stats_consistently(compiled_add):
+def test_meta_records_latency_and_trigger_cells(compiled_add):
     meta = compiled_add.meta
-    assert len(meta["ports"]["inputs"]) == 2
+    inputs = sorted(compiled_add.circuit.ports_by_role("input"), key=lambda p: p.neuron)
+    assert [p.name for p in inputs] == ["i", "x1"]
     assert meta["latency"] is None  # loops finish at input-dependent times
-    assert meta["ports"]["inputs"] == ["i", "x1"]
-    stats = meta["stats"]
-    assert stats["neurons"] == len(compiled_add.circuit.neurons)
-    assert stats["synapses"] == len(compiled_add.circuit.synapses)
-    assert stats["native_gadgets"] == len(compiled_add.circuit.gadgets)
+    assert meta["stats"] == {"trigger_cells": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +389,9 @@ def test_run_program_validates_argument_values(compiled_add):
         run_program(CompiledProgram.from_document(doc), [1, 2])  # 2*2 >= 4
 
 
-def test_dummy_port_binding_is_automatic():
+def test_nullary_programs_bind_no_ports():
     program = compile_program(Const(7, 0))
-    assert bind_args(program, []) == {"x1": 0}
+    assert bind_args(program, []) == {}
     with pytest.raises(ArityError):
         bind_args(program, [1])
 
@@ -437,7 +434,7 @@ def test_a_file_with_the_older_meta_keys_still_runs(compiled_add):
     "mutate",
     [
         lambda doc: doc.pop("meta"),
-        lambda doc: doc["meta"].pop("ports"),
+        lambda doc: doc["meta"].pop("big_m"),
         lambda doc: doc["meta"].update(big_m="lots"),
         lambda doc: doc.update(circuit=5),
         lambda doc: doc["circuit"].update(neurons=5),

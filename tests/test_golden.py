@@ -89,8 +89,9 @@ def _murec_run(name, doc, tmp_path, *options):
     circuit_path = tmp_path / f"{name}.circuit.json"
     circuit_path.write_text(json.dumps(doc))
     argv = ["run", str(circuit_path), *options]
-    for port, value in zip(doc["meta"]["ports"]["inputs"], args):
-        argv += ["--in", f"{port}={value}"]
+    inputs = sorted((p for p in doc["circuit"]["ports"] if p["role"] == "input"), key=lambda p: p["neuron"])
+    for port, value in zip(inputs, args):
+        argv += ["--in", f"{port['name']}={value}"]
     if max_steps is not None:
         argv += ["--max-steps", str(max_steps)]
     return main(argv)
@@ -132,22 +133,22 @@ CIRCUIT_GOLDEN = {
     "add": (
         ADD,
         "7d6bfe8ff74b7dc84fb6ea633af3fb95efe4aec06ecbaf8e64640ed836fef876",
-        "5ce7da4972813600fdb6abbd47beb99e01506e2af2e1aad9d3af499180af3cab",
+        "5d6c46c2b9f9d76fe23926a60212b77a675bb6e03437234650da6d0b874928d6",
     ),
     "mul": (
         MUL,
         "fe590c65baf201c40bdf29e635a4109a163b688047b62c04b5a60bb4fa3104ab",
-        "fdfebf528b4440622845d9da53b3ff02208aca9c1af512a384533f318c22615b",
+        "0d92e5d3187b7a541ed4da5347baf8a4fdf4dccc3ade334dfb45e8eb7725781d",
     ),
     "mu_monus": (
         MU_MONUS,
         "53fa16629d46aeef090b26ab21b56208a1e21e8ad07a91b824d90084ec59be7d",
-        "a02ce1e283affe576925ffc24e4cf36c0feb4a0a916471dca78ba899e7888058",
+        "d96089ce07926585b5d8e35449697c154e196656f45dc3b5c1395fe3dd3e33fd",
     ),
     "nest3": (
         _nest(3),
         "5eb3e3a962a92ae2ae1dc38c3370c8193c2d9d490c67bce026f43d101761a1f2",
-        "aff548f2a8197ff058492cf90a90ee4ea3f7c6700e95438670b050b49e228d15",
+        "985b3a4d1d758bb93275e10232272d1ba29fb915c28dc129d1a890587c0734f4",
     ),
 }
 

@@ -3,16 +3,21 @@
 ``bench/workloads.py`` counts loop rounds from the ``check`` and ``probe``
 ids of ``meta.instances`` and sums ``meta.stats.trigger_cells``, so a meta
 edit that drops either would only surface in a benchmark run.  This pins the
-key set and those two reads.
+key set and those two reads, and holds README's document example to the
+same key set.
 """
 from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import ADD, MU_MONUS
 from murec import Compose, Const, Succ, compile_program
 
-META_KEYS = {"ports", "latency", "stats", "big_m", "instances"}
+META_KEYS = {"latency", "stats", "big_m", "instances"}
 PROGRAMS = {
     "add": ADD,
     "mu_monus": MU_MONUS,
@@ -22,7 +27,9 @@ PROGRAMS = {
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_meta_holds_exactly_the_documented_keys(name):
-    assert set(compile_program(PROGRAMS[name]).meta) == META_KEYS
+    meta = compile_program(PROGRAMS[name]).meta
+    assert set(meta) == META_KEYS
+    assert set(meta["stats"]) == {"trigger_cells"}
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -32,3 +39,13 @@ def test_every_loop_instance_names_its_round_counter(name):
     for instance in meta["instances"]:
         assert isinstance(instance[round_keys[instance["kind"]]], int), instance
     assert meta["stats"]["trigger_cells"] == 2 * len(meta["instances"])
+
+
+def test_readme_document_example_shows_exactly_the_meta_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    formats = readme.split("\n## File formats\n", 1)[1]
+    example = re.search(r"^```json\n(.*?)^```$", formats, re.MULTILINE | re.DOTALL)
+    assert example, "no json block under File formats"
+    doc = json.loads(example.group(1))
+    assert set(doc["meta"]) == META_KEYS
+    assert set(doc["meta"]["stats"]) == {"trigger_cells"}
