@@ -98,6 +98,8 @@ def _parse_bindings(pairs: list[str]) -> dict[str, int]:
         name, sep, raw = pair.partition("=")
         if not sep or not name:
             raise ConfigError(f"--in expects name=value, got {pair!r}")
+        if name in binding:
+            raise ConfigError(f"input {name} is bound more than once")
         binding[name] = _natural(raw, f"input {name}")
     return binding
 

@@ -32,9 +32,11 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .circuit import Circuit, ConstEmit
@@ -44,6 +46,10 @@ INT63_MAX = 2**62 - 1
 INT63_MIN = -(2**62)
 
 _NEURON, _CONST_EMIT, _JOIN = 0, 1, 2
+
+# The most timesteps an engine's ring holds; a longer transit waits on the
+# overflow heap, so no delay in a circuit file can size the ring.
+_RING_CAP = 256
 
 
 class SpikeEvent(NamedTuple):
@@ -107,7 +113,10 @@ class _Plan(NamedTuple):
 
     ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1)``
     in post order; ``joins[j]`` is, for a join ``j``, its source -> line index
-    map and each line's out-edge, and None for any other node.
+    map and each line's out-edge, and None for any other node.  ``span`` is
+    the size of an engine's ring: the smallest power of two above the largest
+    transit ``delay + 1`` (so at least 2, which a const emitter's next-step
+    fire needs), capped at ``_RING_CAP``.
     """
 
     kind: tuple[int, ...]
@@ -117,6 +126,7 @@ class _Plan(NamedTuple):
     out: tuple[tuple[tuple[int, int, int], ...], ...]
     joins: tuple[tuple[dict[int, int], tuple[tuple[int, int, int], ...]] | None, ...]
     join_ids: tuple[int, ...]
+    span: int
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
@@ -143,9 +153,10 @@ def _build_plan(circuit: Circuit) -> _Plan:
             edge_to = {edge[0]: edge for edge in out[g.id]}
             line_of = {src: m for m, src in enumerate(g.inputs)}
             joins[g.id] = (line_of, tuple(edge_to[2 * dst + 1] for dst in g.outputs))
+    transit = max(map(itemgetter(3), circuit.synapses), default=0) + 1  # the longest delay, plus 1
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
-        tuple(j for j in range(n) if kind[j] == _JOIN),
+        tuple(j for j in range(n) if kind[j] == _JOIN), 1 << min(transit, _RING_CAP - 1).bit_length(),
     )
 
 
@@ -165,18 +176,30 @@ class Engine:
     """Single-owner stepper over one circuit run.
 
     What depends only on the circuit (node kinds, thresholds, leaks, constant
-    values, out-edges, join line maps) is one read-only plan per
-    :class:`Circuit` object, shared by every engine over it.  An engine owns
-    only its run's state: each neuron's retained value and how long it lives,
-    each join's buffered line values, the pending work and the records.
+    values, out-edges, join line maps, the ring size) is one read-only plan
+    per :class:`Circuit` object, shared by every engine over it.  An engine
+    owns only its run's state: each neuron's retained value and how long it
+    lives, each join's buffered line values, the pending work and the records.
 
-    Node ids are dense, so per-node state lives in lists indexed by id.
-    Pending work is one dict per timestep, on the heap iff it exists: key
-    ``2·g`` marks a fire of const emitter ``g``, and key ``2·j + 1`` holds the
-    ``(source, value)`` deliveries to node ``j`` in arrival order, so sorted
-    keys run a step in node order (rule 6).  Out-edges and join edges store
-    their target's key.  ``raster`` and ``trace`` hold plain tuples, already
-    in raster and ``(time, target)`` order.
+    Node ids are dense, so per-node state lives in lists indexed by id.  A
+    timestep's pending work is a dict: key ``2·g`` marks a fire of const
+    emitter ``g``, and key ``2·j + 1`` holds the ``(source, value)``
+    deliveries to node ``j`` in arrival order, so sorted keys run a step in
+    node order (rule 6).  Out-edges and join edges store their target's key.
+
+    The dicts sit on a timing wheel: a ring of ``span`` slots (see
+    :class:`_Plan`), time ``t`` in slot ``t & (span - 1)``, plus an overflow
+    heap of ``(time, seq, key, source, value)`` for what the ring cannot hold
+    yet.  Between steps the ring covers ``open .. open + span - 2`` (``open``
+    is the earliest unprocessed time), so an injection uses it iff
+    ``time < open + span - 1``; during step ``t`` it covers
+    ``t .. t + span - 1``, so an out-edge uses it iff its transit is below
+    ``span``.  Before step ``t`` runs, every overflow item before ``t + span``
+    moves into the ring, ahead of the ring's own arrivals for that time, which
+    are all newer: arrival order holds across both.
+
+    ``raster`` and ``trace`` hold plain tuples, already in raster and
+    ``(time, target)`` order.
     """
 
     def __init__(
@@ -198,8 +221,9 @@ class Engine:
         self._held = [0] * n  # a neuron's retained value ...
         self._until: list[float] = [-1] * n  # ... live through this time
         self._lines: dict[int, dict[int, int]] = {j: {} for j in plan.join_ids}  # per join: line -> value
-        self._pending: dict[int, dict[int, list[tuple[int | None, int]] | None]] = {}
-        self._heap: list[int] = []
+        self._ring: list[dict[int, list[tuple[int | None, int]] | None]] = [{} for _ in range(plan.span)]
+        self._overflow: list[tuple[int, int, int, int | None, int]] = []
+        self._seq = itertools.count()  # overflow tie-break: emission order
         for inj in (*circuit.injections, *extra_injections):
             self.add_injection(inj.neuron, inj.value, inj.time)
 
@@ -214,16 +238,16 @@ class Engine:
             raise ValueError(f"injection time must be >= {self._open}, got {time}")
         if self.fault is not None:
             return
-        batch = self._pending.get(time)
-        if batch is None:
-            batch = self._pending[time] = {}
-            heapq.heappush(self._heap, time)
-        batch.setdefault(2 * neuron + 1, []).append((None, value))
+        span = self._plan.span
+        if time < self._open + span - 1:
+            self._ring[time & (span - 1)].setdefault(2 * neuron + 1, []).append((None, value))
+        else:
+            heapq.heappush(self._overflow, (time, next(self._seq), 2 * neuron + 1, None, value))
 
     # -- inspection --------------------------------------------------------
 
     def peek_time(self) -> int | None:
-        return self._heap[0] if self._heap else None
+        return self._next_time(self._open)
 
     def inspect(self, neuron: int, at: int | None = None) -> int:
         """Retained state of a neuron with leak accounted at time ``at``."""
@@ -241,37 +265,60 @@ class Engine:
 
     def step(self) -> int:
         """Process the earliest pending timestep; return its time."""
-        if not self._heap:
+        t = self.peek_time()
+        if t is None:
             raise EmptyQueue("no pending deliveries")
-        return self._advance(self._heap[0])
+        return self._advance(t)
 
     def run(self) -> RunOutcome:
         """Run to quiescence, timeout, or fault."""
         self._advance(self.config.max_steps)
-        if self._heap:
+        if self.peek_time() is not None:
             return self._finish("timeout", self.config.max_steps)
         return self._finish("quiescent" if self.fault is None else "fault", self.clock)
+
+    def _next_time(self, start: int) -> int | None:
+        """The earliest pending time, none being before ``start``.
+
+        It is the ring's first busy slot from ``start`` on, else the overflow
+        heap's head.
+        """
+        ring, mask = self._ring, self._plan.span - 1
+        for t in range(start, start + mask):
+            if ring[t & mask]:
+                return t
+        return self._overflow[0][0] if self._overflow else None
 
     def _advance(self, horizon: int) -> int | None:
         """Process pending timesteps up to ``horizon``; return the last one run.
 
         A fault ends the step at once and empties the queue; None: no step ran.
         """
-        heap, pending = self._heap, self._pending
-        kind, threshold, leak, const, out, joins, _ = self._plan
+        ring, overflow, seq = self._ring, self._overflow, self._seq
+        kind, threshold, leak, const, out, joins, _, span = self._plan
+        mask = span - 1
         held, until, buffers = self._held, self._until, self._lines
         record, trace = self.raster.append, self.trace
         # lo <= v <= hi iff v passes both the overflow and the big-M check.
         lo = max(INT63_MIN, 1 - 2 * self.config.big_m)
         hi = min(INT63_MAX, 2 * self.config.big_m - 1)
         heappush, heappop = heapq.heappush, heapq.heappop
-        t = None
-        while heap and heap[0] <= horizon:
-            t = heappop(heap)
-            self.clock = t
-            self._open = t + 1
-            batch = pending.pop(t)
-            for key in sorted(batch):
+        ran = None
+        t = self._open - 1
+        while True:
+            t += 1
+            batch = ring[t & mask]
+            if not batch:  # rare in a compiled circuit: its every step is busy
+                t = self._next_time(t)
+                if t is None:
+                    break
+                batch = ring[t & mask]
+            if t > horizon:
+                break
+            while overflow and overflow[0][0] < t + span:
+                time, _, key, source, x = heappop(overflow)
+                ring[time & mask].setdefault(key, []).append((source, x))
+            for key in sorted(batch) if len(batch) > 1 else batch:
                 node = key >> 1
                 if not key & 1:  # a fire of const emitter `node`
                     v = const[node]
@@ -292,11 +339,7 @@ class Engine:
                             continue
                         held[node] = 0
                     elif k == _CONST_EMIT:
-                        nxt = pending.get(t + 1)
-                        if nxt is None:
-                            nxt = pending[t + 1] = {}
-                            heappush(heap, t + 1)
-                        nxt[key - 1] = None  # the fire key 2·node
+                        ring[(t + 1) & mask][key - 1] = None  # the fire key 2·node
                         continue
                     else:
                         # Join: a line's one synapse brings at most one value
@@ -314,33 +357,40 @@ class Engine:
                             p = w * x
                             if not lo <= p <= hi:
                                 return self._stop(t, post >> 1, p)
-                            nxt = pending.get(t + d1)
-                            if nxt is None:
-                                nxt = pending[t + d1] = {}
-                                heappush(heap, t + d1)
-                            inbox = nxt.get(post)
-                            if inbox is None:
-                                nxt[post] = [(node, p)]
+                            if d1 < span:
+                                nxt = ring[(t + d1) & mask]
+                                inbox = nxt.get(post)
+                                if inbox is None:
+                                    nxt[post] = [(node, p)]
+                                else:
+                                    inbox.append((node, p))
                             else:
-                                inbox.append((node, p))
+                                heappush(overflow, (t + d1, next(seq), post, node, p))
                         lines.clear()
                         continue
-                # A neuron spike or a const-emit fire: fan out along every edge.
+                # A neuron spike or a const-emit fire: fan out along every
+                # edge, in post order whichever queue takes it (a fault is the
+                # first breach in that order).
                 record((t, node, v))
                 for post, w, d1 in out[node]:
                     p = w * v
                     if not lo <= p <= hi:
                         return self._stop(t, post >> 1, p)
-                    nxt = pending.get(t + d1)
-                    if nxt is None:
-                        nxt = pending[t + d1] = {}
-                        heappush(heap, t + d1)
-                    inbox = nxt.get(post)
-                    if inbox is None:
-                        nxt[post] = [(node, p)]
+                    if d1 < span:
+                        nxt = ring[(t + d1) & mask]
+                        inbox = nxt.get(post)
+                        if inbox is None:
+                            nxt[post] = [(node, p)]
+                        else:
+                            inbox.append((node, p))
                     else:
-                        inbox.append((node, p))
-        return t
+                        heappush(overflow, (t + d1, next(seq), post, node, p))
+            batch.clear()
+            ran = t
+        if ran is not None:
+            self.clock = ran
+            self._open = ran + 1
+        return ran
 
     def _stop(self, time: int, node: int, value: int) -> int:
         """Record the fault for a value outside the run's bound; overflow wins.
@@ -349,8 +399,11 @@ class Engine:
         """
         kind = "magnitude_breach" if INT63_MIN <= value <= INT63_MAX else "overflow"
         self.fault = Fault(kind, time, node, value)
-        self._heap.clear()
-        self._pending.clear()
+        self.clock = time
+        self._open = time + 1
+        for slot in self._ring:
+            slot.clear()
+        self._overflow.clear()
         return time
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:

@@ -110,8 +110,11 @@ PORT_NAME_CHARS = st.sampled_from(["y", "x", " ", '"', "\\", ",", "\n", "\r", "%
 
 
 @st.composite
-def built_circuits(draw):
-    """A builder-made circuit with neurons, const emits and joins, plus a big_m to run it."""
+def built_circuits(draw, delays=st.integers(0, 4)):
+    """A builder-made circuit with neurons, const emits and joins, plus a big_m to run it.
+
+    ``delays`` draws each synapse's delay.
+    """
     b = CircuitBuilder()
     n_nodes = draw(st.integers(min_value=1, max_value=8))
     ids = []
@@ -129,7 +132,7 @@ def built_circuits(draw):
         if (pre, post) in used:
             continue
         used.add((pre, post))
-        b.add_synapse(pre, post, draw(st.integers(-9, 9)), draw(st.integers(0, 4)))
+        b.add_synapse(pre, post, draw(st.integers(-9, 9)), draw(delays))
     for _ in range(draw(st.integers(0, 2))):
         n_lines = draw(st.integers(2, 3))
         if len(ids) < n_lines:

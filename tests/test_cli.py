@@ -6,13 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import ADD_REC, MONUS_REC
 import murec
-from murec import CircuitBuilder, CompiledProgram, Proj, cli, compile_program, run_program
+from murec import CircuitBuilder, CompiledProgram, Engine, Proj, cli, compile_program, run_program
 from murec.cli import main
 
 ALWAYS_POSITIVE_REC = "(mu (compose (succ) ((proj 1 2))))"
@@ -156,6 +158,13 @@ def test_run_rejects_malformed_bindings(add_circuit, capsys):
     capsys.readouterr()
 
 
+def test_run_rejects_a_port_bound_twice(add_circuit, capsys):
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3", "--in", "x1=4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input x1 is bound more than once\n"
+    assert captured.out == ""
+
+
 def test_arguments_bind_input_ports_in_node_id_order(tmp_path, capsys):
     # In name order x10..x12 would come before x2.
     args = list(range(100, 112))
@@ -261,6 +270,31 @@ def test_run_fault_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status=fault kind=magnitude_breach" in out
     assert f"node={y}" in out
+
+
+def test_run_bounds_a_transit_of_ten_to_the_fifteen_steps(tmp_path, capsys):
+    # The engine's ring is sized from the longest transit, up to a cap: a delay
+    # this long must cost neither the time nor the memory of sizing it.
+    b = CircuitBuilder()
+    x = b.add_neuron(0)
+    y = b.add_neuron(0)
+    b.add_synapse(x, y, 1, 10**15)
+    b.add_injection(x, 1, 10**15)
+    b.mark_port(y, "output", "y")
+    program = CompiledProgram(circuit=b.build(), meta={"big_m": 10**9})
+    artifact = tmp_path / "far.circuit.json"
+    artifact.write_text(program.serialize())
+    started = time.perf_counter()
+    assert main(["run", str(artifact)]) == 3
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().out == "status=timeout clock=1000000\n"
+    tracemalloc.start()
+    try:
+        Engine(program.circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
 
 
 def test_run_rejects_a_malformed_circuit_file(tmp_path, capsys):

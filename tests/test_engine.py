@@ -603,6 +603,46 @@ def test_arrivals_from_one_step_are_traced_by_source_id():
     ]
 
 
+# Transits this long exceed the engine's ring, whose span is then the cap.
+RING_SPAN = murec.engine._RING_CAP
+
+
+def test_a_fan_out_faults_at_its_first_breach_in_post_order_across_ring_and_overflow():
+    # One spike reaches `low` over an edge longer than the ring and `high`
+    # over a one-step edge; both products breach big_m=10.
+    b = CircuitBuilder()
+    src = b.add_neuron(0)
+    low = b.add_neuron(0)
+    high = b.add_neuron(0)
+    b.add_synapse(src, low, 9, 2 * RING_SPAN)
+    b.add_synapse(src, high, 9, 0)
+    b.add_injection(src, 5, 0)
+    outcome = simulate(b.build(), config=SimConfig(big_m=10))
+    assert outcome.fault == Fault("magnitude_breach", 0, low, 45)
+    assert outcome.raster == [SpikeEvent(0, src, 5)]
+
+
+@pytest.mark.parametrize("short", [RING_SPAN - 1, RING_SPAN, RING_SPAN + 1])
+def test_arrivals_across_ring_and_overflow_keep_emission_order(short):
+    # `early` (t=0, transit short + 7) and `late` (t=7, transit `short`) both
+    # reach `target` at short + 7; the earlier emission arrives first.
+    b = CircuitBuilder()
+    early = b.add_neuron(0)
+    late = b.add_neuron(0)
+    target = b.add_neuron(100)
+    b.add_synapse(early, target, 1, short + 6)
+    b.add_synapse(late, target, 1, short - 1)
+    b.add_injection(early, 1, 0)
+    b.add_injection(late, 2, 7)
+    outcome = simulate(b.build(), config=SimConfig(trace=True))
+    assert outcome.trace == [
+        Delivery(0, early, None, 1),
+        Delivery(7, late, None, 2),
+        Delivery(short + 7, target, early, 1),
+        Delivery(short + 7, target, late, 2),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # reading an outcome: the whole raster or one node's spikes
 # ---------------------------------------------------------------------------
