@@ -66,11 +66,11 @@ class ConstEmit(NamedTuple):
 class Join(NamedTuple):
     """Native node that synchronizes ``n`` lines.
 
-    Line ``m`` buffers the value coming from node ``inputs[m]`` along its one
-    synapse, at most one per step (a later step overwrites it).  At the
-    timestep the last empty line fills, every line emits its buffered value
-    toward ``outputs[m]`` through the single (join, outputs[m]) synapse, and
-    all buffers clear.
+    Line ``m`` runs from ``inputs[m]`` through the join to ``outputs[m]``
+    over two plain wires (weight 1, delay 0, as :meth:`Circuit.validate`
+    requires).  It buffers at most one value per step (a later step
+    overwrites it).  At the timestep the last empty line fills, every line
+    passes its buffered value on unchanged, and all buffers clear.
     """
 
     id: int
@@ -172,14 +172,14 @@ class Circuit:
             if inj.neuron in joins:
                 violations.append(f"injection into join {inj.neuron} is not allowed")
 
-        # Synapses touching each join, gathered in one pass in canonical order.
-        sources: dict[int, dict[int, None]] = {j: {} for j in joins}
-        targets: dict[int, dict[int, None]] = {j: {} for j in joins}
+        # Synapses touching each join with their (weight, delay), gathered in one pass in canonical order.
+        sources: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
+        targets: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
         for s in self.synapses:
             if s.post in sources:
-                sources[s.post][s.pre] = None
+                sources[s.post][s.pre] = s[2:]
             if s.pre in targets:
-                targets[s.pre][s.post] = None
+                targets[s.pre][s.post] = s[2:]
 
         for g in joins.values():
             n = len(g.inputs)
@@ -199,15 +199,19 @@ class Circuit:
             for src in g.inputs:
                 if src not in sources[g.id]:
                     violations.append(f"join {g.id}: line source {src} has no synapse")
-            for pre in sources[g.id]:
+            for pre, line in sources[g.id].items():
                 if pre not in g.inputs:
                     violations.append(f"join {g.id}: synapse from unlisted source {pre}")
+                if line != (1, 0):
+                    violations.append(f"join {g.id}: synapse ({pre}, {g.id}) must have weight 1 and delay 0")
             for dst in g.outputs:
                 if dst not in targets[g.id]:
                     violations.append(f"join {g.id}: line target {dst} has no synapse")
-            for post in targets[g.id]:
+            for post, line in targets[g.id].items():
                 if post not in g.outputs:
                     violations.append(f"join {g.id}: synapse to unlisted target {post}")
+                if line != (1, 0):
+                    violations.append(f"join {g.id}: synapse ({g.id}, {post}) must have weight 1 and delay 0")
 
         return violations
 
@@ -431,7 +435,7 @@ class CircuitBuilder:
         outs = tuple(outputs)
         nid = self._alloc()
         self._gadgets.append(Join(nid, ins, outs))
-        # Line synapses are part of the join contract: unit weight, no delay.
+        # Line synapses are plain wires, as Circuit.validate requires.
         for src in ins:
             self.add_synapse(src, nid, 1, 0)
         for dst in outs:

@@ -213,29 +213,24 @@ def cmd_diff(ns: argparse.Namespace) -> int:
     cfg = LoweringConfig(big_m=_env_big_m() if ns.big_m is None else ns.big_m)
     if ns.random is not None:
         rng = random.Random(ns.seed)
-        total_cases = 0
-        mismatches = []
-        timeouts = 0
-        for _ in range(ns.random):
+
+        def draw():  # a program, then its cases; lazily, so a job's error comes before the next draw
             n_args = ns.arity if ns.arity else rng.randint(1, 3)
             expr = gen_expr(rng, n_args, ns.depth)
-            program = compile_program(expr, cfg)
-            cases = [
-                tuple(rng.randint(0, ns.max_value) for _ in range(n_args))
-                for _ in range(ns.samples)
-            ]
-            report = run_diff(expr, program, cases, fuel=ns.fuel, max_steps=ns.max_steps)
-            total_cases += report.cases
-            mismatches.extend(report.mismatches)
-            timeouts += report.timeouts
-        report = DiffReport(total_cases, mismatches, timeouts, seed=ns.seed)
+            return expr, [tuple(rng.randint(0, ns.max_value) for _ in range(n_args)) for _ in range(ns.samples)]
+
+        jobs = (draw() for _ in range(ns.random))
     else:
         if not ns.program or ns.args is None:
             raise ConfigError("diff needs either a program file with --args or --random N")
         expr = parse_program(Path(ns.program).read_text())
-        cases = _parse_ranges(ns.args, check_arity(expr))
-        program = compile_program(expr, cfg)
-        report = run_diff(expr, program, cases, fuel=ns.fuel, max_steps=ns.max_steps)
+        jobs = [(expr, _parse_ranges(ns.args, check_arity(expr)))]
+    report = DiffReport(0, [], 0, seed=None if ns.random is None else ns.seed)
+    for expr, cases in jobs:
+        part = run_diff(expr, compile_program(expr, cfg), cases, fuel=ns.fuel, max_steps=ns.max_steps)
+        report.cases += part.cases
+        report.mismatches += part.mismatches
+        report.timeouts += part.timeouts
     _print_report(report)
     return 5 if report.mismatches else 0
 

@@ -387,8 +387,10 @@ class CompiledProgram:
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise ParseError("meta block must be an object")
-        if type(meta.get("big_m")) is not int:  # a bool is an int to isinstance
+        if type(big_m := meta.get("big_m")) is not int:  # a bool is an int to isinstance
             raise ParseError("meta.big_m must be an integer")
+        if big_m < 2:  # as compile_program requires
+            raise ParseError(f"meta.big_m must be at least 2, got {big_m}")
         return cls(circuit=circuit_from_document(doc["circuit"]), meta=meta)
 
     @classmethod

@@ -21,7 +21,7 @@ Timestep semantics:
 Native gadget nodes run alongside neurons in the same id space: a constant
 emitter fires its fixed value one step after any delivery batch; a join
 buffers one value per source line and flushes all lines the moment the last
-one fills.
+one fills, each value reaching its line's target unchanged one step later.
 
 Arithmetic is checked: values leaving the signed 63-bit range fault with
 ``overflow``; values reaching magnitude ``2 * big_m`` fault with
@@ -113,10 +113,10 @@ class _Plan(NamedTuple):
 
     ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1)``
     in post order; ``joins[j]`` is, for a join ``j``, its source -> line index
-    map and each line's out-edge, and None for any other node.  ``span`` is
-    the size of an engine's ring: the smallest power of two above the largest
-    transit ``delay + 1`` (so at least 2, which a const emitter's next-step
-    fire needs), capped at ``_RING_CAP``.
+    map and each line's target key (lines are plain wires), and None for any
+    other node.  ``span`` is the size of an engine's ring: the smallest power
+    of two above the largest transit ``delay + 1`` (so at least 2, as a const
+    emitter's fire and a join's flush need), capped at ``_RING_CAP``.
     """
 
     kind: tuple[int, ...]
@@ -124,7 +124,7 @@ class _Plan(NamedTuple):
     leak: tuple[float, ...]  # INFINITE is float("inf"): retained forever
     const: tuple[int, ...]
     out: tuple[tuple[tuple[int, int, int], ...], ...]
-    joins: tuple[tuple[dict[int, int], tuple[tuple[int, int, int], ...]] | None, ...]
+    joins: tuple[tuple[dict[int, int], tuple[int, ...]] | None, ...]
     join_ids: tuple[int, ...]
     span: int
 
@@ -150,9 +150,8 @@ def _build_plan(circuit: Circuit) -> _Plan:
             const[g.id] = g.value
         else:
             kind[g.id] = _JOIN
-            edge_to = {edge[0]: edge for edge in out[g.id]}
             line_of = {src: m for m, src in enumerate(g.inputs)}
-            joins[g.id] = (line_of, tuple(edge_to[2 * dst + 1] for dst in g.outputs))
+            joins[g.id] = (line_of, tuple(2 * dst + 1 for dst in g.outputs))
     transit = max(map(itemgetter(3), circuit.synapses), default=0) + 1  # the longest delay, plus 1
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
@@ -176,8 +175,8 @@ class Engine:
     """Single-owner stepper over one circuit run.
 
     What depends only on the circuit (node kinds, thresholds, leaks, constant
-    values, out-edges, join line maps, the ring size) is one read-only plan
-    per :class:`Circuit` object, shared by every engine over it.  An engine
+    values, out-edges, join lines, the ring size) is one read-only plan per
+    :class:`Circuit` object, shared by every engine over it.  An engine
     owns only its run's state: each neuron's retained value and how long it
     lives, each join's buffered line values, the pending work and the records.
 
@@ -185,7 +184,7 @@ class Engine:
     timestep's pending work is a dict: key ``2·g`` marks a fire of const
     emitter ``g``, and key ``2·j + 1`` holds the ``(source, value)``
     deliveries to node ``j`` in arrival order, so sorted keys run a step in
-    node order (rule 6).  Out-edges and join edges store their target's key.
+    node order (rule 6).  Out-edges and join lines store their target's key.
 
     The dicts sit on a timing wheel: a ring of ``span`` slots (see
     :class:`_Plan`), time ``t`` in slot ``t & (span - 1)``, plus an overflow
@@ -229,6 +228,9 @@ class Engine:
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
         """Schedule a delivery after every processed step; dropped after a fault."""
+        if not type(neuron) is type(value) is type(time) is int:  # a bool is refused, as in a circuit file
+            name, x = next(f for f in (("neuron", neuron), ("value", value), ("time", time)) if type(f[1]) is not int)
+            raise TypeError(f"injection {name} must be an integer, got {x!r}")
         kind = self._plan.kind
         if not 0 <= neuron < len(kind):
             raise UnknownNeuron(f"node {neuron} does not exist")
@@ -342,30 +344,24 @@ class Engine:
                         ring[(t + 1) & mask][key - 1] = None  # the fire key 2·node
                         continue
                     else:
-                        # Join: a line's one synapse brings at most one value
-                        # per step, range-checked when sent; once every line
-                        # holds a value, all flush along their own edges.
-                        line_of, edges = joins[node]
+                        # Join: a line brings at most one value per step,
+                        # range-checked when sent; once every line holds one,
+                        # each goes on unchanged to its target at t + 1.
+                        line_of, posts = joins[node]
                         lines = buffers[node]
                         for source, x in arrivals:
                             lines[line_of[source]] = x
-                        if len(lines) < len(edges):
+                        if len(lines) < len(posts):
                             continue
-                        for m, (post, w, d1) in enumerate(edges):
+                        nxt = ring[(t + 1) & mask]
+                        for m, post in enumerate(posts):
                             x = lines[m]
                             record((t, node, x))
-                            p = w * x
-                            if not lo <= p <= hi:
-                                return self._stop(t, post >> 1, p)
-                            if d1 < span:
-                                nxt = ring[(t + d1) & mask]
-                                inbox = nxt.get(post)
-                                if inbox is None:
-                                    nxt[post] = [(node, p)]
-                                else:
-                                    inbox.append((node, p))
+                            inbox = nxt.get(post)
+                            if inbox is None:
+                                nxt[post] = [(node, x)]
                             else:
-                                heappush(overflow, (t + d1, next(seq), post, node, p))
+                                inbox.append((node, x))
                         lines.clear()
                         continue
                 # A neuron spike or a const-emit fire: fan out along every

@@ -304,6 +304,27 @@ def test_input_port_on_a_join_is_rejected_when_the_circuit_is_built():
     assert err.value.violations == [f"port 'x1': input port on join {join} is not allowed"]
 
 
+def test_a_join_line_must_be_a_plain_wire():
+    # Join 6 over 0,1 -> 2,3 and join 7 over 2,3 -> 4,5: every line synapse
+    # with a weight other than 1 or a delay other than 0 is named, each join's
+    # sources before its targets, joins in id order.
+    lines = {(0, 6): (2, 0), (1, 6): (1, 0), (6, 2): (1, 3), (6, 3): (1, 0),
+             (2, 7): (1, 0), (3, 7): (-1, 1), (7, 4): (1, 0), (7, 5): (0, -2)}
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(i, 0, 0) for i in range(6)],
+            synapses=[SynapseSpec(pre, post, *line) for (pre, post), line in lines.items()],
+            gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
+        )
+    assert err.value.violations == [
+        "synapse (7, 5): delay must be >= 0",
+        "join 6: synapse (0, 6) must have weight 1 and delay 0",
+        "join 6: synapse (6, 2) must have weight 1 and delay 0",
+        "join 7: synapse (3, 7) must have weight 1 and delay 0",
+        "join 7: synapse (7, 5) must have weight 1 and delay 0",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -334,6 +334,41 @@ def test_run_rejects_a_boolean_big_m(tmp_path, capsys):
     assert "error: meta.big_m must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["(const 4 0)", "(succ)"], ids=["nullary", "unary"])
+@pytest.mark.parametrize("big_m", [1, 0, -5])
+def test_run_rejects_a_big_m_below_two(tmp_path, capsys, source, big_m):
+    # compile refuses such a big_m; a file edited to hold one is malformed
+    # (exit 1), not a run that faults at once or a binding that breaks it.
+    src = tmp_path / "p.rec"
+    src.write_text(source + "\n")
+    assert main(["compile", str(src)]) == 0
+    artifact = tmp_path / "p.circuit.json"
+    doc = json.loads(artifact.read_text())
+    doc["meta"]["big_m"] = big_m
+    artifact.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["run", str(artifact)] + (["--in", "x1=0"] if source == "(succ)" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: meta.big_m must be at least 2, got {big_m}\n"
+
+
+@pytest.mark.parametrize("line", ["input", "output"])
+@pytest.mark.parametrize("field, value", [("weight", 2), ("delay", 3)])
+def test_run_rejects_a_join_line_that_is_not_a_plain_wire(add_circuit, capsys, line, field, value):
+    # A weighted or delayed line would make the join's flush a second send
+    # path; such a file is refused when loaded, before any run.
+    doc = json.loads(add_circuit.read_text())
+    join = next(g for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
+    pre, post = (join["inputs"][0], join["id"]) if line == "input" else (join["id"], join["outputs"][0])
+    synapse = next(s for s in doc["circuit"]["synapses"] if (s["pre"], s["post"]) == (pre, post))
+    synapse[field] = value
+    add_circuit.write_text(json.dumps(doc))
+    assert main(["run", str(add_circuit), "--in", "i=3", "--in", "x1=2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid circuit: join {join['id']}: synapse ({pre}, {post}) must have weight 1 and delay 0\n"
+    )
+
+
 def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
     doc = json.loads(add_circuit.read_text())
     join = next(g["id"] for g in doc["circuit"]["gadgets"] if g["kind"] == "join")

@@ -148,6 +148,26 @@ def test_known_latency_equals_observed_spike_time():
         assert [e.time for e in run.y_spikes] == [latency]
 
 
+@pytest.mark.parametrize(
+    "source, closed_form",
+    [
+        # One operand of input-dependent latency: wired straight to the head, no join.
+        ("(compose (succ) ((prec (proj 1 1) (compose (succ) ((proj 2 3))))))", lambda i, x: i + x + 1),
+        # A nullary base case, started by the counter's own pulse.
+        ("(prec (const 3 0) (compose (succ) ((proj 2 2))))", lambda i: 3 + i),
+    ],
+    ids=["compose_one_dynamic_operand", "prec_nullary_base"],
+)
+def test_rarer_lowerings_match_the_interpreter_and_closed_form(source, closed_form):
+    expr = parse_program(source)
+    program = compile_program(expr)
+    n_args = closed_form.__code__.co_argcount
+    for args in itertools.product(range(5), repeat=n_args):
+        run = run_program(program, list(args))
+        assert (run.status, run.value) == ("ok", closed_form(*args)), args
+        assert eval_oracle(expr, list(args)) == Value(run.value), args
+
+
 def test_nullary_programs_run_off_the_dummy_pulse():
     program = compile_program(Const(7, 0))
     assert [p.name for p in program.circuit.ports] == ["y"]
@@ -387,6 +407,24 @@ def test_run_program_validates_argument_values(compiled_add):
     doc["meta"]["big_m"] = 4  # a run-time big_m, as a hand-edited file would set it
     with pytest.raises(ConfigError):
         run_program(CompiledProgram.from_document(doc), [1, 2])  # 2*2 >= 4
+
+
+def test_run_program_needs_exactly_one_y_spike(compiled_add):
+    # Hand-edited ADD files: y loses its one driver, or gains a second one
+    # (the i input, which spikes at once).
+    doc = compiled_add.to_document()
+    ports = {p["name"]: p["neuron"] for p in doc["circuit"]["ports"]}
+    synapses = doc["circuit"]["synapses"]
+    undriven = copy.deepcopy(doc)
+    undriven["circuit"]["synapses"] = [s for s in synapses if s["post"] != ports["y"]]
+    twice = copy.deepcopy(doc)
+    twice["circuit"]["synapses"].append({"pre": ports["i"], "post": ports["y"], "weight": 1, "delay": 0})
+    runs = [run_program(CompiledProgram.from_document(d), [2, 3]) for d in (undriven, twice)]
+    assert [(r.status, r.value, r.outcome.status) for r in runs] == [
+        ("no_output", None, "quiescent"), ("multi_output", None, "quiescent"),
+    ]
+    assert runs[0].y_spikes == []
+    assert [e.value for e in runs[1].y_spikes] == [2, 5]
 
 
 def test_nullary_programs_bind_no_ports():

@@ -19,6 +19,7 @@ from murec import (
     Engine,
     Fault,
     Injection,
+    InvalidCircuit,
     SimConfig,
     SpikeEvent,
     Join,
@@ -244,6 +245,39 @@ def test_injection_at_or_before_a_processed_step_is_rejected():
     assert [(e.time, e.neuron) for e in engine.run().raster] == [
         (10, src), (11, src), (11, dst), (12, dst)
     ]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((0, 1, 1.5), "time"),
+        ((0, 1, "a"), "time"),
+        ((0, "a", 1), "value"),
+        ((0, 2.0, 1), "value"),
+        ((0, True, 1), "value"),
+        ((0, 1, False), "time"),
+        ((True, 1, 1), "neuron"),
+        ((0.0, 1, 1), "neuron"),
+    ],
+)
+def test_injection_fields_must_be_exact_integers(args, field):
+    # As in a circuit file, a bool is not an integer here.
+    b, src, dst = _wire()
+    engine = Engine(b.build())
+    with pytest.raises(TypeError, match=f"injection {field} must be an integer"):
+        engine.add_injection(*args)
+    assert engine.peek_time() is None
+    assert engine.run().raster == []
+
+
+def test_injection_into_a_join_is_rejected():
+    b = CircuitBuilder()
+    a, c, d1, d2 = (b.add_neuron(0) for _ in range(4))
+    j = b.add_join([a, c], [d1, d2])
+    engine = Engine(b.build())
+    with pytest.raises(InvalidCircuit, match=f"injection into join {j} is not allowed"):
+        engine.add_injection(j, 1, 0)
+    assert engine.peek_time() is None
 
 
 def test_run_on_empty_plan_is_quiescent_at_zero():

@@ -1,18 +1,22 @@
-"""The benchmark's span table still names real functions and methods.
+"""The benchmark's span table and imports still name real functions and methods.
 
-``bench/spans.py`` wraps ``murec`` names by string, so a rename would only
-surface in a traced benchmark run.  This loads the module by file path and
-resolves every name it lists.
+``bench/spans.py`` wraps ``murec`` names by string, and the other benchmark
+modules import ``murec`` names, so a rename would only surface in a benchmark
+run.  These tests load the span table by file path, read the other modules'
+source without running it, and resolve every name they use.
 """
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
 from conftest import ADD
 from murec import CompiledProgram, compile_program, run_diff
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS_PATH = BENCH / "spans.py"
 
 
 def _load_spans():
@@ -33,6 +37,23 @@ def test_every_span_resolves_on_its_module_or_class():
             if attr not in vars(owner or object):
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_every_murec_name_a_benchmark_module_imports_exists():
+    imported, missing = [], []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "murec"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported.append(alias.name)
+                # A name is an attribute of the module, or a package's submodule.
+                submodule = hasattr(module, "__path__") and importlib.util.find_spec(f"{node.module}.{alias.name}")
+                if not (hasattr(module, alias.name) or submodule):
+                    missing.append(f"{path.name}: from {node.module} import {alias.name}")
+    assert missing == []
+    assert {"ConstEmit", "Join", "bind_args", "CompiledProgram", "cli"} <= set(imported)
 
 
 def test_a_compile_and_a_four_case_diff_validate_the_circuit_once():
