@@ -8,15 +8,17 @@ for a spike is ``delay + 1``.  Ports name nodes used for external input or
 output, and the injection plan lists externally supplied values a run needs.
 
 Records are named tuples, so they are immutable and cheap to make.  Circuits
-are valid and frozen from construction on: every section is a tuple
-sorted into canonical order once and then checked (an invalid circuit raises
-:class:`InvalidCircuit`), so canonical JSON (stable key order, sorted records)
-encodes the sections as they stand, and equal circuits give byte-equal text.
+are valid and frozen from construction on: every field's type is checked,
+then every section is a tuple sorted into canonical order once and then
+checked (an invalid circuit raises :class:`InvalidCircuit`), so canonical
+JSON (stable key order, sorted records) encodes the sections as they stand,
+and equal circuits give byte-equal text.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Union
 
@@ -81,16 +83,27 @@ class Join(NamedTuple):
 NativeGadget = Union[ConstEmit, Join]
 
 
-def _leak_to_json(leak: int | None) -> int | str:
-    return "inf" if leak is None else leak
+# Each record field's type rule, by field name, with the wording of its message;
+# a field not listed is an integer (exactly: a bool is an int to isinstance).
+# Port roles are checked by value, in validate().
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_LINE = (lambda v: type(v) is tuple and all(type(x) is int for x in v), "a tuple of integers")
+_FIELD_TYPES = {
+    "leak": (lambda v: v is INFINITE or type(v) is int, "an integer or INFINITE"),
+    "name": (lambda v: type(v) is str and v != "", "a non-empty string"),
+    "role": (lambda v: True, ""),
+    "inputs": _LINE,
+    "outputs": _LINE,
+}
 
 
-def _leak_from_json(raw: Any) -> int | None:
-    if raw == "inf":
-        return None
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    raise ParseError(f"leak must be a whole number or \"inf\", got {raw!r}")
+def _leak_from_json(raw: Any) -> Any:
+    # JSON null is not "inf": it reaches Circuit as the string "null", which Circuit refuses.
+    return INFINITE if raw == "inf" else "null" if raw is None else raw
+
+
+def _line_from_json(raw: Any) -> Any:
+    return tuple(raw) if type(raw) is list else raw
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,10 @@ class Circuit:
     gadgets: tuple[NativeGadget, ...] = ()
 
     def __post_init__(self) -> None:
+        # Sorting and the structural rules compare ids, so field types come first.
+        violations = self._type_violations()
+        if violations:
+            raise InvalidCircuit(violations)
         # The only place that sorts: everything downstream trusts this order.
         set_field = object.__setattr__
         # Sort keys are field positions: id, (pre, post), name, (time, neuron, value), id.
@@ -125,6 +142,42 @@ class Circuit:
         return [p for p in self.ports if p.role == role]
 
     # -- validation ------------------------------------------------------
+
+    def _type_violations(self) -> list[str]:
+        """Name every field of the wrong type, as ``section[index].field``, in the order given.
+
+        Type tests over whole columns, run in C, pass in the common case; only a
+        circuit that fails them pays for the per-field pass that writes the messages.
+        """
+        neurons, ports, gadgets = self.neurons, self.ports, self.gadgets
+        names = list(map(itemgetter(0), ports))
+        lines = [line for g in gadgets if type(g) is Join for line in g[1:]]
+        integers = chain(
+            chain.from_iterable(self.synapses),
+            chain.from_iterable(self.injections),
+            map(itemgetter(0), neurons),
+            map(itemgetter(1), neurons),
+            map(itemgetter(1), ports),
+            map(itemgetter(0), gadgets),
+            (g.value for g in gadgets if type(g) is ConstEmit),
+            chain.from_iterable(lines),
+        )
+        if (
+            {tuple}.issuperset(map(type, lines))
+            and {str}.issuperset(map(type, names))
+            and "" not in names
+            and {int, type(INFINITE)}.issuperset(map(type, map(itemgetter(2), neurons)))
+            and {int}.issuperset(map(type, integers))
+        ):
+            return []
+        violations = []
+        for section in ("neurons", "synapses", "ports", "injections", "gadgets"):
+            for index, record in enumerate(getattr(self, section)):
+                for field, value in zip(record._fields, record):
+                    fits, kind = _FIELD_TYPES.get(field, _INTEGER)
+                    if not fits(value):
+                        violations.append(f"{section}[{index}].{field} must be {kind}, got {value!r}")
+        return violations
 
     def validate(self) -> list[str]:
         """List every structural violation in canonical order (construction raises on any)."""
@@ -221,21 +274,13 @@ class Circuit:
         """The canonical JSON document: sections in the order ``__post_init__`` set."""
         return {
             "neurons": [
-                {"id": n.id, "threshold": n.threshold, "leak": _leak_to_json(n.leak)}
+                {"id": n.id, "threshold": n.threshold, "leak": "inf" if n.leak is None else n.leak}
                 for n in self.neurons
             ],
-            "synapses": [
-                {"pre": s.pre, "post": s.post, "weight": s.weight, "delay": s.delay}
-                for s in self.synapses
-            ],
-            "ports": [
-                {"name": p.name, "neuron": p.neuron, "role": p.role}
-                for p in self.ports
-            ],
-            "injections": [
-                {"neuron": i.neuron, "value": i.value, "time": i.time}
-                for i in self.injections
-            ],
+            # These records' fields are their JSON keys, in order.
+            "synapses": [s._asdict() for s in self.synapses],
+            "ports": [p._asdict() for p in self.ports],
+            "injections": [i._asdict() for i in self.injections],
             "gadgets": [_gadget_to_json(g) for g in self.gadgets],
         }
 
@@ -321,13 +366,6 @@ def parse_json_document(text: str) -> dict[str, Any]:
     return doc
 
 
-def _require_int(obj: dict[str, Any], key: str, where: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{where}: field {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def _section(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
     raw = doc.get(key, [])
     if not isinstance(raw, list):
@@ -341,59 +379,32 @@ def _section(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
 def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     """Build a Circuit from a parsed JSON document; absent sections default to empty.
 
-    Schema errors raise ParseError; structural violations raise InvalidCircuit.
+    The loader only maps JSON to records: ``"inf"`` becomes :data:`INFINITE`
+    and a join's arrays become tuples.  A document of the wrong shape (a
+    section that is not an array of objects, an unknown gadget kind) raises
+    ParseError.  Every field rule is :class:`Circuit`'s, so a field of the
+    wrong type or value raises the same InvalidCircuit as the record built in Python.
     """
-    # One exact-type test per record; only a record that fails it goes through
-    # the per-field checks, which raise the message naming the bad field.
-    neurons = []
-    for raw in _section(doc, "neurons"):
-        nid, threshold, leak = raw.get("id"), raw.get("threshold"), raw.get("leak", 0)
-        if not (type(nid) is int and type(threshold) is int and type(leak) is int):
-            nid = _require_int(raw, "id", "neuron")
-            threshold = _require_int(raw, "threshold", "neuron")
-            leak = _leak_from_json(leak)
-        neurons.append(NeuronSpec(nid, threshold, leak))
-    synapses = []
-    for raw in _section(doc, "synapses"):
-        pre, post, weight, delay = raw.get("pre"), raw.get("post"), raw.get("weight"), raw.get("delay")
-        if not (type(pre) is int and type(post) is int and type(weight) is int and type(delay) is int):
-            pre = _require_int(raw, "pre", "synapse")
-            post = _require_int(raw, "post", "synapse")
-            weight = _require_int(raw, "weight", "synapse")
-            delay = _require_int(raw, "delay", "synapse")
-        synapses.append(SynapseSpec(pre, post, weight, delay))
-    ports = []
-    for raw in _section(doc, "ports"):
-        name = raw.get("name")
-        role = raw.get("role")
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"port: name must be a nonempty string, got {name!r}")
-        if role not in ("input", "output"):
-            raise ParseError(f"port {name!r}: role must be \"input\" or \"output\"")
-        ports.append(Port(name, _require_int(raw, "neuron", "port"), role))
-    injections = []
-    for raw in _section(doc, "injections"):
-        injections.append(
-            Injection(
-                _require_int(raw, "neuron", "injection"),
-                _require_int(raw, "value", "injection"),
-                _require_int(raw, "time", "injection"),
-            )
-        )
+    neurons = [
+        NeuronSpec(raw.get("id"), raw.get("threshold"), _leak_from_json(raw.get("leak", 0)))
+        for raw in _section(doc, "neurons")
+    ]
+    synapses = [
+        SynapseSpec(raw.get("pre"), raw.get("post"), raw.get("weight"), raw.get("delay"))
+        for raw in _section(doc, "synapses")
+    ]
+    ports = [Port(raw.get("name"), raw.get("neuron"), raw.get("role")) for raw in _section(doc, "ports")]
+    injections = [
+        Injection(raw.get("neuron"), raw.get("value"), raw.get("time")) for raw in _section(doc, "injections")
+    ]
     gadgets: list[NativeGadget] = []
     for raw in _section(doc, "gadgets"):
         kind = raw.get("kind")
         if kind == "const_emit":
-            gadgets.append(ConstEmit(_require_int(raw, "id", "gadget"), _require_int(raw, "k", "gadget")))
+            gadgets.append(ConstEmit(raw.get("id"), raw.get("k")))
         elif kind == "join":
-            inputs = raw.get("inputs")
-            outputs = raw.get("outputs")
-            if not isinstance(inputs, list) or not isinstance(outputs, list):
-                raise ParseError("join gadget: inputs and outputs must be arrays")
-            for x in (*inputs, *outputs):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ParseError(f"join gadget: line endpoints must be integers, got {x!r}")
-            gadgets.append(Join(_require_int(raw, "id", "gadget"), tuple(inputs), tuple(outputs)))
+            inputs, outputs = _line_from_json(raw.get("inputs")), _line_from_json(raw.get("outputs"))
+            gadgets.append(Join(raw.get("id"), inputs, outputs))
         else:
             raise ParseError(f"unknown gadget kind {kind!r}")
     return Circuit(neurons=neurons, synapses=synapses, ports=ports, injections=injections, gadgets=gadgets)

@@ -11,7 +11,6 @@ import csv
 import functools
 import io
 import itertools
-import os
 import random
 import sys
 from pathlib import Path
@@ -35,16 +34,6 @@ from .errors import (
     UnknownPort,
 )
 from .expr import DEFAULT_FUEL, FuelExhausted, Value, check_arity, eval_oracle, gen_expr, parse_program
-
-
-def _env_big_m() -> int:
-    raw = os.environ.get("MUREC_BIG_M")
-    if raw is None:
-        return LoweringConfig.big_m
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MUREC_BIG_M must be an integer, got {raw!r}") from exc
 
 
 def _latency_str(latency: int | None) -> str:
@@ -72,11 +61,7 @@ def _default_compile_out(program_path: Path) -> Path:
 
 def cmd_compile(ns: argparse.Namespace) -> int:
     expr = parse_program(Path(ns.program).read_text())
-    cfg = LoweringConfig(
-        big_m=_env_big_m() if ns.big_m is None else ns.big_m,
-        strict_primitive=ns.strict_primitive,
-    )
-    program = compile_program(expr, cfg)
+    program = compile_program(expr, LoweringConfig(big_m=ns.big_m, strict_primitive=ns.strict_primitive))
     out = Path(ns.output) if ns.output else _default_compile_out(Path(ns.program))
     out.write_text(program.serialize())
     circuit = program.circuit
@@ -210,7 +195,7 @@ def cmd_diff(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
     if ns.arity == 0:  # gen_expr needs at least one argument
         raise ConfigError("--arity must be at least 1, got 0")
-    cfg = LoweringConfig(big_m=_env_big_m() if ns.big_m is None else ns.big_m)
+    cfg = LoweringConfig(big_m=ns.big_m)
     if ns.random is not None:
         rng = random.Random(ns.seed)
 
@@ -248,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="lower a .rec program to a circuit file")
     p.add_argument("program", help="path to the .rec source")
     p.add_argument("-o", "--output", help="circuit file to write (default <stem>.circuit.json)")
-    p.add_argument("--big-m", type=int, help="separation constant")
+    p.add_argument("--big-m", type=int, default=LoweringConfig.big_m, help="separation constant")
     p.add_argument(
         "--strict-primitive",
         action="store_true",
@@ -288,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-value", type=int, default=50, help="largest sampled argument")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
-    p.add_argument("--big-m", type=int)
+    p.add_argument("--big-m", type=int, default=LoweringConfig.big_m)
     p.set_defaults(func=cmd_diff)
     return parser
 

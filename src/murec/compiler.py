@@ -401,6 +401,8 @@ class CompiledProgram:
 def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> CompiledProgram:
     cfg = config or LoweringConfig()
     n_args = check_arity(expr)
+    if type(cfg.big_m) is not int:  # as CompiledProgram.from_document requires of meta.big_m
+        raise ConfigError(f"big_m must be an integer, got {cfg.big_m!r}")
     if cfg.big_m < 2:
         raise ConfigError(f"big_m={cfg.big_m} must be at least 2")
 

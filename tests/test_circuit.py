@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PORT_NAME_CHARS, built_circuits
@@ -420,9 +420,14 @@ def test_parse_json_document_reports_position():
     assert err.value.column is not None
 
 
-def _malformed(message, mutate):
-    """A document mutation tagged with the exact ParseError message it must raise."""
+def _malformed(message, mutate, error=ParseError):
+    """A document mutation tagged with the error and exact message it must raise.
+
+    The document's shape is the loader's to check (ParseError); its fields are
+    the circuit's (InvalidCircuit).
+    """
     mutate.message = message
+    mutate.error = error
     return mutate
 
 
@@ -432,54 +437,63 @@ def _malformed(message, mutate):
         _malformed("section 'neurons' must be an array", lambda doc: doc.update(neurons=5)),
         _malformed("section 'synapses' entries must be objects", lambda doc: doc.update(synapses=[3])),
         _malformed(
-            "neuron: field 'id' must be an integer, got 'x'",
+            "invalid circuit: neurons[3].id must be an integer, got 'x'",
             lambda doc: doc["neurons"].append({"id": "x", "threshold": 0, "leak": 0}),
+            InvalidCircuit,
         ),
         _malformed(
-            "leak must be a whole number or \"inf\", got 'sometimes'",
+            "invalid circuit: neurons[3].leak must be an integer or INFINITE, got 'sometimes'",
             lambda doc: doc["neurons"].append({"id": 99, "threshold": 0, "leak": "sometimes"}),
+            InvalidCircuit,
         ),
         _malformed(
-            "port 'p': role must be \"input\" or \"output\"",
+            "invalid circuit: port 'p': role must be input or output",
             lambda doc: doc["ports"].append({"name": "p", "neuron": 0, "role": "middle"}),
+            InvalidCircuit,
         ),
         _malformed(
             "unknown gadget kind 'teleporter'",
             lambda doc: doc["gadgets"].append({"id": 99, "kind": "teleporter"}),
         ),
         _malformed(
-            "join gadget: line endpoints must be integers, got 'a'",
+            "invalid circuit: gadgets[1].inputs must be a tuple of integers, got (0, 'a')",
             lambda doc: doc["gadgets"].append(
                 {"id": 99, "kind": "join", "n": 2, "inputs": [0, "a"], "outputs": [1, 2]}
             ),
+            InvalidCircuit,
         ),
         _malformed(
-            "synapse: field 'delay' must be an integer, got None",
+            "invalid circuit: synapses[3].delay must be an integer, got None",
             lambda doc: doc["synapses"].append({"pre": 0, "post": 0, "weight": 1}),
+            InvalidCircuit,
         ),
         # Fields that fail only the exact-type test: a bool or a float.
         _malformed(
-            "neuron: field 'threshold' must be an integer, got True",
+            "invalid circuit: neurons[3].threshold must be an integer, got True",
             lambda doc: doc["neurons"].append({"id": 99, "threshold": True, "leak": 0}),
+            InvalidCircuit,
         ),
         _malformed(
-            "leak must be a whole number or \"inf\", got -1.5",
+            "invalid circuit: neurons[3].leak must be an integer or INFINITE, got -1.5",
             lambda doc: doc["neurons"].append({"id": 99, "threshold": 0, "leak": -1.5}),
+            InvalidCircuit,
         ),
         _malformed(
-            "synapse: field 'weight' must be an integer, got 1.0",
+            "invalid circuit: synapses[3].weight must be an integer, got 1.0",
             lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1.0, "delay": 0}),
+            InvalidCircuit,
         ),
         _malformed(
-            "synapse: field 'delay' must be an integer, got False",
+            "invalid circuit: synapses[3].delay must be an integer, got False",
             lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1, "delay": False}),
+            InvalidCircuit,
         ),
     ],
 )
 def test_circuit_from_document_rejects_malformed_shapes(mutate):
     doc = parse_json_document(_sample_circuit().serialize())
     mutate(doc)
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(mutate.error) as err:
         circuit_from_document(doc)
     assert str(err.value) == mutate.message
 
@@ -487,6 +501,83 @@ def test_circuit_from_document_rejects_malformed_shapes(mutate):
 def test_circuit_from_document_defaults_missing_sections_to_empty():
     circuit = circuit_from_document({})
     assert circuit.neurons == () and circuit.synapses == () and circuit.gadgets == ()
+
+
+def test_a_null_leak_is_refused_not_read_as_infinite():
+    # INFINITE is None in Python, but a file spells it "inf"; JSON null is a bad field.
+    doc = parse_json_document(_sample_circuit().serialize())
+    doc["neurons"][0]["leak"] = None
+    with pytest.raises(InvalidCircuit) as err:
+        circuit_from_document(doc)
+    assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'null'"]
+
+
+def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
+    # A string id among integer ids would break the sort; the type pass names
+    # it first, with every other mistyped field, in the order given.  A float
+    # is not truncated: serialize() writes integers with %d, so a weight of
+    # 2.5 would otherwise come back from its file as 2.
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(0, 1.5, 0), NeuronSpec("1", 0, 2.0)],
+            synapses=[SynapseSpec(0, 1, 2.5, 0), SynapseSpec(1, 0, 1, True)],
+            ports=[Port("", 0, "input"), Port(None, 1, "output")],
+            injections=[Injection(0, 1, 0.5)],
+            gadgets=[ConstEmit(2, 1e9), Join(3, [0, 1], (0, 1.0))],
+        )
+    assert err.value.violations == [
+        "neurons[0].threshold must be an integer, got 1.5",
+        "neurons[1].id must be an integer, got '1'",
+        "neurons[1].leak must be an integer or INFINITE, got 2.0",
+        "synapses[0].weight must be an integer, got 2.5",
+        "synapses[1].delay must be an integer, got True",
+        "ports[0].name must be a non-empty string, got ''",
+        "ports[1].name must be a non-empty string, got None",
+        "injections[0].time must be an integer, got 0.5",
+        "gadgets[0].value must be an integer, got 1000000000.0",
+        "gadgets[1].inputs must be a tuple of integers, got [0, 1]",
+        "gadgets[1].outputs must be a tuple of integers, got (0, 1.0)",
+    ]
+
+
+SECTIONS = ("neurons", "synapses", "ports", "injections", "gadgets")
+
+
+def _outcome(make):
+    """The circuit's text, or the violations that refused it."""
+    try:
+        return make().serialize()
+    except InvalidCircuit as err:
+        return err.violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_circuits(), st.data())
+def test_the_builder_and_the_loader_refuse_a_bad_field_alike(drawn, data):
+    circuit, _ = drawn
+    section = data.draw(st.sampled_from([name for name in SECTIONS if getattr(circuit, name)]))
+    records = list(getattr(circuit, section))
+    index = data.draw(st.integers(0, len(records) - 1))
+    record = records[index]
+    field = data.draw(st.sampled_from(record._fields))
+    bad = data.draw(st.sampled_from([1.0, True, "x", "", None]))
+    assume(not (field == "leak" and bad is None))  # INFINITE in Python; the null test covers the file
+    doc = circuit.to_document()
+    key = "k" if (type(record), field) == (ConstEmit, "value") else field  # a const_emit's value is its "k"
+    if field in ("inputs", "outputs") and data.draw(st.booleans()):  # one line endpoint instead
+        line = list(getattr(record, field))
+        line[data.draw(st.integers(0, len(line) - 1))] = bad
+        records[index] = record._replace(**{field: tuple(line)})
+        doc[section][index][key] = line
+    else:
+        records[index] = record._replace(**{field: bad})
+        doc[section][index][key] = bad
+    sections = {name: getattr(circuit, name) for name in SECTIONS}
+    sections[section] = records
+    built = _outcome(lambda: Circuit(**sections))
+    assert _outcome(lambda: circuit_from_document(doc)) == built
+    if not (field == "name" and bad == "x"):  # "x" is a good port name; "" is not
+        assert isinstance(built, list)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,18 @@ def test_compile_rejects_an_unseparated_big_m(add_rec, capsys):
     capsys.readouterr()
 
 
+def test_compile_takes_big_m_from_the_flag(add_rec, capsys):
+    assert main(["compile", str(add_rec), "--big-m", "5001"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "latency=dynamic big_m=5001"
+
+
+def test_diff_takes_big_m_from_the_flag(add_rec, capsys):
+    assert main(["diff", str(add_rec), "--args", "0..1,0..1", "--big-m", "5001"]) == 0
+    assert capsys.readouterr().out == "cases=4 mismatches=0 timeouts=0 seed=none\n"
+    assert main(["diff", str(add_rec), "--args", "0..1,0..1", "--big-m", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: big_m=1 must be at least 2\n")
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -334,6 +346,23 @@ def test_run_rejects_a_boolean_big_m(tmp_path, capsys):
     assert "error: meta.big_m must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("section", "field", "value", "violation"),
+    [
+        ("synapses", "weight", 2.5, "synapses[0].weight must be an integer, got 2.5"),
+        ("neurons", "leak", 1.5, "neurons[0].leak must be an integer or INFINITE, got 1.5"),
+        ("ports", "name", "", "ports[0].name must be a non-empty string, got ''"),
+    ],
+)
+def test_run_rejects_a_mistyped_field_as_the_builder_does(add_circuit, capsys, section, field, value, violation):
+    doc = json.loads(add_circuit.read_text())
+    doc["circuit"][section][0][field] = value
+    add_circuit.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    assert capsys.readouterr().err == f"error: invalid circuit: {violation}\n"
+
+
 @pytest.mark.parametrize("source", ["(const 4 0)", "(succ)"], ids=["nullary", "unary"])
 @pytest.mark.parametrize("big_m", [1, 0, -5])
 def test_run_rejects_a_big_m_below_two(tmp_path, capsys, source, big_m):
@@ -571,30 +600,8 @@ def test_a_call_that_exits_in_argument_parsing_leaves_the_next_call_whole(add_re
 
 
 # ---------------------------------------------------------------------------
-# environment and entry point
+# entry point
 # ---------------------------------------------------------------------------
-
-
-def test_env_big_m_feeds_the_compile_default(add_rec, monkeypatch, capsys):
-    monkeypatch.setenv("MUREC_BIG_M", "5001")
-    assert main(["compile", str(add_rec)]) == 0
-    assert "big_m=5001" in capsys.readouterr().out
-
-
-def test_env_big_m_must_be_an_integer(add_rec, monkeypatch, capsys):
-    monkeypatch.setenv("MUREC_BIG_M", "heaps")
-    assert main(["compile", str(add_rec)]) == 2
-    assert "MUREC_BIG_M" in capsys.readouterr().err
-
-
-def test_env_big_m_is_read_only_by_compile_and_diff(add_rec, add_circuit, monkeypatch, capsys):
-    monkeypatch.setenv("MUREC_BIG_M", "heaps")
-    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 0
-    assert "y=5" in capsys.readouterr().out
-    assert main(["eval", str(add_rec), "2", "3"]) == 0
-    assert capsys.readouterr().out.strip() == "5"
-    assert main(["diff", str(add_rec), "--args", "0..1,0..1"]) == 2
-    assert "MUREC_BIG_M" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli(add_rec):

@@ -317,6 +317,15 @@ def test_big_m_must_be_at_least_two():
     compile_program(Succ(), LoweringConfig(big_m=2))
 
 
+@pytest.mark.parametrize("big_m", [1e9, True, "1000", None])
+def test_big_m_must_be_an_exact_integer(big_m):
+    # The same rule CompiledProgram.from_document applies to meta.big_m, so
+    # compile never writes a file that run refuses.
+    with pytest.raises(ConfigError) as err:
+        compile_program(Succ(), LoweringConfig(big_m=big_m))
+    assert str(err.value) == f"big_m must be an integer, got {big_m!r}"
+
+
 def test_strict_mode_accepts_pure_chains():
     cfg = LoweringConfig(strict_primitive=True)
     program = compile_program(Compose(Succ(), (Compose(Succ(), (Const(0, 1),)),)), cfg)
