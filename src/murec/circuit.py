@@ -384,6 +384,9 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     section that is not an array of objects, an unknown gadget kind) raises
     ParseError.  Every field rule is :class:`Circuit`'s, so a field of the
     wrong type or value raises the same InvalidCircuit as the record built in Python.
+    A join's ``"n"`` is not a record field: it must equal the join's line
+    count, as the serializer writes it, or the valid circuit is still refused
+    with InvalidCircuit.
     """
     neurons = [
         NeuronSpec(raw.get("id"), raw.get("threshold"), _leak_from_json(raw.get("leak", 0)))
@@ -398,6 +401,7 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
         Injection(raw.get("neuron"), raw.get("value"), raw.get("time")) for raw in _section(doc, "injections")
     ]
     gadgets: list[NativeGadget] = []
+    joins: list[tuple[Join, dict]] = []  # each join with its JSON object, for its "n"
     for raw in _section(doc, "gadgets"):
         kind = raw.get("kind")
         if kind == "const_emit":
@@ -405,9 +409,18 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
         elif kind == "join":
             inputs, outputs = _line_from_json(raw.get("inputs")), _line_from_json(raw.get("outputs"))
             gadgets.append(Join(raw.get("id"), inputs, outputs))
+            joins.append((gadgets[-1], raw))
         else:
             raise ParseError(f"unknown gadget kind {kind!r}")
-    return Circuit(neurons=neurons, synapses=synapses, ports=ports, injections=injections, gadgets=gadgets)
+    circuit = Circuit(neurons=neurons, synapses=synapses, ports=ports, injections=injections, gadgets=gadgets)
+    wrong = []
+    for g, raw in joins:
+        if type(raw.get("n")) is not int or raw["n"] != len(g.inputs):
+            shown = json.dumps(raw["n"]) if "n" in raw else "none"
+            wrong.append(f"join {g.id}: n must equal its line count {len(g.inputs)}, got {shown}")
+    if wrong:
+        raise InvalidCircuit(wrong)
+    return circuit
 
 
 class CircuitBuilder:

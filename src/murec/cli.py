@@ -111,13 +111,13 @@ def cmd_run(ns: argparse.Namespace) -> int:
     _natural(ns.max_steps, "--max-steps")
     program = CompiledProgram.deserialize(Path(ns.circuit).read_text())
     binding = _parse_bindings(ns.inputs or [])
-    run = run_program(program, binding, max_steps=ns.max_steps, trace=ns.trace is not None)
+    run = run_program(program, binding, max_steps=ns.max_steps)
 
     raster_path = Path(ns.raster) if ns.raster else _default_raster_out(Path(ns.circuit), ns.format)
     render = raster_jsonl if ns.format == "jsonl" else raster_csv
     raster_path.write_text(render(program.circuit, run.outcome.spikes))
     if ns.trace is not None:
-        Path(ns.trace).write_text(_trace_csv(run.outcome.trace or []))
+        Path(ns.trace).write_text(_trace_csv(run.outcome.trace))
 
     outcome = run.outcome
     if run.status == "fault":

@@ -471,6 +471,11 @@ def run_program(
     max_steps: int = SimConfig.max_steps,
     trace: bool = False,
 ) -> ProgramRun:
+    """Run the program's circuit on ``args``; ``trace`` has no effect.
+
+    Every outcome derives its trace when ``outcome.trace`` is read, so the
+    keyword is accepted only for callers that still pass it.
+    """
     binding = bind_args(program, args)
     big_m = program.meta["big_m"]
     for name, value in binding.items():
@@ -491,7 +496,7 @@ def run_program(
     outcome = simulate(
         program.circuit,
         extra_injections=injections,
-        config=SimConfig(max_steps=max_steps, big_m=big_m, trace=trace),
+        config=SimConfig(max_steps=max_steps, big_m=big_m),
     )
     outputs = {p.name: p.neuron for p in program.circuit.ports_by_role("output")}
     y_node = outputs.get("y")

@@ -32,9 +32,9 @@ from __future__ import annotations
 import csv
 import heapq
 import io
-import itertools
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -77,7 +77,6 @@ class Fault:
 class SimConfig:
     max_steps: int = 1_000_000
     big_m: int = 1_000_000_000
-    trace: bool = False
 
 
 @dataclass
@@ -85,19 +84,27 @@ class RunOutcome:
     """A run's result.
 
     ``spikes`` is the raster as plain ``(time, node, value)`` tuples, in raster
-    order; ``raster`` wraps each in a :class:`SpikeEvent` on first read.
+    order; ``raster`` wraps each in a :class:`SpikeEvent` and ``trace`` derives
+    every delivery from the spikes, both on first read.
     """
 
     status: str  # "quiescent" | "timeout" | "fault"
     final_clock: int
     spikes: list[tuple[int, int, int]]
     fault: Fault | None = None
-    trace: list[Delivery] | None = None
+    # The trace's other inputs: the plan, each accepted injection as
+    # (raster length then, neuron, value, time), and the last step run.
+    _trace_inputs: tuple = field(default=None, repr=False, compare=False)
 
     @cached_property
     def raster(self) -> list[SpikeEvent]:
         """Every spike as a :class:`SpikeEvent`, in raster order."""
         return list(map(SpikeEvent._make, self.spikes))
+
+    @cached_property
+    def trace(self) -> list[Delivery]:
+        """Every delivery that arrived, by ``(time, target)``, then in arrival order."""
+        return _trace(*self._trace_inputs, self.spikes, self.fault)
 
     def spikes_of(self, node: int) -> list[SpikeEvent]:
         """One node's spikes, as in the raster, without building the raster."""
@@ -111,20 +118,22 @@ class RunOutcome:
 class _Plan(NamedTuple):
     """What an engine needs of a circuit, indexed by node id; read-only.
 
-    ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1)``
-    in post order; ``joins[j]`` is, for a join ``j``, its source -> line index
-    map and each line's target key (lines are plain wires), and None for any
-    other node.  ``span`` is the size of an engine's ring: the smallest power
-    of two above the largest transit ``delay + 1`` (so at least 2, as a const
-    emitter's fire and a join's flush need), capped at ``_RING_CAP``.
+    ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1,
+    line)`` in post order, where ``line`` is the edge's line index when
+    ``post`` is a join and None otherwise; ``joins[j]`` is, for a join ``j``,
+    each line's ``(target key, line)`` (lines are plain wires, so weight 1 and
+    delay 0), and None for any other node.  ``span`` is the size of an
+    engine's ring: the smallest power of two above the largest transit
+    ``delay + 1`` (so at least 2, as a const emitter's fire and a join's flush
+    need), capped at ``_RING_CAP``.
     """
 
     kind: tuple[int, ...]
     threshold: tuple[int, ...]
     leak: tuple[float, ...]  # INFINITE is float("inf"): retained forever
     const: tuple[int, ...]
-    out: tuple[tuple[tuple[int, int, int], ...], ...]
-    joins: tuple[tuple[dict[int, int], tuple[int, ...]] | None, ...]
+    out: tuple[tuple[tuple[int, int, int, int | None], ...], ...]
+    joins: tuple[tuple[tuple[int, int | None], ...] | None, ...]
     join_ids: tuple[int, ...]
     span: int
 
@@ -139,23 +148,28 @@ def _build_plan(circuit: Circuit) -> _Plan:
         threshold[spec.id] = spec.threshold
         if spec.leak is not None:
             leak[spec.id] = spec.leak
-    # Synapses are sorted by (pre, post), so each out-list is in post order.
-    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for pre, post, weight, delay in circuit.synapses:
-        out[pre].append((2 * post + 1, weight, delay + 1))
-    joins: list = [None] * n
+    line_of: list[dict[int, int] | None] = [None] * n  # per join: source -> line index
+    joined = []
     for g in circuit.gadgets:
         if isinstance(g, ConstEmit):
             kind[g.id] = _CONST_EMIT
             const[g.id] = g.value
         else:
             kind[g.id] = _JOIN
-            line_of = {src: m for m, src in enumerate(g.inputs)}
-            joins[g.id] = (line_of, tuple(2 * dst + 1 for dst in g.outputs))
+            line_of[g.id] = {src: m for m, src in enumerate(g.inputs)}
+            joined.append(g)
+    # Synapses are sorted by (pre, post), so each out-list is in post order.
+    out: list[list[tuple[int, int, int, int | None]]] = [[] for _ in range(n)]
+    for pre, post, weight, delay in circuit.synapses:
+        lines = line_of[post]
+        out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
+    joins: list = [None] * n
+    for g in joined:
+        joins[g.id] = tuple((2 * dst + 1, None if line_of[dst] is None else line_of[dst][g.id]) for dst in g.outputs)
     transit = max(map(itemgetter(3), circuit.synapses), default=0) + 1  # the longest delay, plus 1
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
-        tuple(j for j in range(n) if kind[j] == _JOIN), 1 << min(transit, _RING_CAP - 1).bit_length(),
+        tuple(g.id for g in joined), 1 << min(transit, _RING_CAP - 1).bit_length(),
     )
 
 
@@ -178,27 +192,28 @@ class Engine:
     values, out-edges, join lines, the ring size) is one read-only plan per
     :class:`Circuit` object, shared by every engine over it.  An engine
     owns only its run's state: each neuron's retained value and how long it
-    lives, each join's buffered line values, the pending work and the records.
+    lives, each join's buffered line values, the pending work, the raster and
+    the injections it accepted.
 
     Node ids are dense, so per-node state lives in lists indexed by id.  A
     timestep's pending work is a dict: key ``2·g`` marks a fire of const
-    emitter ``g``, and key ``2·j + 1`` holds the ``(source, value)``
-    deliveries to node ``j`` in arrival order, so sorted keys run a step in
-    node order (rule 6).  Out-edges and join lines store their target's key.
+    emitter ``g``, and key ``2·j + 1`` holds what arrives at node ``j``: the
+    sum of the delivered values for a neuron or a const emitter, a
+    line -> value dict for a join.  Sorted keys run a step in node order
+    (rule 6).  Out-edges and join lines store their target's key.
 
     The dicts sit on a timing wheel: a ring of ``span`` slots (see
     :class:`_Plan`), time ``t`` in slot ``t & (span - 1)``, plus an overflow
-    heap of ``(time, seq, key, source, value)`` for what the ring cannot hold
-    yet.  Between steps the ring covers ``open .. open + span - 2`` (``open``
-    is the earliest unprocessed time), so an injection uses it iff
-    ``time < open + span - 1``; during step ``t`` it covers
-    ``t .. t + span - 1``, so an out-edge uses it iff its transit is below
-    ``span``.  Before step ``t`` runs, every overflow item before ``t + span``
-    moves into the ring, ahead of the ring's own arrivals for that time, which
-    are all newer: arrival order holds across both.
+    heap of ``(time, key, value)`` for what the ring cannot hold yet (never
+    a join line: it has delay 0).  Between steps the ring covers ``open ..
+    open + span - 2`` (``open`` is the earliest unprocessed time), so an
+    injection uses it iff ``time < open + span - 1``; during step ``t`` it
+    covers ``t .. t + span - 1``, so an out-edge uses it iff its transit is
+    below ``span``.  Before step ``t`` runs, every overflow item before
+    ``t + span`` moves into the ring.
 
-    ``raster`` and ``trace`` hold plain tuples, already in raster and
-    ``(time, target)`` order.
+    No delivery is recorded: :attr:`RunOutcome.trace` derives them from the
+    raster, the plan and the accepted injections.
     """
 
     def __init__(
@@ -213,16 +228,15 @@ class Engine:
         self._open = 0  # earliest time no step has processed yet
         self.fault: Fault | None = None
         self.raster: list[tuple[int, int, int]] = []
-        self.trace: list[tuple[int, int, int | None, int]] | None = [] if self.config.trace else None
 
         plan = self._plan = _plan_of(circuit)
         n = len(plan.kind)
         self._held = [0] * n  # a neuron's retained value ...
         self._until: list[float] = [-1] * n  # ... live through this time
         self._lines: dict[int, dict[int, int]] = {j: {} for j in plan.join_ids}  # per join: line -> value
-        self._ring: list[dict[int, list[tuple[int | None, int]] | None]] = [{} for _ in range(plan.span)]
-        self._overflow: list[tuple[int, int, int, int | None, int]] = []
-        self._seq = itertools.count()  # overflow tie-break: emission order
+        self._ring: list[dict[int, int | dict[int, int] | None]] = [{} for _ in range(plan.span)]
+        self._overflow: list[tuple[int, int, int]] = []
+        self._injected: list[tuple[int, int, int, int]] = []  # (len(raster), neuron, value, time)
         for inj in (*circuit.injections, *extra_injections):
             self.add_injection(inj.neuron, inj.value, inj.time)
 
@@ -240,11 +254,13 @@ class Engine:
             raise ValueError(f"injection time must be >= {self._open}, got {time}")
         if self.fault is not None:
             return
+        self._injected.append((len(self.raster), neuron, value, time))
         span = self._plan.span
         if time < self._open + span - 1:
-            self._ring[time & (span - 1)].setdefault(2 * neuron + 1, []).append((None, value))
+            slot = self._ring[time & (span - 1)]
+            slot[2 * neuron + 1] = slot.get(2 * neuron + 1, 0) + value
         else:
-            heapq.heappush(self._overflow, (time, next(self._seq), 2 * neuron + 1, None, value))
+            heapq.heappush(self._overflow, (time, 2 * neuron + 1, value))
 
     # -- inspection --------------------------------------------------------
 
@@ -296,11 +312,11 @@ class Engine:
 
         A fault ends the step at once and empties the queue; None: no step ran.
         """
-        ring, overflow, seq = self._ring, self._overflow, self._seq
+        ring, overflow = self._ring, self._overflow
         kind, threshold, leak, const, out, joins, _, span = self._plan
         mask = span - 1
         held, until, buffers = self._held, self._until, self._lines
-        record, trace = self.raster.append, self.trace
+        record = self.raster.append
         # lo <= v <= hi iff v passes both the overflow and the big-M check.
         lo = max(INT63_MIN, 1 - 2 * self.config.big_m)
         hi = min(INT63_MAX, 2 * self.config.big_m - 1)
@@ -318,21 +334,17 @@ class Engine:
             if t > horizon:
                 break
             while overflow and overflow[0][0] < t + span:
-                time, _, key, source, x = heappop(overflow)
-                ring[time & mask].setdefault(key, []).append((source, x))
+                time, key, x = heappop(overflow)
+                slot = ring[time & mask]
+                slot[key] = slot.get(key, 0) + x
             for key in sorted(batch) if len(batch) > 1 else batch:
                 node = key >> 1
                 if not key & 1:  # a fire of const emitter `node`
                     v = const[node]
                 else:
-                    arrivals = batch[key]
-                    if trace is not None:
-                        trace.extend([(t, node, source, x) for source, x in arrivals])
                     k = kind[node]
                     if k == _NEURON:
-                        v = held[node] if t <= until[node] else 0
-                        for _, x in arrivals:
-                            v += x
+                        v = batch[key] + (held[node] if t <= until[node] else 0)
                         if not lo <= v <= hi:
                             return self._stop(t, node, v)
                         if v < threshold[node]:
@@ -347,40 +359,41 @@ class Engine:
                         # Join: a line brings at most one value per step,
                         # range-checked when sent; once every line holds one,
                         # each goes on unchanged to its target at t + 1.
-                        line_of, posts = joins[node]
                         lines = buffers[node]
-                        for source, x in arrivals:
-                            lines[line_of[source]] = x
+                        lines.update(batch[key])
+                        posts = joins[node]
                         if len(lines) < len(posts):
                             continue
                         nxt = ring[(t + 1) & mask]
-                        for m, post in enumerate(posts):
+                        for m, (post, line) in enumerate(posts):
                             x = lines[m]
                             record((t, node, x))
-                            inbox = nxt.get(post)
-                            if inbox is None:
-                                nxt[post] = [(node, x)]
-                            else:
-                                inbox.append((node, x))
+                            if line is None:
+                                nxt[post] = nxt.get(post, 0) + x
+                            else:  # a line into another join
+                                nxt.setdefault(post, {})[line] = x
                         lines.clear()
                         continue
                 # A neuron spike or a const-emit fire: fan out along every
                 # edge, in post order whichever queue takes it (a fault is the
                 # first breach in that order).
                 record((t, node, v))
-                for post, w, d1 in out[node]:
+                for post, w, d1, line in out[node]:
                     p = w * v
                     if not lo <= p <= hi:
                         return self._stop(t, post >> 1, p)
-                    if d1 < span:
-                        nxt = ring[(t + d1) & mask]
+                    if line is not None:  # a join line: weight 1, delay 0
+                        nxt = ring[(t + 1) & mask]
                         inbox = nxt.get(post)
                         if inbox is None:
-                            nxt[post] = [(node, p)]
+                            nxt[post] = {line: p}
                         else:
-                            inbox.append((node, p))
+                            inbox[line] = p
+                    elif d1 < span:
+                        nxt = ring[(t + d1) & mask]
+                        nxt[post] = nxt.get(post, 0) + p
                     else:
-                        heappush(overflow, (t + d1, next(seq), post, node, p))
+                        heappush(overflow, (t + d1, post, p))
             batch.clear()
             ran = t
         if ran is not None:
@@ -403,9 +416,44 @@ class Engine:
         return time
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:
-        trace = None if self.trace is None else list(map(Delivery._make, self.trace))
-        # A copy: a later run of this engine appends to its records.
-        return RunOutcome(status, final_clock, self.raster.copy(), self.fault, trace)
+        # Copies: a later run of this engine appends to its records.
+        trace_inputs = (self._plan, self._injected.copy(), self._open - 1)
+        return RunOutcome(status, final_clock, self.raster.copy(), self.fault, trace_inputs)
+
+
+def _trace(plan: _Plan, injected: list, last: int, spikes: list, fault: Fault | None) -> list[Delivery]:
+    """Every delivery through step ``last``: each spike's fan-out, each flushed line, each injection.
+
+    Rows sort by arrival, target, then a unique emission position (so no sort
+    key is built): with ``m`` one more than the number of injections, the
+    ``i``-th injection, accepted while the raster held ``r`` spikes, is at
+    ``r·m + i``, and spike ``r`` (from 0) after those, at ``r·m + m - 1``.
+    A fault's step ends after the work that faulted: if the last spike, at
+    that step, sent ``fault.value`` to ``fault.node`` (a clean send never
+    carries a value out of bound), after the spiker's arrivals, or before them
+    for a const emitter, whose fire runs first; else after ``fault.node``'s.
+    """
+    kind, out, joins = plan.kind, plan.out, plan.joins
+    m = len(injected) + 1
+    rows = [(time, 2 * neuron + 1, r * m + i, None, value) for i, (r, neuron, value, time) in enumerate(injected)]
+    line = 0
+    for r, (t, s, v) in enumerate(spikes):
+        at = r * m + m - 1
+        if kind[s] != _JOIN:
+            rows += [(t + d1, post, at, s, w * v) for post, w, d1, _ in out[s]]
+        else:
+            line = line + 1 if r and spikes[r - 1][:2] == (t, s) else 0
+            rows.append((t + 1, joins[s][line][0], at, s, v))
+    end = 2 * len(kind)  # all of step `last`
+    if fault is not None:
+        t, s, v = spikes[-1] if spikes else (None, 0, 0)
+        sent = t == fault.time and (2 * fault.node + 1, fault.value) in [(post, w * v) for post, w, _, _ in out[s]]
+        end = 2 * s + (kind[s] == _NEURON) if sent else 2 * fault.node + 1
+    rows.sort()
+    del rows[bisect_left(rows, (last, end + 1)):]  # keep (time, key) <= (last, end)
+    for i, (time, key, _, source, value) in enumerate(rows):  # in place: a second list would double the peak
+        rows[i] = Delivery(time, key >> 1, source, value)
+    return rows
 
 
 def simulate(

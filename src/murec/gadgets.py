@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import CircuitBuilder, Injection, INFINITE
+from .circuit import CircuitBuilder, INFINITE
 from .errors import ArityError
 
 
@@ -40,34 +40,13 @@ class TriggerCell:
     the held state, ``-v`` erases a prior store, and ``big_m`` makes the cell
     emit.  ``out`` holds ``-big_m`` and therefore spikes exactly the stored
     value one step after the trigger; the ``-big_m`` is replenished through a
-    constant-emitter loop within ``gamma`` steps.
+    constant-emitter loop within 2 steps.  Two operations on one timestep are
+    outside the cell's contract.
     """
 
     store: int
     out: int
     big_m: int
-    gamma: int = 2
-
-    def plan(self, ops: list[tuple[str, int, int]]) -> list[Injection]:
-        """Turn (kind, time, value) requests into injections.
-
-        Rejects two operations landing on the same timestep: simultaneous
-        store/erase/trigger deliveries are outside the cell's contract.
-        """
-        times = [t for _, t, _ in ops]
-        if len(set(times)) != len(times):
-            raise ValueError("trigger cell operations must not share a timestep")
-        injections = []
-        for kind, time, value in ops:
-            if kind == "store":
-                injections.append(Injection(self.store, value, time))
-            elif kind == "erase":
-                injections.append(Injection(self.store, -value, time))
-            elif kind == "trigger":
-                injections.append(Injection(self.store, self.big_m, time))
-            else:
-                raise ValueError(f"unknown trigger cell operation {kind!r}")
-        return injections
 
 
 def build_constant(b: CircuitBuilder, value: int, arity: int, at: int | None = None) -> Box:

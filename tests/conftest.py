@@ -105,6 +105,32 @@ def assert_return_precedes_erase(raster, markers, require_fire=True):
         )
 
 
+# A trigger cell's -big_m is replenished within this many steps of a trigger.
+CELL_GAMMA = 2
+
+
+def cell_injections(cell, ops: list[tuple[str, int, int]]) -> list[Injection]:
+    """Turn a trigger cell's (kind, time, value) requests into injections.
+
+    Rejects two operations landing on the same timestep: simultaneous
+    store/erase/trigger deliveries are outside the cell's contract.
+    """
+    times = [t for _, t, _ in ops]
+    if len(set(times)) != len(times):
+        raise ValueError("trigger cell operations must not share a timestep")
+    injections = []
+    for kind, time, value in ops:
+        if kind == "store":
+            injections.append(Injection(cell.store, value, time))
+        elif kind == "erase":
+            injections.append(Injection(cell.store, -value, time))
+        elif kind == "trigger":
+            injections.append(Injection(cell.store, cell.big_m, time))
+        else:
+            raise ValueError(f"unknown trigger cell operation {kind!r}")
+    return injections
+
+
 # Port name characters, with every one that JSON or CSV has to escape or quote.
 PORT_NAME_CHARS = st.sampled_from(["y", "x", " ", '"', "\\", ",", "\n", "\r", "%", "é", "\u6f22", "\U0001f642"])
 

@@ -20,7 +20,9 @@ from conftest import (
     MU_MONUS,
     MUL,
     PRED,
+    CELL_GAMMA,
     assert_return_precedes_erase,
+    cell_injections,
 )
 from murec import (
     INFINITE,
@@ -173,7 +175,7 @@ def test_criterion_4_trigger_cell_protocol(capsys):
         def run_cell(ops):
             b = CircuitBuilder()
             cell = build_trigger_cell(b, big_m)
-            outcome = simulate(b.build(), extra_injections=tuple(cell.plan(ops)))
+            outcome = simulate(b.build(), extra_injections=tuple(cell_injections(cell, ops)))
             return cell, [(e.time, e.value) for e in outcome.raster if e.neuron == cell.out]
 
         _, hits = run_cell([("store", 0, 7), ("trigger", 5, 0)])
@@ -193,12 +195,12 @@ def test_criterion_4_trigger_cell_protocol(capsys):
             ]
         )
         assert hits == [(6, 7), (14, 9), (24, 4)]
-        assert all(t2 - t1 >= cell.gamma for t1, t2 in zip([5, 13], [10, 20]))
+        assert all(t2 - t1 >= CELL_GAMMA for t1, t2 in zip([5, 13], [10, 20]))
 
         b = CircuitBuilder()
         cell = build_trigger_cell(b, big_m)
         with pytest.raises(ValueError):
-            cell.plan([("store", 3, 7), ("trigger", 3, 0)])
+            cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)])
 
 
 def test_criterion_5_random_programs_match_the_interpreter(capsys):

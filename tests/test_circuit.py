@@ -512,6 +512,27 @@ def test_a_null_leak_is_refused_not_read_as_infinite():
     assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'null'"]
 
 
+# A join's "n" is its line count, written by the serializer; a file whose
+# "n" disagrees, or has none, is refused.  JSON spells each bad value as shown.
+_BAD_JOIN_N = [(1.5, "1.5"), (True, "true"), ("x", '"x"'), (None, "null"), ([1], "[1]"), (3, "3"), (KeyError, "none")]
+
+
+@pytest.mark.parametrize("n, shown", _BAD_JOIN_N, ids=[shown for _, shown in _BAD_JOIN_N])
+def test_a_join_n_other_than_its_line_count_is_refused(n, shown):
+    b = CircuitBuilder()
+    a, c = b.add_neuron(0), b.add_neuron(0)
+    join = b.add_join([a, c], [c, a])
+    doc = parse_json_document(b.build().serialize())
+    assert doc["gadgets"][0]["n"] == 2
+    if n is KeyError:
+        del doc["gadgets"][0]["n"]
+    else:
+        doc["gadgets"][0]["n"] = n
+    with pytest.raises(InvalidCircuit) as err:
+        circuit_from_document(doc)
+    assert err.value.violations == [f"join {join}: n must equal its line count 2, got {shown}"]
+
+
 def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
     # A string id among integer ids would break the sort; the type pass names
     # it first, with every other mistyped field, in the order given.  A float
@@ -671,7 +692,7 @@ def test_raster_jsonl_equals_a_json_dumps_rendering(drawn):
 @given(built_circuits(), st.integers(0, 6))
 def test_stepping_then_running_matches_one_run(drawn, k):
     circuit, big_m = drawn
-    config = SimConfig(max_steps=40, big_m=big_m, trace=True)
+    config = SimConfig(max_steps=40, big_m=big_m)
     whole = Engine(circuit, config).run()
     stepped = Engine(circuit, config)
     for _ in range(k):
@@ -679,4 +700,6 @@ def test_stepping_then_running_matches_one_run(drawn, k):
         if next_time is None or next_time > config.max_steps:
             break
         stepped.step()
-    assert stepped.run() == whole
+    outcome = stepped.run()
+    assert outcome == whole
+    assert outcome.trace == whole.trace

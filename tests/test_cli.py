@@ -381,6 +381,24 @@ def test_run_rejects_a_big_m_below_two(tmp_path, capsys, source, big_m):
     assert capsys.readouterr().err == f"error: meta.big_m must be at least 2, got {big_m}\n"
 
 
+@pytest.mark.parametrize("edit", [lambda k: k + 1, float, None], ids=["more", "float", "missing"])
+def test_run_rejects_a_join_n_other_than_its_line_count(add_circuit, capsys, edit):
+    doc = json.loads(add_circuit.read_text())
+    join = next(g for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
+    k = len(join["inputs"])
+    assert join["n"] == k
+    if edit is None:
+        del join["n"]
+    else:
+        join["n"] = edit(k)
+    add_circuit.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    shown = "none" if edit is None else json.dumps(edit(k))
+    message = f"join {join['id']}: n must equal its line count {k}, got {shown}"
+    assert capsys.readouterr().err == f"error: invalid circuit: {message}\n"
+
+
 @pytest.mark.parametrize("line", ["input", "output"])
 @pytest.mark.parametrize("field, value", [("weight", 2), ("delay", 3)])
 def test_run_rejects_a_join_line_that_is_not_a_plain_wire(add_circuit, capsys, line, field, value):

@@ -590,15 +590,14 @@ def test_port_spikes_groups_by_name():
 
 
 @settings(max_examples=200, deadline=None)
-@given(built_circuits(), st.booleans(), st.booleans())
-def test_spikes_come_out_in_raster_order(drawn, trace, small_m):
+@given(built_circuits(), st.booleans())
+def test_spikes_come_out_in_raster_order(drawn, small_m):
     circuit, big_m = drawn
-    config = SimConfig(max_steps=40, big_m=3 if small_m else big_m, trace=trace)
+    config = SimConfig(max_steps=40, big_m=3 if small_m else big_m)
     outcome = Engine(circuit, config).run()
     assert outcome.spikes == sorted(outcome.spikes, key=itemgetter(0, 1))
     assert outcome.raster == list(map(SpikeEvent._make, outcome.spikes))
-    if trace:
-        assert outcome.trace == sorted(outcome.trace, key=itemgetter(0, 1))
+    assert outcome.trace == sorted(outcome.trace, key=itemgetter(0, 1))
 
 
 def _emitter_above_a_neuron():
@@ -630,7 +629,7 @@ def test_arrivals_from_one_step_are_traced_by_source_id():
     b.add_synapse(low, target, 1, 0)
     b.add_synapse(ce, target, 1, 0)
     b.add_injection(low, 4, 2)
-    outcome = simulate(b.build(), config=SimConfig(trace=True))
+    outcome = simulate(b.build())
     assert [d for d in outcome.trace if d.target == target] == [
         Delivery(3, target, low, 4),
         Delivery(3, target, ce, 5),
@@ -668,7 +667,7 @@ def test_arrivals_across_ring_and_overflow_keep_emission_order(short):
     b.add_synapse(late, target, 1, short - 1)
     b.add_injection(early, 1, 0)
     b.add_injection(late, 2, 7)
-    outcome = simulate(b.build(), config=SimConfig(trace=True))
+    outcome = simulate(b.build())
     assert outcome.trace == [
         Delivery(0, early, None, 1),
         Delivery(7, late, None, 2),
@@ -683,10 +682,10 @@ def test_arrivals_across_ring_and_overflow_keep_emission_order(short):
 
 
 @settings(max_examples=150, deadline=None)
-@given(built_circuits(), st.booleans())
-def test_spikes_of_is_the_raster_filtered_to_one_node(drawn, trace):
+@given(built_circuits())
+def test_spikes_of_is_the_raster_filtered_to_one_node(drawn):
     circuit, big_m = drawn
-    outcome = Engine(circuit, SimConfig(max_steps=40, big_m=big_m, trace=trace)).run()
+    outcome = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run()
     nodes = range(len(circuit.neurons) + len(circuit.gadgets))
     before = [outcome.spikes_of(n) for n in nodes]  # read before the raster is built
     for n in nodes:
@@ -789,7 +788,7 @@ def _act(engine: Engine, action, log: list) -> None:
 @given(built_circuits(), _ACTIONS, _ACTIONS)
 def test_engines_sharing_a_circuit_run_as_if_each_had_its_own(drawn, script_a, script_b):
     circuit, big_m = drawn
-    config = SimConfig(max_steps=40, big_m=big_m, trace=True)
+    config = SimConfig(max_steps=40, big_m=big_m)
     scripts = (script_a, script_b)
     shared = [Engine(circuit, config), Engine(circuit, config)]
     shared_logs: list[list] = [[], []]
@@ -804,7 +803,9 @@ def test_engines_sharing_a_circuit_run_as_if_each_had_its_own(drawn, script_a, s
         for action in script:
             _act(alone, action, alone_log)
         assert alone_log == log
-        assert alone.run() == outcome
+        alone_outcome = alone.run()
+        assert alone_outcome == outcome
+        assert alone_outcome.trace == outcome.trace
 
 
 def test_run_diff_builds_one_plan_for_all_its_cases(monkeypatch):
@@ -830,8 +831,7 @@ def test_run_diff_builds_one_plan_for_all_its_cases(monkeypatch):
 def test_trace_records_every_delivery_with_sources():
     b, src, dst = _wire(weight=3, delay=1)
     b.add_injection(src, 5, 0)
-    outcome = simulate(b.build(), config=SimConfig(trace=True))
-    assert outcome.trace is not None
+    outcome = simulate(b.build())
     by_target = {(d.time, d.target): d for d in outcome.trace}
     injection = by_target[(0, src)]
     assert injection.source is None and injection.value == 5
@@ -839,10 +839,55 @@ def test_trace_records_every_delivery_with_sources():
     assert crossing.source == src and crossing.value == 15
 
 
-def test_trace_absent_unless_requested():
-    b, src, _ = _wire()
-    b.add_injection(src, 1, 0)
-    assert simulate(b.build()).trace is None
+# The trace of a fault's step ends after the work that faulted.  Each case
+# has arrivals at that step to nodes on both sides of the cut.
+
+
+def _fan_out_or_integration(weight: int):
+    """At t=0 ``s`` spikes 5 and sends ``weight * 5`` to ``post``, which also gets 45; big_m=10."""
+    b = CircuitBuilder()
+    lo, s, hi, post, top = (b.add_neuron(100), b.add_neuron(0), b.add_neuron(100), b.add_neuron(100), b.add_neuron(100))
+    b.add_synapse(s, post, weight, 0)
+    for node, value in ((lo, 1), (s, 5), (hi, 1), (post, 45), (top, 1)):
+        b.add_injection(node, value, 0)
+    b.add_injection(lo, 1, 3)  # dropped by the fault
+    return simulate(b.build(), config=SimConfig(big_m=10)), (lo, s, hi, post, top)
+
+
+def test_a_fan_out_breach_ends_the_trace_after_the_spikers_arrivals():
+    # The breach is in s's fan-out, to post above it: hi's arrival never ran.
+    outcome, (lo, s, hi, post, top) = _fan_out_or_integration(9)
+    assert outcome.fault == Fault("magnitude_breach", 0, post, 45)
+    assert outcome.spikes == [(0, s, 5)]
+    assert outcome.trace == [Delivery(0, lo, None, 1), Delivery(0, s, None, 5)]
+
+
+def test_an_integration_breach_ends_the_trace_after_the_nodes_arrivals():
+    # The same raster and fault as the fan-out case, but s's send of 5 is in
+    # bound: post's own batch of 45 breaches, after hi's arrival ran.
+    outcome, (lo, s, hi, post, top) = _fan_out_or_integration(1)
+    assert outcome.fault == Fault("magnitude_breach", 0, post, 45)
+    assert outcome.spikes == [(0, s, 5)]
+    assert outcome.trace == [
+        Delivery(0, lo, None, 1),
+        Delivery(0, s, None, 5),
+        Delivery(0, hi, None, 1),
+        Delivery(0, post, None, 45),
+    ]
+
+
+def test_a_fire_breach_ends_the_trace_before_the_emitters_arrivals():
+    # ce fires 5 at t=1 and sends 9 * 5 to x; a delivery to ce arrives at t=1
+    # too, but a fire runs before its node's arrivals.
+    b = CircuitBuilder()
+    lo, ce, x, top = b.add_neuron(100), b.add_const_emit(5), b.add_neuron(100), b.add_neuron(100)
+    b.add_synapse(ce, x, 9, 0)
+    for node, time in ((ce, 0), (lo, 1), (ce, 1), (top, 1)):
+        b.add_injection(node, 1, time)
+    outcome = simulate(b.build(), config=SimConfig(big_m=10))
+    assert outcome.fault == Fault("magnitude_breach", 1, x, 45)
+    assert outcome.spikes == [(1, ce, 5)]
+    assert outcome.trace == [Delivery(0, ce, None, 1), Delivery(1, lo, None, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +954,7 @@ def test_leak_expiry_property(leak, gap):
 @given(built_circuits())
 def test_a_join_line_takes_at_most_one_value_per_step(drawn):
     circuit, big_m = drawn
-    outcome = simulate(circuit, config=SimConfig(max_steps=40, big_m=big_m, trace=True))
+    outcome = simulate(circuit, config=SimConfig(max_steps=40, big_m=big_m))
     joins = {g.id: g.inputs for g in circuit.gadgets if isinstance(g, Join)}
     arrivals = [(d.time, d.target, d.source) for d in outcome.trace if d.target in joins]
     assert all(source in joins[join] for _, join, source in arrivals)

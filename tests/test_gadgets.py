@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import CELL_GAMMA, cell_injections
 from murec import (
     ArityError,
     CircuitBuilder,
@@ -196,7 +197,7 @@ def test_projection_reuse_once_the_selected_hold_has_cleared():
 def _run_cell(ops):
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell.plan(ops))
+    plan = tuple(cell_injections(cell, ops))
     outcome = simulate(b.build(), extra_injections=plan)
     return b, cell, outcome
 
@@ -229,15 +230,16 @@ def test_three_reuse_cycles_spaced_at_least_gamma_apart():
         ("store", 20, 4),
         ("trigger", 23, 0),
     ]
+    triggers, stores = [t for kind, t, _ in ops if kind == "trigger"], [t for kind, t, _ in ops if kind == "store"]
+    assert all(store - trigger >= CELL_GAMMA for trigger, store in zip(triggers, stores[1:]))
     _, cell, outcome = _run_cell(ops)
-    assert cell.gamma == 2
     assert _spikes_of(outcome, cell.out) == [(6, 7), (14, 9), (24, 4)]
 
 
 def test_negative_offset_replenishes_within_gamma():
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell.plan([("store", 0, 7), ("trigger", 5, 0)]))
+    plan = tuple(cell_injections(cell, [("store", 0, 7), ("trigger", 5, 0)]))
     engine = Engine(b.build(), extra_injections=plan)
     engine.run()
     assert engine.inspect(cell.store) == 0
@@ -248,17 +250,17 @@ def test_plan_rejects_operations_sharing_a_timestep():
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
     with pytest.raises(ValueError):
-        cell.plan([("store", 3, 7), ("trigger", 3, 0)])
+        cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)])
     with pytest.raises(ValueError):
-        cell.plan([("nudge", 3, 7)])
+        cell_injections(cell, [("nudge", 3, 7)])
 
 
 def test_two_cells_in_one_circuit_stay_independent():
     b = CircuitBuilder()
     first = build_trigger_cell(b, BIG_M)
     second = build_trigger_cell(b, BIG_M)
-    plan = tuple(first.plan([("store", 0, 7), ("trigger", 5, 0)])) + tuple(
-        second.plan([("store", 1, 11), ("trigger", 8, 0)])
+    plan = tuple(cell_injections(first, [("store", 0, 7), ("trigger", 5, 0)])) + tuple(
+        cell_injections(second, [("store", 1, 11), ("trigger", 8, 0)])
     )
     outcome = simulate(b.build(), extra_injections=plan)
     assert _spikes_of(outcome, first.out) == [(6, 7)]

@@ -5,7 +5,8 @@ in plain dicts keyed by time, runs a step by walking every node in id order,
 and runs a circuit one timestep at a time.  The properties draw synapse
 delays inside the engine's ring and far beyond its cap, with late injections
 around every power-of-two horizon, so that both the ring and the overflow
-queue carry arrivals.
+queue carry arrivals.  The reference records every delivery as it makes it,
+so it checks the trace that the engine's outcome derives from the raster.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ class Reference:
         self.done: int | None = None  # the last step run
         self.spikes: list[tuple[int, int, int]] = []
         self.fault: tuple[str, int, int, int] | None = None
-        self.trace: list | None = [] if config.trace else None
+        self.trace: list[tuple[int, int, int | None, int]] = []
         for node, value, time in (*circuit.injections, *extra):
             self.add_injection(node, value, time)
 
@@ -78,8 +79,7 @@ class Reference:
             mine = [(source, value) for target, source, value in arrivals if target == node]
             if not mine:
                 continue
-            if self.trace is not None:
-                self.trace += [(t, node, source, value) for source, value in mine]
+            self.trace += [(t, node, source, value) for source, value in mine]
             if node in self.emitters:
                 self.firing.setdefault(t + 1, set()).add(node)
             elif node in self.joins:
@@ -141,8 +141,7 @@ class Reference:
 def _results(engine: Engine) -> tuple:
     outcome = engine.run()
     fault = outcome.fault and (outcome.fault.kind, outcome.fault.time, outcome.fault.node, outcome.fault.value)
-    trace = None if outcome.trace is None else [tuple(d) for d in outcome.trace]
-    return outcome.status, outcome.final_clock, outcome.spikes, fault, trace
+    return outcome.status, outcome.final_clock, outcome.spikes, fault, [tuple(d) for d in outcome.trace]
 
 
 def _reference_results(ref: Reference) -> tuple:
@@ -160,7 +159,6 @@ CONFIGS = st.builds(
     SimConfig,
     max_steps=st.sampled_from([30, 4 * CAP]),
     big_m=st.sampled_from([3, 40, 10**9]),
-    trace=st.booleans(),
 )
 
 
