@@ -97,11 +97,6 @@ _FIELD_TYPES = {
 }
 
 
-def _leak_from_json(raw: Any) -> Any:
-    # JSON null is not "inf": it reaches Circuit as the string "null", which Circuit refuses.
-    return INFINITE if raw == "inf" else "null" if raw is None else raw
-
-
 def _line_from_json(raw: Any) -> Any:
     return tuple(raw) if type(raw) is list else raw
 
@@ -271,21 +266,24 @@ class Circuit:
     # -- serialization ---------------------------------------------------
 
     def to_document(self) -> dict[str, Any]:
-        """The canonical JSON document: sections in the order ``__post_init__`` set."""
+        """The canonical JSON document: each record an array in its named tuple's field order.
+
+        A gadget's array is ``[id, kind, *fields]``, and infinite leak is ``"inf"``.
+        Sections are in the order ``__post_init__`` set.
+        """
         return {
-            "neurons": [
-                {"id": n.id, "threshold": n.threshold, "leak": "inf" if n.leak is None else n.leak}
-                for n in self.neurons
+            "neurons": [[i, threshold, "inf" if leak is None else leak] for i, threshold, leak in self.neurons],
+            "synapses": list(map(list, self.synapses)),
+            "ports": list(map(list, self.ports)),
+            "injections": list(map(list, self.injections)),
+            "gadgets": [
+                [g[0], "const_emit", g[1]] if type(g) is ConstEmit else [g[0], "join", list(g[1]), list(g[2])]
+                for g in self.gadgets
             ],
-            # These records' fields are their JSON keys, in order.
-            "synapses": [s._asdict() for s in self.synapses],
-            "ports": [p._asdict() for p in self.ports],
-            "injections": [i._asdict() for i in self.injections],
-            "gadgets": [_gadget_to_json(g) for g in self.gadgets],
         }
 
     def serialize(self) -> str:
-        """Render canonical JSON text: ``json.dumps(self.to_document(), indent=2) + "\\n"``."""
+        """Render ``to_document()`` as canonical JSON text, one record per line (see ``_circuit_json``)."""
         return _circuit_json(self, "") + "\n"
 
     @classmethod
@@ -294,41 +292,34 @@ class Circuit:
 
 
 def _circuit_json(circuit: Circuit, indent: str) -> str:
-    """The text ``json.dumps(circuit.to_document(), indent=2)`` gives, nested at ``indent``.
+    """The canonical text of ``circuit.to_document()``, nested at ``indent``.
 
-    Each record shape has one template, so the generic encoder's per-value
-    dispatch is paid once per section instead of once per field.  Strings go
-    through ``json.dumps``, so their escaping is the encoder's own.  Join lines
-    are never empty: a valid join has at least two.
+    Sections are laid out as ``json.dumps(doc, indent=2)`` lays them out, but
+    each record is one line, the text ``json.dumps(record)`` gives.  Each record
+    shape has one template, so the generic encoder's per-value dispatch is not
+    paid at all.  Strings go through ``json.dumps``, so their escaping is the
+    encoder's own.
     """
     i1 = indent + "  "  # section keys
     i2 = i1 + "  "  # records
-    i3 = i2 + "  "  # record fields
-    i4 = i3 + "  "  # join line endpoints
-    neuron = f'{i2}{{\n{i3}"id": %d,\n{i3}"threshold": %d,\n{i3}"leak": %s\n{i2}}}'
-    synapse = f'{i2}{{\n{i3}"pre": %d,\n{i3}"post": %d,\n{i3}"weight": %d,\n{i3}"delay": %d\n{i2}}}'
-    port = f'{i2}{{\n{i3}"name": %s,\n{i3}"neuron": %d,\n{i3}"role": %s\n{i2}}}'
-    injection = f'{i2}{{\n{i3}"neuron": %d,\n{i3}"value": %d,\n{i3}"time": %d\n{i2}}}'
-    const_emit = f'{i2}{{\n{i3}"id": %d,\n{i3}"kind": "const_emit",\n{i3}"k": %d\n{i2}}}'
-    join = (
-        f'{i2}{{\n{i3}"id": %d,\n{i3}"kind": "join",\n{i3}"n": %d,\n'
-        f'{i3}"inputs": [\n{i4}%s\n{i3}],\n{i3}"outputs": [\n{i4}%s\n{i3}]\n{i2}}}'
-    )
-    line_sep = ",\n" + i4
+    neuron = i2 + "[%d, %d, %s]"
+    synapse = i2 + "[%d, %d, %d, %d]"
+    port = i2 + "[%s, %d, %s]"
+    injection = i2 + "[%d, %d, %d]"
+    const_emit = i2 + '[%d, "const_emit", %d]'
+    join = i2 + '[%d, "join", [%s], [%s]]'
     sections = {
         "neurons": [
-            neuron % (n.id, n.threshold, '"inf"' if n.leak is None else n.leak)
-            for n in circuit.neurons
+            neuron % (i, threshold, '"inf"' if leak is None else leak) for i, threshold, leak in circuit.neurons
         ],
         # Records are tuples in their template's field order.
         "synapses": [synapse % s for s in circuit.synapses],
-        "ports": [port % (json.dumps(p.name), p.neuron, json.dumps(p.role)) for p in circuit.ports],
+        "ports": [port % (json.dumps(name), neuron, json.dumps(role)) for name, neuron, role in circuit.ports],
         "injections": [injection % inj for inj in circuit.injections],
         "gadgets": [
             const_emit % g
-            if isinstance(g, ConstEmit)
-            else join % (g.id, len(g.inputs), line_sep.join(map(str, g.inputs)),
-                         line_sep.join(map(str, g.outputs)))
+            if type(g) is ConstEmit
+            else join % (g[0], ", ".join(map(str, g[1])), ", ".join(map(str, g[2])))
             for g in circuit.gadgets
         ],
     }
@@ -337,18 +328,6 @@ def _circuit_json(circuit: Circuit, indent: str) -> str:
         for key, records in sections.items()
     )
     return f"{{\n{body}\n{indent}}}"
-
-
-def _gadget_to_json(g: NativeGadget) -> dict[str, Any]:
-    if isinstance(g, ConstEmit):
-        return {"id": g.id, "kind": "const_emit", "k": g.value}
-    return {
-        "id": g.id,
-        "kind": "join",
-        "n": len(g.inputs),
-        "inputs": list(g.inputs),
-        "outputs": list(g.outputs),
-    }
 
 
 def parse_json_document(text: str) -> dict[str, Any]:
@@ -366,55 +345,96 @@ def parse_json_document(text: str) -> dict[str, Any]:
     return doc
 
 
-def _section(doc: dict[str, Any], key: str) -> list[dict[str, Any]]:
+# A gadget array is [id, kind, *fields]: each kind's fields, by an older file's object keys.
+_GADGET_FIELDS = {"const_emit": ("k",), "join": ("inputs", "outputs")}
+
+
+def _gadget_fields(raw: dict[str, Any]) -> list[Any]:
+    kind = raw.get("kind")
+    keys = _GADGET_FIELDS.get(kind, ()) if type(kind) is str else ()
+    return [raw.get("id"), kind, *map(raw.get, keys)]
+
+
+# Files written before records were arrays hold each as an object keyed by
+# field name; a missing key is None (a missing leak is 0).
+_FIELDS_OF_OBJECT = {
+    "neurons": lambda raw: [raw.get("id"), raw.get("threshold"), raw.get("leak", 0)],
+    "synapses": lambda raw: [raw.get("pre"), raw.get("post"), raw.get("weight"), raw.get("delay")],
+    "ports": lambda raw: [raw.get("name"), raw.get("neuron"), raw.get("role")],
+    "injections": lambda raw: [raw.get("neuron"), raw.get("value"), raw.get("time")],
+    "gadgets": _gadget_fields,
+}
+
+
+def _section(doc: dict[str, Any], key: str) -> list[Any]:
+    """A section's entries: arrays as written, or an older file's objects mapped to the same arrays.
+
+    The first entry sets the section's form; every entry must share it.
+    """
     raw = doc.get(key, [])
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         raise ParseError(f"section {key!r} must be an array")
-    for item in raw:
-        if not isinstance(item, dict):
-            raise ParseError(f"section {key!r} entries must be objects")
+    if raw and type(raw[0]) is dict:
+        if not {dict}.issuperset(map(type, raw)):
+            index = next(i for i, entry in enumerate(raw) if type(entry) is not dict)
+            raise ParseError(f"{key}[{index}] must be an object, as {key}[0] is")
+        return list(map(_FIELDS_OF_OBJECT[key], raw))
     return raw
+
+
+def _records(doc: dict[str, Any], key: str, width: int) -> list[list[Any]]:
+    """A section of fixed-width records, each checked to be an array of ``width`` fields."""
+    raw = _section(doc, key)
+    if not ({list}.issuperset(map(type, raw)) and {width}.issuperset(map(len, raw))):
+        index = next(i for i, entry in enumerate(raw) if type(entry) is not list or len(entry) != width)
+        raise ParseError(f"{key}[{index}] must be an array of {width} fields")
+    return raw
+
+
+def _gadget(index: int, raw: Any) -> NativeGadget:
+    if type(raw) is not list or len(raw) < 2:
+        raise ParseError(f"gadgets[{index}] must be an array [id, kind, ...]")
+    kind = raw[1]
+    fields = _GADGET_FIELDS.get(kind) if type(kind) is str else None
+    if fields is None:
+        raise ParseError(f"gadgets[{index}]: unknown gadget kind {kind!r}")
+    if len(raw) != 2 + len(fields):
+        raise ParseError(f"gadgets[{index}] must be an array of {2 + len(fields)} fields")
+    if kind == "const_emit":
+        return ConstEmit(raw[0], raw[2])
+    return Join(raw[0], _line_from_json(raw[2]), _line_from_json(raw[3]))
 
 
 def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     """Build a Circuit from a parsed JSON document; absent sections default to empty.
 
-    The loader only maps JSON to records: ``"inf"`` becomes :data:`INFINITE`
-    and a join's arrays become tuples.  A document of the wrong shape (a
-    section that is not an array of objects, an unknown gadget kind) raises
-    ParseError.  Every field rule is :class:`Circuit`'s, so a field of the
-    wrong type or value raises the same InvalidCircuit as the record built in Python.
-    A join's ``"n"`` is not a record field: it must equal the join's line
-    count, as the serializer writes it, or the valid circuit is still refused
-    with InvalidCircuit.
+    Each record is an array in its named tuple's field order (a gadget's is
+    ``[id, kind, *fields]``); a section of objects, as older files hold, is
+    first mapped to the same arrays.  The loader checks only that shape: a
+    section that is not an array, an entry of the other form than the
+    section's first, an array of the wrong width or an unknown gadget kind
+    raises ParseError naming the section and index.  Then it only maps JSON
+    to records: ``"inf"`` becomes :data:`INFINITE` and a join's arrays become
+    tuples.  Every field rule is :class:`Circuit`'s, so a field of the wrong
+    type or value raises the same InvalidCircuit as the record built in Python.
+    An older file's join also carries ``"n"``, which is not a record field: it
+    must equal the join's line count, as that serializer wrote it, or the
+    valid circuit is still refused with InvalidCircuit.
     """
+    # JSON null is not "inf": it reaches Circuit as the string "null", which Circuit refuses.
     neurons = [
-        NeuronSpec(raw.get("id"), raw.get("threshold"), _leak_from_json(raw.get("leak", 0)))
-        for raw in _section(doc, "neurons")
+        NeuronSpec(i, threshold, INFINITE if leak == "inf" else "null" if leak is None else leak)
+        for i, threshold, leak in _records(doc, "neurons", 3)
     ]
-    synapses = [
-        SynapseSpec(raw.get("pre"), raw.get("post"), raw.get("weight"), raw.get("delay"))
-        for raw in _section(doc, "synapses")
-    ]
-    ports = [Port(raw.get("name"), raw.get("neuron"), raw.get("role")) for raw in _section(doc, "ports")]
-    injections = [
-        Injection(raw.get("neuron"), raw.get("value"), raw.get("time")) for raw in _section(doc, "injections")
-    ]
-    gadgets: list[NativeGadget] = []
-    joins: list[tuple[Join, dict]] = []  # each join with its JSON object, for its "n"
-    for raw in _section(doc, "gadgets"):
-        kind = raw.get("kind")
-        if kind == "const_emit":
-            gadgets.append(ConstEmit(raw.get("id"), raw.get("k")))
-        elif kind == "join":
-            inputs, outputs = _line_from_json(raw.get("inputs")), _line_from_json(raw.get("outputs"))
-            gadgets.append(Join(raw.get("id"), inputs, outputs))
-            joins.append((gadgets[-1], raw))
-        else:
-            raise ParseError(f"unknown gadget kind {kind!r}")
+    synapses = list(map(SynapseSpec._make, _records(doc, "synapses", 4)))
+    ports = list(map(Port._make, _records(doc, "ports", 3)))
+    injections = list(map(Injection._make, _records(doc, "injections", 3)))
+    gadgets = [_gadget(index, raw) for index, raw in enumerate(_section(doc, "gadgets"))]
     circuit = Circuit(neurons=neurons, synapses=synapses, ports=ports, injections=injections, gadgets=gadgets)
     wrong = []
-    for g, raw in joins:
+    for g, raw in zip(gadgets, doc.get("gadgets", [])):
+        if type(raw) is not dict or type(g) is not Join:
+            continue
         if type(raw.get("n")) is not int or raw["n"] != len(g.inputs):
             shown = json.dumps(raw["n"]) if "n" in raw else "none"
             wrong.append(f"join {g.id}: n must equal its line count {len(g.inputs)}, got {shown}")

@@ -370,10 +370,12 @@ class CompiledProgram:
         return {"circuit": self.circuit.to_document(), "meta": copy.deepcopy(self.meta)}
 
     def serialize(self) -> str:
-        """Render ``json.dumps(self.to_document(), indent=2) + "\\n"`` without copying the meta.
+        """Render ``to_document()`` as canonical text, without copying the meta.
 
-        Encoded JSON strings hold no raw newline, so re-indenting the meta's
-        own text by one level nests it exactly as the whole-document encoder would.
+        The circuit block is laid out as ``Circuit.serialize`` lays it out, and
+        the meta block as ``json.dumps(meta, indent=2)``.  Encoded JSON strings
+        hold no raw newline, so re-indenting the meta's own text by one level
+        nests it exactly as the whole-document encoder would.
         """
         meta = json.dumps(self.meta, indent=2).replace("\n", "\n  ")
         return f'{{\n  "circuit": {_circuit_json(self.circuit, "  ")},\n  "meta": {meta}\n}}\n'

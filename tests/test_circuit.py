@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PORT_NAME_CHARS, built_circuits
+from conftest import PORT_NAME_CHARS, built_circuits, older_circuit_document
 from murec import (
     INFINITE,
     Circuit,
@@ -383,14 +383,11 @@ def test_serialize_encodes_infinite_leak_and_gadget_kinds():
     b.add_join(srcs, dsts)
     b.add_synapse(ce, hold, 1, 0)
     doc = parse_json_document(b.build().serialize())
-    leaks = {n["id"]: n["leak"] for n in doc["neurons"]}
+    leaks = {n[0]: n[2] for n in doc["neurons"]}
     assert leaks[hold] == "inf"
-    kinds = {g["id"]: g for g in doc["gadgets"]}
-    assert kinds[ce] == {"id": ce, "kind": "const_emit", "k": 9}
-    assert kinds[6]["kind"] == "join"
-    assert kinds[6]["n"] == 2
-    assert kinds[6]["inputs"] == list(srcs)
-    assert kinds[6]["outputs"] == list(dsts)
+    gadgets = {g[0]: g for g in doc["gadgets"]}
+    assert gadgets[ce] == [ce, "const_emit", 9]
+    assert gadgets[6] == [6, "join", list(srcs), list(dsts)]  # no "n": it is the line count
 
 
 def test_serialize_is_insertion_order_independent():
@@ -431,62 +428,93 @@ def _malformed(message, mutate, error=ParseError):
     return mutate
 
 
+def _older(doc):
+    """``doc`` rewritten in place in the older object-record form, and returned."""
+    doc.update(older_circuit_document(doc))
+    return doc
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
         _malformed("section 'neurons' must be an array", lambda doc: doc.update(neurons=5)),
-        _malformed("section 'synapses' entries must be objects", lambda doc: doc.update(synapses=[3])),
+        _malformed("synapses[0] must be an array of 4 fields", lambda doc: doc.update(synapses=[3])),
         _malformed(
             "invalid circuit: neurons[3].id must be an integer, got 'x'",
-            lambda doc: doc["neurons"].append({"id": "x", "threshold": 0, "leak": 0}),
+            lambda doc: doc["neurons"].append(["x", 0, 0]),
             InvalidCircuit,
         ),
         _malformed(
             "invalid circuit: neurons[3].leak must be an integer or INFINITE, got 'sometimes'",
-            lambda doc: doc["neurons"].append({"id": 99, "threshold": 0, "leak": "sometimes"}),
+            lambda doc: doc["neurons"].append([99, 0, "sometimes"]),
             InvalidCircuit,
         ),
         _malformed(
             "invalid circuit: port 'p': role must be input or output",
-            lambda doc: doc["ports"].append({"name": "p", "neuron": 0, "role": "middle"}),
+            lambda doc: doc["ports"].append(["p", 0, "middle"]),
             InvalidCircuit,
         ),
         _malformed(
-            "unknown gadget kind 'teleporter'",
-            lambda doc: doc["gadgets"].append({"id": 99, "kind": "teleporter"}),
+            "gadgets[1]: unknown gadget kind 'teleporter'",
+            lambda doc: doc["gadgets"].append([99, "teleporter"]),
         ),
         _malformed(
             "invalid circuit: gadgets[1].inputs must be a tuple of integers, got (0, 'a')",
-            lambda doc: doc["gadgets"].append(
-                {"id": 99, "kind": "join", "n": 2, "inputs": [0, "a"], "outputs": [1, 2]}
-            ),
+            lambda doc: doc["gadgets"].append([99, "join", [0, "a"], [1, 2]]),
             InvalidCircuit,
         ),
+        # An older file's missing key is None.
         _malformed(
             "invalid circuit: synapses[3].delay must be an integer, got None",
-            lambda doc: doc["synapses"].append({"pre": 0, "post": 0, "weight": 1}),
+            lambda doc: _older(doc)["synapses"].append({"pre": 0, "post": 0, "weight": 1}),
             InvalidCircuit,
         ),
         # Fields that fail only the exact-type test: a bool or a float.
         _malformed(
             "invalid circuit: neurons[3].threshold must be an integer, got True",
-            lambda doc: doc["neurons"].append({"id": 99, "threshold": True, "leak": 0}),
+            lambda doc: doc["neurons"].append([99, True, 0]),
             InvalidCircuit,
         ),
         _malformed(
             "invalid circuit: neurons[3].leak must be an integer or INFINITE, got -1.5",
-            lambda doc: doc["neurons"].append({"id": 99, "threshold": 0, "leak": -1.5}),
+            lambda doc: doc["neurons"].append([99, 0, -1.5]),
             InvalidCircuit,
         ),
         _malformed(
             "invalid circuit: synapses[3].weight must be an integer, got 1.0",
-            lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1.0, "delay": 0}),
+            lambda doc: doc["synapses"].append([0, 1, 1.0, 0]),
             InvalidCircuit,
         ),
         _malformed(
             "invalid circuit: synapses[3].delay must be an integer, got False",
-            lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1, "delay": False}),
+            lambda doc: doc["synapses"].append([0, 1, 1, False]),
             InvalidCircuit,
+        ),
+        # A record that is not an array, or an array of the wrong width.
+        _malformed("synapses[3] must be an array of 4 fields", lambda doc: doc["synapses"].append(5)),
+        _malformed("synapses[3] must be an array of 4 fields", lambda doc: doc["synapses"].append([0, 1, 1])),
+        _malformed("neurons[1] must be an array of 3 fields", lambda doc: doc["neurons"][1].append(0)),
+        _malformed("ports[0] must be an array of 3 fields", lambda doc: doc["ports"][0].pop()),
+        _malformed("injections[2] must be an array of 3 fields", lambda doc: doc["injections"].append("x")),
+        _malformed("gadgets[1] must be an array [id, kind, ...]", lambda doc: doc["gadgets"].append([99])),
+        _malformed("gadgets[1] must be an array of 3 fields", lambda doc: doc["gadgets"].append([99, "const_emit"])),
+        _malformed(
+            "gadgets[1] must be an array of 4 fields",
+            lambda doc: doc["gadgets"].append([99, "join", [0, 1], [1, 2], 2]),  # an "n" has no place
+        ),
+        _malformed("gadgets[1]: unknown gadget kind ['join']", lambda doc: doc["gadgets"].append([99, ["join"], 0])),
+        # A section mixes the two forms: the first record sets the section's form.
+        _malformed(
+            "synapses[3] must be an array of 4 fields",
+            lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1, "delay": 0}),
+        ),
+        _malformed(
+            "synapses[3] must be an object, as synapses[0] is",
+            lambda doc: _older(doc)["synapses"].append([0, 1, 1, 0]),
+        ),
+        _malformed(
+            "gadgets[1]: unknown gadget kind 'teleporter'",
+            lambda doc: _older(doc)["gadgets"].append({"id": 99, "kind": "teleporter"}),
         ),
     ],
 )
@@ -506,14 +534,25 @@ def test_circuit_from_document_defaults_missing_sections_to_empty():
 def test_a_null_leak_is_refused_not_read_as_infinite():
     # INFINITE is None in Python, but a file spells it "inf"; JSON null is a bad field.
     doc = parse_json_document(_sample_circuit().serialize())
-    doc["neurons"][0]["leak"] = None
-    with pytest.raises(InvalidCircuit) as err:
-        circuit_from_document(doc)
-    assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'null'"]
+    older = older_circuit_document(doc)
+    doc["neurons"][0][2] = None
+    older["neurons"][0]["leak"] = None
+    for form in (doc, older):
+        with pytest.raises(InvalidCircuit) as err:
+            circuit_from_document(form)
+        assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'null'"]
 
 
-# A join's "n" is its line count, written by the serializer; a file whose
-# "n" disagrees, or has none, is refused.  JSON spells each bad value as shown.
+def test_an_older_files_neuron_without_a_leak_has_leak_0():
+    doc = older_circuit_document(parse_json_document(_sample_circuit().serialize()))
+    assert doc["neurons"][2] == {"id": 3, "threshold": 0, "leak": 4}
+    del doc["neurons"][2]["leak"]
+    assert circuit_from_document(doc).neurons[2] == NeuronSpec(3, 0, 0)
+
+
+# An older file's join has an "n", its line count as that serializer wrote
+# it; a file whose "n" disagrees, or has none, is refused.  JSON spells each
+# bad value as shown.
 _BAD_JOIN_N = [(1.5, "1.5"), (True, "true"), ("x", '"x"'), (None, "null"), ([1], "[1]"), (3, "3"), (KeyError, "none")]
 
 
@@ -522,8 +561,9 @@ def test_a_join_n_other_than_its_line_count_is_refused(n, shown):
     b = CircuitBuilder()
     a, c = b.add_neuron(0), b.add_neuron(0)
     join = b.add_join([a, c], [c, a])
-    doc = parse_json_document(b.build().serialize())
+    doc = older_circuit_document(parse_json_document(b.build().serialize()))
     assert doc["gadgets"][0]["n"] == 2
+    assert circuit_from_document(doc) == b.build()
     if n is KeyError:
         del doc["gadgets"][0]["n"]
     else:
@@ -584,19 +624,26 @@ def test_the_builder_and_the_loader_refuse_a_bad_field_alike(drawn, data):
     bad = data.draw(st.sampled_from([1.0, True, "x", "", None]))
     assume(not (field == "leak" and bad is None))  # INFINITE in Python; the null test covers the file
     doc = circuit.to_document()
+    older = older_circuit_document(doc)
+    position = record._fields.index(field)
+    if section == "gadgets" and position:  # a gadget's array holds its kind after its id
+        position += 1
     key = "k" if (type(record), field) == (ConstEmit, "value") else field  # a const_emit's value is its "k"
     if field in ("inputs", "outputs") and data.draw(st.booleans()):  # one line endpoint instead
         line = list(getattr(record, field))
         line[data.draw(st.integers(0, len(line) - 1))] = bad
         records[index] = record._replace(**{field: tuple(line)})
-        doc[section][index][key] = line
+        doc[section][index][position] = line
+        older[section][index][key] = line
     else:
         records[index] = record._replace(**{field: bad})
-        doc[section][index][key] = bad
+        doc[section][index][position] = bad
+        older[section][index][key] = bad
     sections = {name: getattr(circuit, name) for name in SECTIONS}
     sections[section] = records
     built = _outcome(lambda: Circuit(**sections))
     assert _outcome(lambda: circuit_from_document(doc)) == built
+    assert _outcome(lambda: circuit_from_document(older)) == built
     if not (field == "name" and bad == "x"):  # "x" is a good port name; "" is not
         assert isinstance(built, list)
 
@@ -614,13 +661,33 @@ def test_roundtrip_property(drawn):
     again = Circuit.deserialize(text)
     assert again == circuit
     assert again.serialize() == text
+    # The same circuit in an older file's object-record form loads the same.
+    older = json.dumps(older_circuit_document(parse_json_document(text)), indent=2)
+    assert Circuit.deserialize(older) == again
+
+
+def _reference_circuit_json(doc, indent=""):
+    """A circuit document laid out as ``json.dumps(doc, indent=2)`` lays it out, one record per line.
+
+    Each record's line is the text ``json.dumps(record)`` gives.
+    """
+    inner = indent + "  "
+    sections = [
+        f"{inner}{json.dumps(key)}: ["
+        + ",".join(f"\n{inner}  {json.dumps(record)}" for record in records)
+        + (f"\n{inner}]" if records else "]")
+        for key, records in doc.items()
+    ]
+    return "{\n" + ",\n".join(sections) + f"\n{indent}}}"
 
 
 @settings(max_examples=80, deadline=None)
 @given(built_circuits(), st.text(PORT_NAME_CHARS, max_size=5))
-def test_serialize_equals_the_generic_indent_2_encoder(drawn, note):
+def test_serialize_equals_a_json_dumps_rendering(drawn, note):
     circuit, big_m = drawn
-    assert circuit.serialize() == json.dumps(circuit.to_document(), indent=2) + "\n"
+    doc = circuit.to_document()
+    assert circuit.serialize() == _reference_circuit_json(doc) + "\n"
+    assert json.loads(circuit.serialize()) == doc
     meta = {
         "ports": {"inputs": [p.name for p in circuit.ports_by_role("input")], "output": note},
         "big_m": big_m,
@@ -628,7 +695,10 @@ def test_serialize_equals_the_generic_indent_2_encoder(drawn, note):
         "empty": {},
     }
     program = CompiledProgram(circuit=circuit, meta=meta)
-    assert program.serialize() == json.dumps(program.to_document(), indent=2) + "\n"
+    meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
+    reference = f'{{\n  "circuit": {_reference_circuit_json(doc, "  ")},\n  "meta": {meta_text}\n}}\n'
+    assert program.serialize() == reference
+    assert json.loads(program.serialize()) == program.to_document()
 
 
 def _reference_raster_csv(circuit, raster):

@@ -12,9 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADD_REC, MONUS_REC
+from conftest import ADD_REC, MONUS_REC, older_circuit_document
 import murec
-from murec import CircuitBuilder, CompiledProgram, Engine, Proj, cli, compile_program, run_program
+from murec import (
+    CircuitBuilder,
+    CompiledProgram,
+    Engine,
+    NeuronSpec,
+    Port,
+    Proj,
+    SynapseSpec,
+    cli,
+    compile_program,
+    run_program,
+)
 from murec.cli import main
 
 ALWAYS_POSITIVE_REC = "(mu (compose (succ) ((proj 1 2))))"
@@ -206,7 +217,7 @@ def test_a_file_with_the_older_meta_ports_runs_like_the_new_one(add_circuit, tmp
     # Earlier versions copied the circuit's ports into meta.ports and its
     # counts into meta.stats; loading ignores both, whatever they hold.
     old = json.loads(add_circuit.read_text())
-    circuit = old["circuit"]
+    circuit = old["circuit"] = older_circuit_document(old["circuit"])
     old["meta"] = {"ports": ports, **old["meta"]}
     old["meta"]["stats"] = {
         "neurons": len(circuit["neurons"]),
@@ -234,6 +245,7 @@ def test_an_older_nullary_file_needs_its_hidden_port_bound(tmp_path, capsys):
     capsys.readouterr()
     new = tmp_path / "c7.circuit.json"
     doc = json.loads(new.read_text())
+    doc["circuit"] = older_circuit_document(doc["circuit"])
     (pulse,) = [inj for inj in doc["circuit"]["injections"] if inj["value"] == 0]
     doc["circuit"]["injections"].remove(pulse)
     doc["circuit"]["ports"].insert(0, {"name": "x1", "neuron": pulse["neuron"], "role": "input"})
@@ -356,7 +368,8 @@ def test_run_rejects_a_boolean_big_m(tmp_path, capsys):
 )
 def test_run_rejects_a_mistyped_field_as_the_builder_does(add_circuit, capsys, section, field, value, violation):
     doc = json.loads(add_circuit.read_text())
-    doc["circuit"][section][0][field] = value
+    record = {"synapses": SynapseSpec, "neurons": NeuronSpec, "ports": Port}[section]
+    doc["circuit"][section][0][record._fields.index(field)] = value
     add_circuit.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
@@ -383,7 +396,9 @@ def test_run_rejects_a_big_m_below_two(tmp_path, capsys, source, big_m):
 
 @pytest.mark.parametrize("edit", [lambda k: k + 1, float, None], ids=["more", "float", "missing"])
 def test_run_rejects_a_join_n_other_than_its_line_count(add_circuit, capsys, edit):
+    # Only an older file's join has an "n".
     doc = json.loads(add_circuit.read_text())
+    doc["circuit"] = older_circuit_document(doc["circuit"])
     join = next(g for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
     k = len(join["inputs"])
     assert join["n"] == k
@@ -405,22 +420,22 @@ def test_run_rejects_a_join_line_that_is_not_a_plain_wire(add_circuit, capsys, l
     # A weighted or delayed line would make the join's flush a second send
     # path; such a file is refused when loaded, before any run.
     doc = json.loads(add_circuit.read_text())
-    join = next(g for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
-    pre, post = (join["inputs"][0], join["id"]) if line == "input" else (join["id"], join["outputs"][0])
-    synapse = next(s for s in doc["circuit"]["synapses"] if (s["pre"], s["post"]) == (pre, post))
-    synapse[field] = value
+    join, _, inputs, outputs = next(g for g in doc["circuit"]["gadgets"] if g[1] == "join")
+    pre, post = (inputs[0], join) if line == "input" else (join, outputs[0])
+    synapse = next(s for s in doc["circuit"]["synapses"] if s[:2] == [pre, post])
+    synapse[SynapseSpec._fields.index(field)] = value
     add_circuit.write_text(json.dumps(doc))
     assert main(["run", str(add_circuit), "--in", "i=3", "--in", "x1=2"]) == 1
     assert capsys.readouterr().err == (
-        f"error: invalid circuit: join {join['id']}: synapse ({pre}, {post}) must have weight 1 and delay 0\n"
+        f"error: invalid circuit: join {join}: synapse ({pre}, {post}) must have weight 1 and delay 0\n"
     )
 
 
 def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
     doc = json.loads(add_circuit.read_text())
-    join = next(g["id"] for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
-    x1 = next(p for p in doc["circuit"]["ports"] if p["name"] == "x1")
-    x1["neuron"] = join
+    join = next(g[0] for g in doc["circuit"]["gadgets"] if g[1] == "join")
+    x1 = next(p for p in doc["circuit"]["ports"] if p[0] == "x1")
+    x1[1] = join
     add_circuit.write_text(json.dumps(doc))
     assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
     assert f"port 'x1': input port on join {join} is not allowed" in capsys.readouterr().err
@@ -431,13 +446,23 @@ def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
 
 def test_run_rejects_a_structurally_invalid_circuit_file(add_circuit, capsys):
     doc = json.loads(add_circuit.read_text())
-    doc["circuit"]["synapses"].append({"pre": 0, "post": 10**6, "weight": 1, "delay": 0})
+    doc["circuit"]["synapses"].append([0, 10**6, 1, 0])
     add_circuit.write_text(json.dumps(doc))
     assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
     assert "invalid circuit" in capsys.readouterr().err
     # The circuit is rejected before the bindings are read.
     assert main(["run", str(add_circuit), "--in", "i2"]) == 1
     assert "invalid circuit" in capsys.readouterr().err
+
+
+def test_run_rejects_a_record_of_the_wrong_shape(add_circuit, capsys):
+    # A synapse written in the older object form, in a file of array records.
+    doc = json.loads(add_circuit.read_text())
+    pre, post, weight, delay = doc["circuit"]["synapses"][3]
+    doc["circuit"]["synapses"][3] = {"pre": pre, "post": post, "weight": weight, "delay": delay}
+    add_circuit.write_text(json.dumps(doc))
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    assert capsys.readouterr().err == "error: synapses[3] must be an array of 4 fields\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from conftest import (
     PRED,
     assert_return_precedes_erase,
     engine_run,
+    older_program_document,
 )
 from murec import (
     ArityError,
@@ -422,12 +423,12 @@ def test_run_program_needs_exactly_one_y_spike(compiled_add):
     # Hand-edited ADD files: y loses its one driver, or gains a second one
     # (the i input, which spikes at once).
     doc = compiled_add.to_document()
-    ports = {p["name"]: p["neuron"] for p in doc["circuit"]["ports"]}
+    ports = {name: neuron for name, neuron, _ in doc["circuit"]["ports"]}
     synapses = doc["circuit"]["synapses"]
     undriven = copy.deepcopy(doc)
-    undriven["circuit"]["synapses"] = [s for s in synapses if s["post"] != ports["y"]]
+    undriven["circuit"]["synapses"] = [s for s in synapses if s[1] != ports["y"]]
     twice = copy.deepcopy(doc)
-    twice["circuit"]["synapses"].append({"pre": ports["i"], "post": ports["y"], "weight": 1, "delay": 0})
+    twice["circuit"]["synapses"].append([ports["i"], ports["y"], 1, 0])  # pre, post, weight, delay
     runs = [run_program(CompiledProgram.from_document(d), [2, 3]) for d in (undriven, twice)]
     assert [(r.status, r.value, r.outcome.status) for r in runs] == [
         ("no_output", None, "quiescent"), ("multi_output", None, "quiescent"),
@@ -459,8 +460,10 @@ def test_compiled_program_roundtrip(compiled_add):
 def test_a_file_with_the_older_meta_keys_still_runs(compiled_add):
     # Compiled files once also carried meta.arity, meta.markers (the
     # top-level loop's marker ids) and meta.conventions; loading ignores them.
+    # Those files held each circuit record as an object.
     doc = compiled_add.to_document()
-    old = copy.deepcopy(doc)
+    old = older_program_document(compiled_add)
+    assert {type(record) for record in old["circuit"]["neurons"]} == {dict}
     old["meta"]["arity"] = 2
     old["meta"]["markers"] = dict(old["meta"]["instances"][-1])
     old["meta"]["conventions"] = {

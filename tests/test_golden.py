@@ -71,7 +71,7 @@ def test_golden_run_is_byte_identical(name, tmp_path, capsys):
     program = CompiledProgram.from_document(doc)
     limits = {} if max_steps is None else {"max_steps": max_steps}
 
-    outcome = run_program(program, list(args), trace=True, **limits).outcome
+    outcome = run_program(program, list(args), **limits).outcome
     assert (outcome.status, outcome.final_clock, outcome.fault) == (status, clock, fault)
     assert _sha256(raster_csv(program.circuit, outcome.raster).encode()) == raster_sha
 
@@ -89,9 +89,10 @@ def _murec_run(name, doc, tmp_path, *options):
     circuit_path = tmp_path / f"{name}.circuit.json"
     circuit_path.write_text(json.dumps(doc))
     argv = ["run", str(circuit_path), *options]
-    inputs = sorted((p for p in doc["circuit"]["ports"] if p["role"] == "input"), key=lambda p: p["neuron"])
-    for port, value in zip(inputs, args):
-        argv += ["--in", f"{port['name']}={value}"]
+    # A port is [name, neuron, role]; arguments bind input ports in node-id order.
+    inputs = sorted((p for p in doc["circuit"]["ports"] if p[2] == "input"), key=lambda p: p[1])
+    for (name, _, _), value in zip(inputs, args):
+        argv += ["--in", f"{name}={value}"]
     if max_steps is not None:
         argv += ["--max-steps", str(max_steps)]
     return main(argv)
@@ -132,23 +133,23 @@ def _nest(depth):
 CIRCUIT_GOLDEN = {
     "add": (
         ADD,
-        "7d6bfe8ff74b7dc84fb6ea633af3fb95efe4aec06ecbaf8e64640ed836fef876",
-        "5d6c46c2b9f9d76fe23926a60212b77a675bb6e03437234650da6d0b874928d6",
+        "632066499e7fd7ef344a9b9ee20ace578dcd4aa42e248e6f7eecc4a149a2225f",
+        "c7efec25aaf5ef689c57e905f92c655c39cf4bfbbc9bfc5fca32aeb884f7120c",
     ),
     "mul": (
         MUL,
-        "fe590c65baf201c40bdf29e635a4109a163b688047b62c04b5a60bb4fa3104ab",
-        "0d92e5d3187b7a541ed4da5347baf8a4fdf4dccc3ade334dfb45e8eb7725781d",
+        "996bcda14a5811bd68db540cd522407dc72ba55ce2909d65d127cea190ce487f",
+        "ec083fcec6ff42db1657373539bf127d8e4ce0ceb42db7795a8a45a7ab939fbb",
     ),
     "mu_monus": (
         MU_MONUS,
-        "53fa16629d46aeef090b26ab21b56208a1e21e8ad07a91b824d90084ec59be7d",
-        "d96089ce07926585b5d8e35449697c154e196656f45dc3b5c1395fe3dd3e33fd",
+        "e82df699f2d0f42a89e217cfa43794d2d8b98a4e57a64e81f1fc1c58bb363bfb",
+        "79f209f34381d436fec9d087808023217a157766d685c2b0e084a323e01d0175",
     ),
     "nest3": (
         _nest(3),
-        "5eb3e3a962a92ae2ae1dc38c3370c8193c2d9d490c67bce026f43d101761a1f2",
-        "985b3a4d1d758bb93275e10232272d1ba29fb915c28dc129d1a890587c0734f4",
+        "65d4ce6e41bd17bedada78bdcbb9db2bf73c8c90f80d02cc707b9e2a9391029e",
+        "f8a9faeb232031df64e03e6a64fb2f252ebf4aa17c3e16e6970aa5fb9eeeac84",
     ),
 }
 
