@@ -345,47 +345,16 @@ def parse_json_document(text: str) -> dict[str, Any]:
     return doc
 
 
-# A gadget array is [id, kind, *fields]: each kind's fields, by an older file's object keys.
-_GADGET_FIELDS = {"const_emit": ("k",), "join": ("inputs", "outputs")}
+# A gadget array is [id, kind, *fields]: each kind's array width.
+_GADGET_FIELDS = {"const_emit": 3, "join": 4}
 
 
-def _gadget_fields(raw: dict[str, Any]) -> list[Any]:
-    kind = raw.get("kind")
-    keys = _GADGET_FIELDS.get(kind, ()) if type(kind) is str else ()
-    return [raw.get("id"), kind, *map(raw.get, keys)]
-
-
-# Files written before records were arrays hold each as an object keyed by
-# field name; a missing key is None (a missing leak is 0).
-_FIELDS_OF_OBJECT = {
-    "neurons": lambda raw: [raw.get("id"), raw.get("threshold"), raw.get("leak", 0)],
-    "synapses": lambda raw: [raw.get("pre"), raw.get("post"), raw.get("weight"), raw.get("delay")],
-    "ports": lambda raw: [raw.get("name"), raw.get("neuron"), raw.get("role")],
-    "injections": lambda raw: [raw.get("neuron"), raw.get("value"), raw.get("time")],
-    "gadgets": _gadget_fields,
-}
-
-
-def _section(doc: dict[str, Any], key: str) -> list[Any]:
-    """A section's entries: arrays as written, or an older file's objects mapped to the same arrays.
-
-    The first entry sets the section's form; every entry must share it.
-    """
+def _records(doc: dict[str, Any], key: str, width: int | None = None) -> list[Any]:
+    """A section's records, each checked to be an array of ``width`` fields when a width is given."""
     raw = doc.get(key, [])
     if type(raw) is not list:
         raise ParseError(f"section {key!r} must be an array")
-    if raw and type(raw[0]) is dict:
-        if not {dict}.issuperset(map(type, raw)):
-            index = next(i for i, entry in enumerate(raw) if type(entry) is not dict)
-            raise ParseError(f"{key}[{index}] must be an object, as {key}[0] is")
-        return list(map(_FIELDS_OF_OBJECT[key], raw))
-    return raw
-
-
-def _records(doc: dict[str, Any], key: str, width: int) -> list[list[Any]]:
-    """A section of fixed-width records, each checked to be an array of ``width`` fields."""
-    raw = _section(doc, key)
-    if not ({list}.issuperset(map(type, raw)) and {width}.issuperset(map(len, raw))):
+    if width is not None and not ({list}.issuperset(map(type, raw)) and {width}.issuperset(map(len, raw))):
         index = next(i for i, entry in enumerate(raw) if type(entry) is not list or len(entry) != width)
         raise ParseError(f"{key}[{index}] must be an array of {width} fields")
     return raw
@@ -395,11 +364,11 @@ def _gadget(index: int, raw: Any) -> NativeGadget:
     if type(raw) is not list or len(raw) < 2:
         raise ParseError(f"gadgets[{index}] must be an array [id, kind, ...]")
     kind = raw[1]
-    fields = _GADGET_FIELDS.get(kind) if type(kind) is str else None
-    if fields is None:
+    width = _GADGET_FIELDS.get(kind) if type(kind) is str else None
+    if width is None:
         raise ParseError(f"gadgets[{index}]: unknown gadget kind {kind!r}")
-    if len(raw) != 2 + len(fields):
-        raise ParseError(f"gadgets[{index}] must be an array of {2 + len(fields)} fields")
+    if len(raw) != width:
+        raise ParseError(f"gadgets[{index}] must be an array of {width} fields")
     if kind == "const_emit":
         return ConstEmit(raw[0], raw[2])
     return Join(raw[0], _line_from_json(raw[2]), _line_from_json(raw[3]))
@@ -409,38 +378,26 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     """Build a Circuit from a parsed JSON document; absent sections default to empty.
 
     Each record is an array in its named tuple's field order (a gadget's is
-    ``[id, kind, *fields]``); a section of objects, as older files hold, is
-    first mapped to the same arrays.  The loader checks only that shape: a
-    section that is not an array, an entry of the other form than the
-    section's first, an array of the wrong width or an unknown gadget kind
-    raises ParseError naming the section and index.  Then it only maps JSON
-    to records: ``"inf"`` becomes :data:`INFINITE` and a join's arrays become
-    tuples.  Every field rule is :class:`Circuit`'s, so a field of the wrong
-    type or value raises the same InvalidCircuit as the record built in Python.
-    An older file's join also carries ``"n"``, which is not a record field: it
-    must equal the join's line count, as that serializer wrote it, or the
-    valid circuit is still refused with InvalidCircuit.
+    ``[id, kind, *fields]``).  The loader checks only that shape: a section
+    that is not an array, a record that is not an array of its width or an
+    unknown gadget kind raises ParseError naming the section and index.  Then
+    it only maps JSON to records: ``"inf"`` becomes :data:`INFINITE` and a
+    join's arrays become tuples.  Every field rule is :class:`Circuit`'s, so a
+    field of the wrong type or value raises the same InvalidCircuit as the
+    record built in Python.
     """
     # JSON null is not "inf": it reaches Circuit as the string "null", which Circuit refuses.
     neurons = [
         NeuronSpec(i, threshold, INFINITE if leak == "inf" else "null" if leak is None else leak)
         for i, threshold, leak in _records(doc, "neurons", 3)
     ]
-    synapses = list(map(SynapseSpec._make, _records(doc, "synapses", 4)))
-    ports = list(map(Port._make, _records(doc, "ports", 3)))
-    injections = list(map(Injection._make, _records(doc, "injections", 3)))
-    gadgets = [_gadget(index, raw) for index, raw in enumerate(_section(doc, "gadgets"))]
-    circuit = Circuit(neurons=neurons, synapses=synapses, ports=ports, injections=injections, gadgets=gadgets)
-    wrong = []
-    for g, raw in zip(gadgets, doc.get("gadgets", [])):
-        if type(raw) is not dict or type(g) is not Join:
-            continue
-        if type(raw.get("n")) is not int or raw["n"] != len(g.inputs):
-            shown = json.dumps(raw["n"]) if "n" in raw else "none"
-            wrong.append(f"join {g.id}: n must equal its line count {len(g.inputs)}, got {shown}")
-    if wrong:
-        raise InvalidCircuit(wrong)
-    return circuit
+    return Circuit(
+        neurons=neurons,
+        synapses=list(map(SynapseSpec._make, _records(doc, "synapses", 4))),
+        ports=list(map(Port._make, _records(doc, "ports", 3))),
+        injections=list(map(Injection._make, _records(doc, "injections", 3))),
+        gadgets=[_gadget(index, raw) for index, raw in enumerate(_records(doc, "gadgets"))],
+    )
 
 
 class CircuitBuilder:

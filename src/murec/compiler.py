@@ -110,7 +110,6 @@ def _wire_branches(
         "ret_fire": ret_fire,
         "ret_store": ret.store,
         "ret_out": ret.out,
-        "y_out": out,
     }
 
 
@@ -346,9 +345,7 @@ def _lower_mu(low: _Lowering, expr: Mu) -> Box:
         "probe": probe,
         "zero_det": is_zero,
         "nonzero_det": not_zero,
-        "f_out": f_box.output,
         **branches,
-        "succ_out": succ_out,
     }
     if state_join is not None:
         markers["state_join"] = state_join

@@ -253,8 +253,9 @@ DEFAULT_FUEL = 100_000
 
 def eval_oracle(expr: RecExpr, args: list[int], fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Big-step fueled evaluation; the ground truth for differential testing."""
-    if len(args) != check_arity(expr):
-        raise ArityError(f"expected {check_arity(expr)} arguments, got {len(args)}")
+    expected = check_arity(expr)
+    if len(args) != expected:
+        raise ArityError(f"expected {expected} arguments, got {len(args)}")
     for a in args:
         if a < 0:
             raise ValueError("arguments must be naturals")

@@ -46,7 +46,6 @@ class TriggerCell:
 
     store: int
     out: int
-    big_m: int
 
 
 def build_constant(b: CircuitBuilder, value: int, arity: int, at: int | None = None) -> Box:
@@ -168,4 +167,4 @@ def build_trigger_cell(b: CircuitBuilder, big_m: int) -> TriggerCell:
     replenish = b.add_const_emit(-big_m)
     b.add_synapse(store, replenish, 1, 0)
     b.add_synapse(replenish, out, 1, 0)
-    return TriggerCell(store=store, out=out, big_m=big_m)
+    return TriggerCell(store=store, out=out)

@@ -109,8 +109,8 @@ def assert_return_precedes_erase(raster, markers, require_fire=True):
 CELL_GAMMA = 2
 
 
-def cell_injections(cell, ops: list[tuple[str, int, int]]) -> list[Injection]:
-    """Turn a trigger cell's (kind, time, value) requests into injections.
+def cell_injections(cell, ops: list[tuple[str, int, int]], big_m: int) -> list[Injection]:
+    """Turn a trigger cell's (kind, time, value) requests into injections; a trigger delivers ``big_m``.
 
     Rejects two operations landing on the same timestep: simultaneous
     store/erase/trigger deliveries are outside the cell's contract.
@@ -125,7 +125,7 @@ def cell_injections(cell, ops: list[tuple[str, int, int]]) -> list[Injection]:
         elif kind == "erase":
             injections.append(Injection(cell.store, -value, time))
         elif kind == "trigger":
-            injections.append(Injection(cell.store, cell.big_m, time))
+            injections.append(Injection(cell.store, big_m, time))
         else:
             raise ValueError(f"unknown trigger cell operation {kind!r}")
     return injections
@@ -177,39 +177,3 @@ def built_circuits(draw, delays=st.integers(0, 4)):
     big_m = draw(st.sampled_from([3, 10, 40, 10**9]))  # small values make faults common
     return b.build(), big_m
 
-
-# Each record's object keys in an older file, in its array's field order; a
-# gadget's array is [id, kind, *fields], and a join's object also has "n".
-OLDER_KEYS = {
-    "neurons": ("id", "threshold", "leak"),
-    "synapses": ("pre", "post", "weight", "delay"),
-    "ports": ("name", "neuron", "role"),
-    "injections": ("neuron", "value", "time"),
-    "const_emit": ("id", "kind", "k"),
-    "join": ("id", "kind", "n", "inputs", "outputs"),
-}
-
-
-def older_circuit_document(doc):
-    """A circuit document of array records in the older form: one object per record, keyed by field.
-
-    The keys are in the order older serializers wrote them, so ``json.dumps(...,
-    indent=2)`` of the result is the text such a serializer gave.
-    """
-    older = {}
-    for section, records in doc.items():
-        if section == "gadgets":
-            older[section] = [
-                dict(zip(OLDER_KEYS["const_emit"], g)) if g[1] == "const_emit"
-                else dict(zip(OLDER_KEYS["join"], (g[0], g[1], len(g[2]), list(g[2]), list(g[3]))))
-                for g in records
-            ]
-        else:
-            older[section] = [dict(zip(OLDER_KEYS[section], record)) for record in records]
-    return older
-
-
-def older_program_document(program):
-    """``program.to_document()`` with its circuit block in the older object-record form."""
-    doc = program.to_document()
-    return {"circuit": older_circuit_document(doc["circuit"]), "meta": doc["meta"]}

@@ -175,7 +175,7 @@ def test_criterion_4_trigger_cell_protocol(capsys):
         def run_cell(ops):
             b = CircuitBuilder()
             cell = build_trigger_cell(b, big_m)
-            outcome = simulate(b.build(), extra_injections=tuple(cell_injections(cell, ops)))
+            outcome = simulate(b.build(), extra_injections=tuple(cell_injections(cell, ops, big_m)))
             return cell, [(e.time, e.value) for e in outcome.raster if e.neuron == cell.out]
 
         _, hits = run_cell([("store", 0, 7), ("trigger", 5, 0)])
@@ -200,7 +200,7 @@ def test_criterion_4_trigger_cell_protocol(capsys):
         b = CircuitBuilder()
         cell = build_trigger_cell(b, big_m)
         with pytest.raises(ValueError):
-            cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)])
+            cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)], big_m)
 
 
 def test_criterion_5_random_programs_match_the_interpreter(capsys):

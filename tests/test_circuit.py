@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PORT_NAME_CHARS, built_circuits, older_circuit_document
+from conftest import PORT_NAME_CHARS, built_circuits
 from murec import (
     INFINITE,
     Circuit,
@@ -428,12 +428,6 @@ def _malformed(message, mutate, error=ParseError):
     return mutate
 
 
-def _older(doc):
-    """``doc`` rewritten in place in the older object-record form, and returned."""
-    doc.update(older_circuit_document(doc))
-    return doc
-
-
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -461,12 +455,6 @@ def _older(doc):
         _malformed(
             "invalid circuit: gadgets[1].inputs must be a tuple of integers, got (0, 'a')",
             lambda doc: doc["gadgets"].append([99, "join", [0, "a"], [1, 2]]),
-            InvalidCircuit,
-        ),
-        # An older file's missing key is None.
-        _malformed(
-            "invalid circuit: synapses[3].delay must be an integer, got None",
-            lambda doc: _older(doc)["synapses"].append({"pre": 0, "post": 0, "weight": 1}),
             InvalidCircuit,
         ),
         # Fields that fail only the exact-type test: a bool or a float.
@@ -503,18 +491,18 @@ def _older(doc):
             lambda doc: doc["gadgets"].append([99, "join", [0, 1], [1, 2], 2]),  # an "n" has no place
         ),
         _malformed("gadgets[1]: unknown gadget kind ['join']", lambda doc: doc["gadgets"].append([99, ["join"], 0])),
-        # A section mixes the two forms: the first record sets the section's form.
+        # A record written as an object keyed by field name, wherever it stands.
         _malformed(
             "synapses[3] must be an array of 4 fields",
             lambda doc: doc["synapses"].append({"pre": 0, "post": 1, "weight": 1, "delay": 0}),
         ),
         _malformed(
-            "synapses[3] must be an object, as synapses[0] is",
-            lambda doc: _older(doc)["synapses"].append([0, 1, 1, 0]),
+            "synapses[0] must be an array of 4 fields",
+            lambda doc: doc["synapses"].insert(0, {"pre": 0, "post": 1, "weight": 1, "delay": 0}),
         ),
         _malformed(
-            "gadgets[1]: unknown gadget kind 'teleporter'",
-            lambda doc: _older(doc)["gadgets"].append({"id": 99, "kind": "teleporter"}),
+            "gadgets[0] must be an array [id, kind, ...]",
+            lambda doc: doc["gadgets"].insert(0, {"id": 99, "kind": "teleporter"}),
         ),
     ],
 )
@@ -534,43 +522,10 @@ def test_circuit_from_document_defaults_missing_sections_to_empty():
 def test_a_null_leak_is_refused_not_read_as_infinite():
     # INFINITE is None in Python, but a file spells it "inf"; JSON null is a bad field.
     doc = parse_json_document(_sample_circuit().serialize())
-    older = older_circuit_document(doc)
     doc["neurons"][0][2] = None
-    older["neurons"][0]["leak"] = None
-    for form in (doc, older):
-        with pytest.raises(InvalidCircuit) as err:
-            circuit_from_document(form)
-        assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'null'"]
-
-
-def test_an_older_files_neuron_without_a_leak_has_leak_0():
-    doc = older_circuit_document(parse_json_document(_sample_circuit().serialize()))
-    assert doc["neurons"][2] == {"id": 3, "threshold": 0, "leak": 4}
-    del doc["neurons"][2]["leak"]
-    assert circuit_from_document(doc).neurons[2] == NeuronSpec(3, 0, 0)
-
-
-# An older file's join has an "n", its line count as that serializer wrote
-# it; a file whose "n" disagrees, or has none, is refused.  JSON spells each
-# bad value as shown.
-_BAD_JOIN_N = [(1.5, "1.5"), (True, "true"), ("x", '"x"'), (None, "null"), ([1], "[1]"), (3, "3"), (KeyError, "none")]
-
-
-@pytest.mark.parametrize("n, shown", _BAD_JOIN_N, ids=[shown for _, shown in _BAD_JOIN_N])
-def test_a_join_n_other_than_its_line_count_is_refused(n, shown):
-    b = CircuitBuilder()
-    a, c = b.add_neuron(0), b.add_neuron(0)
-    join = b.add_join([a, c], [c, a])
-    doc = older_circuit_document(parse_json_document(b.build().serialize()))
-    assert doc["gadgets"][0]["n"] == 2
-    assert circuit_from_document(doc) == b.build()
-    if n is KeyError:
-        del doc["gadgets"][0]["n"]
-    else:
-        doc["gadgets"][0]["n"] = n
     with pytest.raises(InvalidCircuit) as err:
         circuit_from_document(doc)
-    assert err.value.violations == [f"join {join}: n must equal its line count 2, got {shown}"]
+    assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'null'"]
 
 
 def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
@@ -624,26 +579,21 @@ def test_the_builder_and_the_loader_refuse_a_bad_field_alike(drawn, data):
     bad = data.draw(st.sampled_from([1.0, True, "x", "", None]))
     assume(not (field == "leak" and bad is None))  # INFINITE in Python; the null test covers the file
     doc = circuit.to_document()
-    older = older_circuit_document(doc)
     position = record._fields.index(field)
     if section == "gadgets" and position:  # a gadget's array holds its kind after its id
         position += 1
-    key = "k" if (type(record), field) == (ConstEmit, "value") else field  # a const_emit's value is its "k"
     if field in ("inputs", "outputs") and data.draw(st.booleans()):  # one line endpoint instead
         line = list(getattr(record, field))
         line[data.draw(st.integers(0, len(line) - 1))] = bad
         records[index] = record._replace(**{field: tuple(line)})
         doc[section][index][position] = line
-        older[section][index][key] = line
     else:
         records[index] = record._replace(**{field: bad})
         doc[section][index][position] = bad
-        older[section][index][key] = bad
     sections = {name: getattr(circuit, name) for name in SECTIONS}
     sections[section] = records
     built = _outcome(lambda: Circuit(**sections))
     assert _outcome(lambda: circuit_from_document(doc)) == built
-    assert _outcome(lambda: circuit_from_document(older)) == built
     if not (field == "name" and bad == "x"):  # "x" is a good port name; "" is not
         assert isinstance(built, list)
 
@@ -661,9 +611,6 @@ def test_roundtrip_property(drawn):
     again = Circuit.deserialize(text)
     assert again == circuit
     assert again.serialize() == text
-    # The same circuit in an older file's object-record form loads the same.
-    older = json.dumps(older_circuit_document(parse_json_document(text)), indent=2)
-    assert Circuit.deserialize(older) == again
 
 
 def _reference_circuit_json(doc, indent=""):

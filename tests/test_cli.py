@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADD_REC, MONUS_REC, older_circuit_document
+from conftest import ADD_REC, MONUS_REC
 import murec
 from murec import (
     CircuitBuilder,
@@ -217,7 +217,7 @@ def test_a_file_with_the_older_meta_ports_runs_like_the_new_one(add_circuit, tmp
     # Earlier versions copied the circuit's ports into meta.ports and its
     # counts into meta.stats; loading ignores both, whatever they hold.
     old = json.loads(add_circuit.read_text())
-    circuit = old["circuit"] = older_circuit_document(old["circuit"])
+    circuit = old["circuit"]
     old["meta"] = {"ports": ports, **old["meta"]}
     old["meta"]["stats"] = {
         "neurons": len(circuit["neurons"]),
@@ -245,10 +245,9 @@ def test_an_older_nullary_file_needs_its_hidden_port_bound(tmp_path, capsys):
     capsys.readouterr()
     new = tmp_path / "c7.circuit.json"
     doc = json.loads(new.read_text())
-    doc["circuit"] = older_circuit_document(doc["circuit"])
-    (pulse,) = [inj for inj in doc["circuit"]["injections"] if inj["value"] == 0]
+    (pulse,) = [inj for inj in doc["circuit"]["injections"] if inj[1] == 0]
     doc["circuit"]["injections"].remove(pulse)
-    doc["circuit"]["ports"].insert(0, {"name": "x1", "neuron": pulse["neuron"], "role": "input"})
+    doc["circuit"]["ports"].insert(0, ["x1", pulse[0], "input"])
     doc["meta"] = {"ports": {"inputs": [], "output": "y", "dummy": ["x1"]}, **doc["meta"]}
     old = tmp_path / "old_c7.circuit.json"
     old.write_text(json.dumps(doc, indent=2))
@@ -394,26 +393,6 @@ def test_run_rejects_a_big_m_below_two(tmp_path, capsys, source, big_m):
     assert capsys.readouterr().err == f"error: meta.big_m must be at least 2, got {big_m}\n"
 
 
-@pytest.mark.parametrize("edit", [lambda k: k + 1, float, None], ids=["more", "float", "missing"])
-def test_run_rejects_a_join_n_other_than_its_line_count(add_circuit, capsys, edit):
-    # Only an older file's join has an "n".
-    doc = json.loads(add_circuit.read_text())
-    doc["circuit"] = older_circuit_document(doc["circuit"])
-    join = next(g for g in doc["circuit"]["gadgets"] if g["kind"] == "join")
-    k = len(join["inputs"])
-    assert join["n"] == k
-    if edit is None:
-        del join["n"]
-    else:
-        join["n"] = edit(k)
-    add_circuit.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
-    shown = "none" if edit is None else json.dumps(edit(k))
-    message = f"join {join['id']}: n must equal its line count {k}, got {shown}"
-    assert capsys.readouterr().err == f"error: invalid circuit: {message}\n"
-
-
 @pytest.mark.parametrize("line", ["input", "output"])
 @pytest.mark.parametrize("field, value", [("weight", 2), ("delay", 3)])
 def test_run_rejects_a_join_line_that_is_not_a_plain_wire(add_circuit, capsys, line, field, value):
@@ -463,6 +442,30 @@ def test_run_rejects_a_record_of_the_wrong_shape(add_circuit, capsys):
     add_circuit.write_text(json.dumps(doc))
     assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
     assert capsys.readouterr().err == "error: synapses[3] must be an array of 4 fields\n"
+
+
+def test_run_refuses_a_file_of_object_records(tmp_path, capsys):
+    # Files written before circuit records were arrays held each record as an
+    # object keyed by field name; `murec compile` on the source rebuilds them.
+    circuit = {
+        "neurons": [{"id": 0, "threshold": 0, "leak": 0}, {"id": 1, "threshold": 0, "leak": 0}],
+        "synapses": [{"pre": 0, "post": 1, "weight": 1, "delay": 0}],
+        "ports": [{"name": "x1", "neuron": 0, "role": "input"}, {"name": "y", "neuron": 1, "role": "output"}],
+    }
+    meta = {"latency": 2, "stats": {"trigger_cells": 0}, "big_m": 10**9, "instances": []}
+    path = tmp_path / "old.circuit.json"
+    path.write_text(json.dumps({"circuit": circuit, "meta": meta}, indent=2))
+    assert main(["run", str(path), "--in", "x1=3"]) == 1
+    assert capsys.readouterr() == ("", "error: neurons[0] must be an array of 3 fields\n")
+    # The same records as arrays run.
+    circuit = {
+        "neurons": [[0, 0, 0], [1, 0, 0]],
+        "synapses": [[0, 1, 1, 0]],
+        "ports": [["x1", 0, "input"], ["y", 1, "output"]],
+    }
+    path.write_text(json.dumps({"circuit": circuit, "meta": meta}, indent=2))
+    assert main(["run", str(path), "--in", "x1=3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "y=3"
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from conftest import (
     PRED,
     assert_return_precedes_erase,
     engine_run,
-    older_program_document,
 )
 from murec import (
     ArityError,
@@ -460,10 +459,8 @@ def test_compiled_program_roundtrip(compiled_add):
 def test_a_file_with_the_older_meta_keys_still_runs(compiled_add):
     # Compiled files once also carried meta.arity, meta.markers (the
     # top-level loop's marker ids) and meta.conventions; loading ignores them.
-    # Those files held each circuit record as an object.
     doc = compiled_add.to_document()
-    old = older_program_document(compiled_add)
-    assert {type(record) for record in old["circuit"]["neurons"]} == {dict}
+    old = copy.deepcopy(doc)
     old["meta"]["arity"] = 2
     old["meta"]["markers"] = dict(old["meta"]["instances"][-1])
     old["meta"]["conventions"] = {

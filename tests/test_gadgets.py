@@ -197,7 +197,7 @@ def test_projection_reuse_once_the_selected_hold_has_cleared():
 def _run_cell(ops):
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell_injections(cell, ops))
+    plan = tuple(cell_injections(cell, ops, BIG_M))
     outcome = simulate(b.build(), extra_injections=plan)
     return b, cell, outcome
 
@@ -239,7 +239,7 @@ def test_three_reuse_cycles_spaced_at_least_gamma_apart():
 def test_negative_offset_replenishes_within_gamma():
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell_injections(cell, [("store", 0, 7), ("trigger", 5, 0)]))
+    plan = tuple(cell_injections(cell, [("store", 0, 7), ("trigger", 5, 0)], BIG_M))
     engine = Engine(b.build(), extra_injections=plan)
     engine.run()
     assert engine.inspect(cell.store) == 0
@@ -250,17 +250,17 @@ def test_plan_rejects_operations_sharing_a_timestep():
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
     with pytest.raises(ValueError):
-        cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)])
+        cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)], BIG_M)
     with pytest.raises(ValueError):
-        cell_injections(cell, [("nudge", 3, 7)])
+        cell_injections(cell, [("nudge", 3, 7)], BIG_M)
 
 
 def test_two_cells_in_one_circuit_stay_independent():
     b = CircuitBuilder()
     first = build_trigger_cell(b, BIG_M)
     second = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell_injections(first, [("store", 0, 7), ("trigger", 5, 0)])) + tuple(
-        cell_injections(second, [("store", 1, 11), ("trigger", 8, 0)])
+    plan = tuple(cell_injections(first, [("store", 0, 7), ("trigger", 5, 0)], BIG_M)) + tuple(
+        cell_injections(second, [("store", 1, 11), ("trigger", 8, 0)], BIG_M)
     )
     outcome = simulate(b.build(), extra_injections=plan)
     assert _spikes_of(outcome, first.out) == [(6, 7)]

@@ -134,22 +134,22 @@ CIRCUIT_GOLDEN = {
     "add": (
         ADD,
         "632066499e7fd7ef344a9b9ee20ace578dcd4aa42e248e6f7eecc4a149a2225f",
-        "c7efec25aaf5ef689c57e905f92c655c39cf4bfbbc9bfc5fca32aeb884f7120c",
+        "e6a713ee666bb5509c619fea6cc0c0378a30824aba9be2997048d5ab9c8204a5",
     ),
     "mul": (
         MUL,
         "996bcda14a5811bd68db540cd522407dc72ba55ce2909d65d127cea190ce487f",
-        "ec083fcec6ff42db1657373539bf127d8e4ce0ceb42db7795a8a45a7ab939fbb",
+        "9a97ff6248f05b7ae55336527ad5672308c9d5118a2c154c3c0ba668d9a5b9dc",
     ),
     "mu_monus": (
         MU_MONUS,
         "e82df699f2d0f42a89e217cfa43794d2d8b98a4e57a64e81f1fc1c58bb363bfb",
-        "79f209f34381d436fec9d087808023217a157766d685c2b0e084a323e01d0175",
+        "6abb645b74df77b7746c774fe146451eceda0074832b33406f97f5e28b78b20b",
     ),
     "nest3": (
         _nest(3),
         "65d4ce6e41bd17bedada78bdcbb9db2bf73c8c90f80d02cc707b9e2a9391029e",
-        "f8a9faeb232031df64e03e6a64fb2f252ebf4aa17c3e16e6970aa5fb9eeeac84",
+        "cb4481481a1891ea6a2f0c80287253bb468aebddb2680a19cfa4065561dd3537",
     ),
 }
 
