@@ -70,9 +70,10 @@ class Join(NamedTuple):
 
     Line ``m`` runs from ``inputs[m]`` through the join to ``outputs[m]``
     over two plain wires (weight 1, delay 0, as :meth:`Circuit.validate`
-    requires).  It buffers at most one value per step (a later step
-    overwrites it).  At the timestep the last empty line fills, every line
-    passes its buffered value on unchanged, and all buffers clear.
+    requires); both ends are neurons or constant emitters, never joins.  It
+    buffers at most one value per step (a later step overwrites it).  At the
+    timestep the last empty line fills, every line passes its buffered value
+    on unchanged, and all buffers clear.
     """
 
     id: int
@@ -239,11 +240,11 @@ class Circuit:
                 violations.append(f"join {g.id}: input lines must be distinct")
             if len(set(g.outputs)) != len(g.outputs):
                 violations.append(f"join {g.id}: output lines must be distinct")
-            if g.id in g.inputs or g.id in g.outputs:
-                violations.append(f"join {g.id}: may not be its own line endpoint")
             for node in (*g.inputs, *g.outputs):
                 if node not in known:
                     violations.append(f"join {g.id}: unknown line endpoint {node}")
+                elif node in joins:
+                    violations.append(f"join {g.id}: line endpoint {node} is a join")
             for src in g.inputs:
                 if src not in sources[g.id]:
                     violations.append(f"join {g.id}: line source {src} has no synapse")

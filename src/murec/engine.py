@@ -93,7 +93,7 @@ class RunOutcome:
     spikes: list[tuple[int, int, int]]
     fault: Fault | None = None
     # The trace's other inputs: the plan, each accepted injection as
-    # (raster length then, neuron, value, time), and the last step run.
+    # (raster length then, neuron, value, time), the last step run, its last work key.
     _trace_inputs: tuple = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -104,7 +104,7 @@ class RunOutcome:
     @cached_property
     def trace(self) -> list[Delivery]:
         """Every delivery that arrived, by ``(time, target)``, then in arrival order."""
-        return _trace(*self._trace_inputs, self.spikes, self.fault)
+        return _trace(*self._trace_inputs, self.spikes)
 
     def spikes_of(self, node: int) -> list[SpikeEvent]:
         """One node's spikes, as in the raster, without building the raster."""
@@ -121,11 +121,11 @@ class _Plan(NamedTuple):
     ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1,
     line)`` in post order, where ``line`` is the edge's line index when
     ``post`` is a join and None otherwise; ``joins[j]`` is, for a join ``j``,
-    each line's ``(target key, line)`` (lines are plain wires, so weight 1 and
-    delay 0), and None for any other node.  ``span`` is the size of an
-    engine's ring: the smallest power of two above the largest transit
-    ``delay + 1`` (so at least 2, as a const emitter's fire and a join's flush
-    need), capped at ``_RING_CAP``.
+    each line's target key (lines are plain wires, so weight 1 and delay 0,
+    and never end at a join), and None for any other node.  ``span`` is the
+    size of an engine's ring: the smallest power of two above the largest
+    transit ``delay + 1`` (so at least 2, as a const emitter's fire and a
+    join's flush need), capped at ``_RING_CAP``.
     """
 
     kind: tuple[int, ...]
@@ -133,7 +133,7 @@ class _Plan(NamedTuple):
     leak: tuple[float, ...]  # INFINITE is float("inf"): retained forever
     const: tuple[int, ...]
     out: tuple[tuple[tuple[int, int, int, int | None], ...], ...]
-    joins: tuple[tuple[tuple[int, int | None], ...] | None, ...]
+    joins: tuple[tuple[int, ...] | None, ...]
     join_ids: tuple[int, ...]
     span: int
 
@@ -165,7 +165,7 @@ def _build_plan(circuit: Circuit) -> _Plan:
         out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
     joins: list = [None] * n
     for g in joined:
-        joins[g.id] = tuple((2 * dst + 1, None if line_of[dst] is None else line_of[dst][g.id]) for dst in g.outputs)
+        joins[g.id] = tuple(2 * dst + 1 for dst in g.outputs)
     transit = max(map(itemgetter(3), circuit.synapses), default=0) + 1  # the longest delay, plus 1
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
@@ -213,7 +213,7 @@ class Engine:
     ``t + span`` moves into the ring.
 
     No delivery is recorded: :attr:`RunOutcome.trace` derives them from the
-    raster, the plan and the accepted injections.
+    raster, the plan, the accepted injections and where a fault stopped.
     """
 
     def __init__(
@@ -237,6 +237,7 @@ class Engine:
         self._ring: list[dict[int, int | dict[int, int] | None]] = [{} for _ in range(plan.span)]
         self._overflow: list[tuple[int, int, int]] = []
         self._injected: list[tuple[int, int, int, int]] = []  # (len(raster), neuron, value, time)
+        self._cut = 2 * n  # the last key of the last step run: all of it, until a fault
         for inj in (*circuit.injections, *extra_injections):
             self.add_injection(inj.neuron, inj.value, inj.time)
 
@@ -346,7 +347,7 @@ class Engine:
                     if k == _NEURON:
                         v = batch[key] + (held[node] if t <= until[node] else 0)
                         if not lo <= v <= hi:
-                            return self._stop(t, node, v)
+                            return self._stop(t, node, v, key)
                         if v < threshold[node]:
                             held[node] = v
                             until[node] = t + leak[node]
@@ -365,13 +366,10 @@ class Engine:
                         if len(lines) < len(posts):
                             continue
                         nxt = ring[(t + 1) & mask]
-                        for m, (post, line) in enumerate(posts):
+                        for m, post in enumerate(posts):
                             x = lines[m]
                             record((t, node, x))
-                            if line is None:
-                                nxt[post] = nxt.get(post, 0) + x
-                            else:  # a line into another join
-                                nxt.setdefault(post, {})[line] = x
+                            nxt[post] = nxt.get(post, 0) + x
                         lines.clear()
                         continue
                 # A neuron spike or a const-emit fire: fan out along every
@@ -381,7 +379,7 @@ class Engine:
                 for post, w, d1, line in out[node]:
                     p = w * v
                     if not lo <= p <= hi:
-                        return self._stop(t, post >> 1, p)
+                        return self._stop(t, post >> 1, p, key)
                     if line is not None:  # a join line: weight 1, delay 0
                         nxt = ring[(t + 1) & mask]
                         inbox = nxt.get(post)
@@ -401,13 +399,15 @@ class Engine:
             self._open = ran + 1
         return ran
 
-    def _stop(self, time: int, node: int, value: int) -> int:
+    def _stop(self, time: int, node: int, value: int, key: int) -> int:
         """Record the fault for a value outside the run's bound; overflow wins.
 
-        Dropping the pending work makes the fault terminal.
+        Dropping the pending work makes the fault terminal; ``key``, the work
+        the step stopped at, is where the trace ends.
         """
         kind = "magnitude_breach" if INT63_MIN <= value <= INT63_MAX else "overflow"
         self.fault = Fault(kind, time, node, value)
+        self._cut = key
         self.clock = time
         self._open = time + 1
         for slot in self._ring:
@@ -417,21 +417,17 @@ class Engine:
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:
         # Copies: a later run of this engine appends to its records.
-        trace_inputs = (self._plan, self._injected.copy(), self._open - 1)
+        trace_inputs = (self._plan, self._injected.copy(), self._open - 1, self._cut)
         return RunOutcome(status, final_clock, self.raster.copy(), self.fault, trace_inputs)
 
 
-def _trace(plan: _Plan, injected: list, last: int, spikes: list, fault: Fault | None) -> list[Delivery]:
-    """Every delivery through step ``last``: each spike's fan-out, each flushed line, each injection.
+def _trace(plan: _Plan, injected: list, last: int, cut: int, spikes: list) -> list[Delivery]:
+    """Every delivery through work key ``cut`` of step ``last``: each fan-out, flushed line and injection.
 
     Rows sort by arrival, target, then a unique emission position (so no sort
     key is built): with ``m`` one more than the number of injections, the
     ``i``-th injection, accepted while the raster held ``r`` spikes, is at
     ``r·m + i``, and spike ``r`` (from 0) after those, at ``r·m + m - 1``.
-    A fault's step ends after the work that faulted: if the last spike, at
-    that step, sent ``fault.value`` to ``fault.node`` (a clean send never
-    carries a value out of bound), after the spiker's arrivals, or before them
-    for a const emitter, whose fire runs first; else after ``fault.node``'s.
     """
     kind, out, joins = plan.kind, plan.out, plan.joins
     m = len(injected) + 1
@@ -443,14 +439,9 @@ def _trace(plan: _Plan, injected: list, last: int, spikes: list, fault: Fault | 
             rows += [(t + d1, post, at, s, w * v) for post, w, d1, _ in out[s]]
         else:
             line = line + 1 if r and spikes[r - 1][:2] == (t, s) else 0
-            rows.append((t + 1, joins[s][line][0], at, s, v))
-    end = 2 * len(kind)  # all of step `last`
-    if fault is not None:
-        t, s, v = spikes[-1] if spikes else (None, 0, 0)
-        sent = t == fault.time and (2 * fault.node + 1, fault.value) in [(post, w * v) for post, w, _, _ in out[s]]
-        end = 2 * s + (kind[s] == _NEURON) if sent else 2 * fault.node + 1
+            rows.append((t + 1, joins[s][line], at, s, v))
     rows.sort()
-    del rows[bisect_left(rows, (last, end + 1)):]  # keep (time, key) <= (last, end)
+    del rows[bisect_left(rows, (last, cut + 1)):]  # keep (time, key) <= (last, cut)
     for i, (time, key, _, source, value) in enumerate(rows):  # in place: a second list would double the peak
         rows[i] = Delivery(time, key >> 1, source, value)
     return rows

@@ -109,25 +109,22 @@ def assert_return_precedes_erase(raster, markers, require_fire=True):
 CELL_GAMMA = 2
 
 
-def cell_injections(cell, ops: list[tuple[str, int, int]], big_m: int) -> list[Injection]:
-    """Turn a trigger cell's (kind, time, value) requests into injections; a trigger delivers ``big_m``.
+def cell_injections(cell, ops: list[tuple[str, int, int]]) -> list[Injection]:
+    """Turn a trigger cell's (kind, time, value) requests into injections into its store.
 
-    Rejects two operations landing on the same timestep: simultaneous
-    store/erase/trigger deliveries are outside the cell's contract.
+    A store delivers its value, an erase the value's negation and a trigger
+    its value, the cell's ℳ.  Rejects two operations landing on the same
+    timestep: simultaneous store/erase/trigger deliveries are outside the
+    cell's contract.
     """
     times = [t for _, t, _ in ops]
     if len(set(times)) != len(times):
         raise ValueError("trigger cell operations must not share a timestep")
     injections = []
     for kind, time, value in ops:
-        if kind == "store":
-            injections.append(Injection(cell.store, value, time))
-        elif kind == "erase":
-            injections.append(Injection(cell.store, -value, time))
-        elif kind == "trigger":
-            injections.append(Injection(cell.store, big_m, time))
-        else:
+        if kind not in ("store", "erase", "trigger"):
             raise ValueError(f"unknown trigger cell operation {kind!r}")
+        injections.append(Injection(cell.store, -value if kind == "erase" else value, time))
     return injections
 
 

@@ -175,23 +175,23 @@ def test_criterion_4_trigger_cell_protocol(capsys):
         def run_cell(ops):
             b = CircuitBuilder()
             cell = build_trigger_cell(b, big_m)
-            outcome = simulate(b.build(), extra_injections=tuple(cell_injections(cell, ops, big_m)))
+            outcome = simulate(b.build(), extra_injections=tuple(cell_injections(cell, ops)))
             return cell, [(e.time, e.value) for e in outcome.raster if e.neuron == cell.out]
 
-        _, hits = run_cell([("store", 0, 7), ("trigger", 5, 0)])
+        _, hits = run_cell([("store", 0, 7), ("trigger", 5, big_m)])
         assert hits == [(6, 7)]
 
-        _, hits = run_cell([("store", 0, 7), ("erase", 2, 7), ("trigger", 5, 0)])
+        _, hits = run_cell([("store", 0, 7), ("erase", 2, 7), ("trigger", 5, big_m)])
         assert hits == [(6, 0)]
 
         cell, hits = run_cell(
             [
                 ("store", 0, 7),
-                ("trigger", 5, 0),
+                ("trigger", 5, big_m),
                 ("store", 10, 9),
-                ("trigger", 13, 0),
+                ("trigger", 13, big_m),
                 ("store", 20, 4),
-                ("trigger", 23, 0),
+                ("trigger", 23, big_m),
             ]
         )
         assert hits == [(6, 7), (14, 9), (24, 4)]
@@ -200,7 +200,7 @@ def test_criterion_4_trigger_cell_protocol(capsys):
         b = CircuitBuilder()
         cell = build_trigger_cell(b, big_m)
         with pytest.raises(ValueError):
-            cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)], big_m)
+            cell_injections(cell, [("store", 3, 7), ("trigger", 3, big_m)])
 
 
 def test_criterion_5_random_programs_match_the_interpreter(capsys):

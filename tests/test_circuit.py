@@ -119,6 +119,7 @@ def test_builder_join_requires_two_distinct_lines():
             ([0, 99], [1, 2]),
             ["synapse (99, 4): unknown endpoint", "join 4: unknown line endpoint 99"],
         ),
+        (([0, 4], [1, 2]), ["join 4: line endpoint 4 is a join", "join 4: synapse to unlisted target 4"]),
     ]
     for (inputs, outputs), expected in cases:
         b = CircuitBuilder()
@@ -323,6 +324,19 @@ def test_a_join_line_must_be_a_plain_wire():
         "join 7: synapse (3, 7) must have weight 1 and delay 0",
         "join 7: synapse (7, 5) must have weight 1 and delay 0",
     ]
+
+
+def test_a_join_line_may_not_end_at_a_join():
+    # Synapse (4, 5) is join 4's first output line and join 5's first input
+    # line at once; the builder cannot write it, as each add_join adds its own.
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(i, 0, 0) for i in range(4)],
+            synapses=[SynapseSpec(pre, post, 1, 0) for pre, post in [(0, 4), (1, 4), (2, 5), (4, 2), (4, 5), (5, 0), (5, 3)]],
+            injections=[Injection(0, 1, 0), Injection(1, 2, 0)],
+            gadgets=[Join(4, (0, 1), (5, 2)), Join(5, (4, 2), (3, 0))],
+        )
+    assert err.value.violations == ["join 4: line endpoint 5 is a join", "join 5: line endpoint 4 is a join"]
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,39 @@ def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
     assert "input port on join" in capsys.readouterr().err
 
 
+def test_run_rejects_a_join_line_that_ends_at_a_join(tmp_path, capsys):
+    # Synapse (4, 5) serves as join 4's output line and join 5's input line.
+    circuit = {
+        "neurons": [[i, 0, 0] for i in range(4)],
+        "synapses": [[pre, post, 1, 0] for pre, post in [(0, 4), (1, 4), (2, 5), (4, 2), (4, 5), (5, 0), (5, 3)]],
+        "injections": [[0, 1, 0], [1, 2, 0]],
+        "gadgets": [[4, "join", [0, 1], [5, 2]], [5, "join", [4, 2], [3, 0]]],
+    }
+    path = tmp_path / "joins.circuit.json"
+    path.write_text(json.dumps({"circuit": circuit, "meta": {"big_m": 10**9}}))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid circuit: join 4: line endpoint 5 is a join; join 5: line endpoint 4 is a join\n"
+    )
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ([], "circuit document must be a JSON object"),
+        ({"circuit": {}}, "compiled program document needs circuit and meta blocks"),
+        ({"circuit": [], "meta": {"big_m": 10}}, "circuit block must be an object"),
+        ({"circuit": {}, "meta": []}, "meta block must be an object"),
+    ],
+    ids=["array", "no_meta", "circuit_array", "meta_array"],
+)
+def test_run_rejects_a_document_of_the_wrong_shape(tmp_path, capsys, doc, message):
+    path = tmp_path / "shape.circuit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_run_rejects_a_structurally_invalid_circuit_file(add_circuit, capsys):
     doc = json.loads(add_circuit.read_text())
     doc["circuit"]["synapses"].append([0, 10**6, 1, 0])

@@ -197,26 +197,26 @@ def test_projection_reuse_once_the_selected_hold_has_cleared():
 def _run_cell(ops):
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell_injections(cell, ops, BIG_M))
+    plan = tuple(cell_injections(cell, ops))
     outcome = simulate(b.build(), extra_injections=plan)
     return b, cell, outcome
 
 
 def test_store_then_trigger_emits_the_value_one_step_later():
-    _, cell, outcome = _run_cell([("store", 0, 7), ("trigger", 5, 0)])
+    _, cell, outcome = _run_cell([("store", 0, 7), ("trigger", 5, BIG_M)])
     assert _spikes_of(outcome, cell.out) == [(6, 7)]
 
 
 def test_erase_cancels_a_store():
     _, cell, outcome = _run_cell(
-        [("store", 0, 7), ("erase", 2, 7), ("trigger", 5, 0)]
+        [("store", 0, 7), ("erase", 2, 7), ("trigger", 5, BIG_M)]
     )
     assert _spikes_of(outcome, cell.out) == [(6, 0)]
 
 
 def test_stores_accumulate_until_triggered():
     _, cell, outcome = _run_cell(
-        [("store", 0, 3), ("store", 2, 4), ("trigger", 5, 0)]
+        [("store", 0, 3), ("store", 2, 4), ("trigger", 5, BIG_M)]
     )
     assert _spikes_of(outcome, cell.out) == [(6, 7)]
 
@@ -224,11 +224,11 @@ def test_stores_accumulate_until_triggered():
 def test_three_reuse_cycles_spaced_at_least_gamma_apart():
     ops = [
         ("store", 0, 7),
-        ("trigger", 5, 0),
+        ("trigger", 5, BIG_M),
         ("store", 10, 9),
-        ("trigger", 13, 0),
+        ("trigger", 13, BIG_M),
         ("store", 20, 4),
-        ("trigger", 23, 0),
+        ("trigger", 23, BIG_M),
     ]
     triggers, stores = [t for kind, t, _ in ops if kind == "trigger"], [t for kind, t, _ in ops if kind == "store"]
     assert all(store - trigger >= CELL_GAMMA for trigger, store in zip(triggers, stores[1:]))
@@ -239,7 +239,7 @@ def test_three_reuse_cycles_spaced_at_least_gamma_apart():
 def test_negative_offset_replenishes_within_gamma():
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell_injections(cell, [("store", 0, 7), ("trigger", 5, 0)], BIG_M))
+    plan = tuple(cell_injections(cell, [("store", 0, 7), ("trigger", 5, BIG_M)]))
     engine = Engine(b.build(), extra_injections=plan)
     engine.run()
     assert engine.inspect(cell.store) == 0
@@ -250,17 +250,17 @@ def test_plan_rejects_operations_sharing_a_timestep():
     b = CircuitBuilder()
     cell = build_trigger_cell(b, BIG_M)
     with pytest.raises(ValueError):
-        cell_injections(cell, [("store", 3, 7), ("trigger", 3, 0)], BIG_M)
+        cell_injections(cell, [("store", 3, 7), ("trigger", 3, BIG_M)])
     with pytest.raises(ValueError):
-        cell_injections(cell, [("nudge", 3, 7)], BIG_M)
+        cell_injections(cell, [("nudge", 3, 7)])
 
 
 def test_two_cells_in_one_circuit_stay_independent():
     b = CircuitBuilder()
     first = build_trigger_cell(b, BIG_M)
     second = build_trigger_cell(b, BIG_M)
-    plan = tuple(cell_injections(first, [("store", 0, 7), ("trigger", 5, 0)], BIG_M)) + tuple(
-        cell_injections(second, [("store", 1, 11), ("trigger", 8, 0)], BIG_M)
+    plan = tuple(cell_injections(first, [("store", 0, 7), ("trigger", 5, BIG_M)])) + tuple(
+        cell_injections(second, [("store", 1, 11), ("trigger", 8, BIG_M)])
     )
     outcome = simulate(b.build(), extra_injections=plan)
     assert _spikes_of(outcome, first.out) == [(6, 7)]
