@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import eq, is_, itemgetter
 from typing import Any, Iterable, NamedTuple, Union
 
 from .errors import InvalidCircuit, ParseError
@@ -96,6 +96,22 @@ _FIELD_TYPES = {
     "inputs": _LINE,
     "outputs": _LINE,
 }
+
+
+def _make(record: type, rows: Iterable) -> list:
+    """``record`` of each row, each row holding its fields in order.
+
+    ``tuple.__new__`` makes each record in C, where ``record._make`` would
+    pay a Python call per row.
+    """
+    return list(map(tuple.__new__, repeat(record), rows))
+
+
+def _same_wires(synapses: Iterable[SynapseSpec], pre: Iterable[int], post: Iterable[int]) -> bool:
+    """Whether the synapses, all distinct, are the wires ``(pre, post, 1, 0)``, one per line."""
+    wires = list(zip(pre, post, repeat(1), repeat(0)))
+    found = set(synapses)
+    return len(found) == len(wires) and found == set(wires)
 
 
 def _line_from_json(raw: Any) -> Any:
@@ -176,7 +192,69 @@ class Circuit:
         return violations
 
     def validate(self) -> list[str]:
-        """List every structural violation in canonical order (construction raises on any)."""
+        """List every structural violation in canonical order (construction raises on any).
+
+        Whole-column tests, run in C, recognise a valid circuit; only a circuit
+        that fails one pays for the per-record pass that writes the messages.
+        """
+        return [] if self._columns_sound() else self._record_violations()
+
+    def _columns_sound(self) -> bool:
+        """Whether :meth:`_record_violations` lists nothing, decided one column at a time.
+
+        Fields are of the right type and sections in canonical order here, as
+        ``__post_init__`` made them.  Once the node ids are exactly
+        ``range(total)``, a node is known iff it lies in that range, so a min
+        and a max test a whole column; synapses are sorted by ``(pre, post)``,
+        so ``pre``'s ends bound it and a repeated pair is a repeat of the row before.
+        """
+        neurons, synapses, ports, injections, gadgets = (
+            self.neurons, self.synapses, self.ports, self.injections, self.gadgets
+        )
+        total = len(neurons) + len(gadgets)
+
+        def within(column) -> bool:
+            return min(column, default=0) >= 0 and max(column, default=-1) < total
+
+        ids, _, leaks = zip(*neurons) if neurons else ((),) * 3
+        if sorted([*ids, *map(itemgetter(0), gadgets)]) != list(range(total)):
+            return False
+        leaks = set(leaks)
+        leaks.discard(INFINITE)
+        pre, post, _, delay = zip(*synapses) if synapses else ((),) * 4
+        names, nodes, roles = zip(*ports) if ports else ((),) * 3
+        targets, _, times = zip(*injections) if injections else ((),) * 3
+        joins = list(compress(gadgets, map(is_, map(type, gadgets), repeat(Join))))
+        join_ids, sources, sinks = zip(*joins) if joins else ((),) * 3
+        joined = set(join_ids)
+        widths = list(map(len, sources))
+        # Each join's id once per line: the join end of its lines' wires.
+        at_join = list(chain.from_iterable(map(repeat, join_ids, widths)))
+        return (
+            min(leaks, default=0) >= 0
+            and within(pre[:1] + pre[-1:])
+            and within(post)
+            and min(delay, default=0) >= 0
+            and not any(map(eq, zip(pre, post), islice(zip(pre, post), 1, None)))
+            and len(set(names)) == len(names)
+            and all(map(("input", "output").__contains__, roles))
+            and within(nodes)
+            and joined.isdisjoint(compress(nodes, map(eq, roles, repeat("input"))))
+            and within(targets)
+            and joined.isdisjoint(targets)
+            and min(times, default=0) >= 0
+            and min(widths, default=2) >= 2
+            and widths == list(map(len, sinks))
+            and joined.isdisjoint(chain.from_iterable(sources + sinks))
+            # The synapses into and out of joins are exactly the lines' plain wires,
+            # one per line: so each join's sources are distinct, and so are its
+            # targets, and every line endpoint is a node the synapse tests placed.
+            and _same_wires(compress(synapses, map(joined.__contains__, post)), chain.from_iterable(sources), at_join)
+            and _same_wires(compress(synapses, map(joined.__contains__, pre)), at_join, chain.from_iterable(sinks))
+        )
+
+    def _record_violations(self) -> list[str]:
+        """Each record's violations, in canonical order: the one writer of every message."""
         violations: list[str] = []
         ids = sorted(self.node_ids())
         total = len(self.neurons) + len(self.gadgets)
@@ -389,14 +467,14 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     """
     # JSON null is not "inf": it reaches Circuit as the string "null", which Circuit refuses.
     neurons = [
-        NeuronSpec(i, threshold, INFINITE if leak == "inf" else "null" if leak is None else leak)
+        (i, threshold, INFINITE if leak == "inf" else "null" if leak is None else leak)
         for i, threshold, leak in _records(doc, "neurons", 3)
     ]
     return Circuit(
-        neurons=neurons,
-        synapses=list(map(SynapseSpec._make, _records(doc, "synapses", 4))),
-        ports=list(map(Port._make, _records(doc, "ports", 3))),
-        injections=list(map(Injection._make, _records(doc, "injections", 3))),
+        neurons=_make(NeuronSpec, neurons),
+        synapses=_make(SynapseSpec, _records(doc, "synapses", 4)),
+        ports=_make(Port, _records(doc, "ports", 3)),
+        injections=_make(Injection, _records(doc, "injections", 3)),
         gadgets=[_gadget(index, raw) for index, raw in enumerate(_records(doc, "gadgets"))],
     )
 
@@ -405,63 +483,57 @@ class CircuitBuilder:
     """Mutable recorder allocating one dense id space for all nodes.
 
     Its calls never raise: :meth:`build` makes the :class:`Circuit`, which checks every rule.
+    Neurons, synapses, ports and injections are kept as plain tuples in their
+    record's field order, and become records in :meth:`build`.
     """
 
     def __init__(self) -> None:
-        self._neurons: list[NeuronSpec] = []
+        self._neurons: list[tuple[int, int, int | None]] = []
         self._gadgets: list[NativeGadget] = []
-        self._synapses: list[SynapseSpec] = []
-        self._ports: list[Port] = []
-        self._injections: list[Injection] = []
-        self._next_id = 0
+        self._synapses: list[tuple[int, int, int, int]] = []
+        self._ports: list[tuple[str, int, str]] = []
+        self._injections: list[tuple[int, int, int]] = []
 
-    # -- nodes -----------------------------------------------------------
-
-    def _alloc(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
+    # -- nodes: the next id is the number of nodes so far -------------------
 
     def add_neuron(self, threshold: int, leak: int | None = 0) -> int:
-        nid = self._alloc()
-        self._neurons.append(NeuronSpec(nid, threshold, leak))
+        nid = len(self._neurons) + len(self._gadgets)
+        self._neurons.append((nid, threshold, leak))
         return nid
 
     def add_const_emit(self, value: int) -> int:
-        nid = self._alloc()
+        nid = len(self._neurons) + len(self._gadgets)
         self._gadgets.append(ConstEmit(nid, value))
         return nid
 
     def add_join(self, inputs: Iterable[int], outputs: Iterable[int]) -> int:
         ins = tuple(inputs)
         outs = tuple(outputs)
-        nid = self._alloc()
+        nid = len(self._neurons) + len(self._gadgets)
         self._gadgets.append(Join(nid, ins, outs))
         # Line synapses are plain wires, as Circuit.validate requires.
-        for src in ins:
-            self.add_synapse(src, nid, 1, 0)
-        for dst in outs:
-            self.add_synapse(nid, dst, 1, 0)
+        self._synapses += [(src, nid, 1, 0) for src in ins]
+        self._synapses += [(nid, dst, 1, 0) for dst in outs]
         return nid
 
     # -- edges, ports, plan ------------------------------------------------
 
     def add_synapse(self, pre: int, post: int, weight: int, delay: int = 0) -> None:
-        self._synapses.append(SynapseSpec(pre, post, weight, delay))
+        self._synapses.append((pre, post, weight, delay))
 
     def mark_port(self, neuron: int, role: str, name: str) -> None:
-        self._ports.append(Port(name, neuron, role))
+        self._ports.append((name, neuron, role))
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
-        self._injections.append(Injection(neuron, value, time))
+        self._injections.append((neuron, value, time))
 
     # -- finish ------------------------------------------------------------
 
     def build(self) -> Circuit:
         return Circuit(
-            neurons=self._neurons,
-            synapses=self._synapses,
-            ports=self._ports,
-            injections=self._injections,
+            neurons=_make(NeuronSpec, self._neurons),
+            synapses=_make(SynapseSpec, self._synapses),
+            ports=_make(Port, self._ports),
+            injections=_make(Injection, self._injections),
             gadgets=self._gadgets,
         )

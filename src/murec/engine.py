@@ -39,7 +39,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
-from .circuit import Circuit, ConstEmit
+from .circuit import Circuit, ConstEmit, _make
 from .errors import EmptyQueue, InvalidCircuit, UnknownNeuron
 
 INT63_MAX = 2**62 - 1
@@ -99,7 +99,7 @@ class RunOutcome:
     @cached_property
     def raster(self) -> list[SpikeEvent]:
         """Every spike as a :class:`SpikeEvent`, in raster order."""
-        return list(map(SpikeEvent._make, self.spikes))
+        return _make(SpikeEvent, self.spikes)
 
     @cached_property
     def trace(self) -> list[Delivery]:
@@ -108,7 +108,7 @@ class RunOutcome:
 
     def spikes_of(self, node: int) -> list[SpikeEvent]:
         """One node's spikes, as in the raster, without building the raster."""
-        return [SpikeEvent._make(spike) for spike in self.spikes if spike[1] == node]
+        return _make(SpikeEvent, [spike for spike in self.spikes if spike[1] == node])
 
     @property
     def quiescent(self) -> bool:
@@ -122,10 +122,11 @@ class _Plan(NamedTuple):
     line)`` in post order, where ``line`` is the edge's line index when
     ``post`` is a join and None otherwise; ``joins[j]`` is, for a join ``j``,
     each line's target key (lines are plain wires, so weight 1 and delay 0,
-    and never end at a join), and None for any other node.  ``span`` is the
-    size of an engine's ring: the smallest power of two above the largest
-    transit ``delay + 1`` (so at least 2, as a const emitter's fire and a
-    join's flush need), capped at ``_RING_CAP``.
+    and never end at a join), and None for any other node.  A join sends
+    only along ``joins[j]``, so ``out[j]`` is empty.  ``span`` is the size
+    of an engine's ring: the smallest power of two above the largest transit
+    ``delay + 1`` (so at least 2, as a const emitter's fire and a join's
+    flush need), capped at ``_RING_CAP``.
     """
 
     kind: tuple[int, ...]
@@ -144,32 +145,33 @@ def _build_plan(circuit: Circuit) -> _Plan:
     threshold = [0] * n
     leak: list[float] = [float("inf")] * n
     const = [0] * n
-    for spec in circuit.neurons:
-        threshold[spec.id] = spec.threshold
-        if spec.leak is not None:
-            leak[spec.id] = spec.leak
+    for i, th, lk in circuit.neurons:
+        threshold[i] = th
+        if lk is not None:
+            leak[i] = lk
     line_of: list[dict[int, int] | None] = [None] * n  # per join: source -> line index
+    joins: list = [None] * n
     joined = []
     for g in circuit.gadgets:
-        if isinstance(g, ConstEmit):
-            kind[g.id] = _CONST_EMIT
-            const[g.id] = g.value
+        if type(g) is ConstEmit:
+            i, value = g
+            kind[i], const[i] = _CONST_EMIT, value
         else:
-            kind[g.id] = _JOIN
-            line_of[g.id] = {src: m for m, src in enumerate(g.inputs)}
-            joined.append(g)
+            j, inputs, outputs = g
+            kind[j] = _JOIN
+            line_of[j] = {src: m for m, src in enumerate(inputs)}
+            joins[j] = tuple(2 * dst + 1 for dst in outputs)
+            joined.append(j)
     # Synapses are sorted by (pre, post), so each out-list is in post order.
     out: list[list[tuple[int, int, int, int | None]]] = [[] for _ in range(n)]
     for pre, post, weight, delay in circuit.synapses:
-        lines = line_of[post]
-        out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
-    joins: list = [None] * n
-    for g in joined:
-        joins[g.id] = tuple(2 * dst + 1 for dst in g.outputs)
+        if joins[pre] is None:
+            lines = line_of[post]
+            out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
     transit = max(map(itemgetter(3), circuit.synapses), default=0) + 1  # the longest delay, plus 1
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
-        tuple(g.id for g in joined), 1 << min(transit, _RING_CAP - 1).bit_length(),
+        tuple(joined), 1 << min(transit, _RING_CAP - 1).bit_length(),
     )
 
 

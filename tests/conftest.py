@@ -140,11 +140,12 @@ def built_circuits(draw, delays=st.integers(0, 4)):
     """
     b = CircuitBuilder()
     n_nodes = draw(st.integers(min_value=1, max_value=8))
-    ids = []
+    ids, neuron_ids = [], []
     for _ in range(n_nodes):
         if draw(st.booleans()):
             leak = draw(st.sampled_from([0, 1, 5, INFINITE]))
-            ids.append(b.add_neuron(draw(st.integers(-9, 9)), leak=leak))
+            neuron_ids.append(b.add_neuron(draw(st.integers(-9, 9)), leak=leak))
+            ids.append(neuron_ids[-1])
         else:
             ids.append(b.add_const_emit(draw(st.integers(-9, 9))))
     n_edges = draw(st.integers(min_value=0, max_value=12))
@@ -163,7 +164,6 @@ def built_circuits(draw, delays=st.integers(0, 4)):
         lines = st.lists(st.sampled_from(ids), min_size=n_lines, max_size=n_lines, unique=True)
         b.add_join(draw(lines), draw(lines))
     names = draw(st.lists(st.text(PORT_NAME_CHARS, min_size=1, max_size=5), max_size=4, unique=True))
-    neuron_ids = [n.id for n in b._neurons]
     for name in names:
         if neuron_ids and draw(st.booleans()):
             b.mark_port(draw(st.sampled_from(neuron_ids)), "input", name)

@@ -5,12 +5,13 @@ import csv
 import dataclasses
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PORT_NAME_CHARS, built_circuits
+from conftest import ADD, MU_MONUS, MUL, PORT_NAME_CHARS, built_circuits
 from murec import (
     INFINITE,
     Circuit,
@@ -27,6 +28,7 @@ from murec import (
     SimConfig,
     SynapseSpec,
     circuit_from_document,
+    compile_program,
     parse_json_document,
     raster_csv,
     raster_jsonl,
@@ -340,6 +342,120 @@ def test_a_join_line_may_not_end_at_a_join():
 
 
 # ---------------------------------------------------------------------------
+# validate(): the column tests and the per-record pass agree
+# ---------------------------------------------------------------------------
+
+SECTIONS = ("neurons", "synapses", "ports", "injections", "gadgets")
+COMPILED = [compile_program(program).circuit for program in (ADD, MUL, MU_MONUS)]
+
+
+def _unvalidated(sections: dict) -> Circuit:
+    """The circuit ``Circuit(**sections)`` makes, types checked and sections sorted, with validate() skipped."""
+    with mock.patch.object(Circuit, "validate", lambda self: []):
+        return Circuit(**sections)
+
+
+def _drop(synapses: list, *pairs) -> None:
+    synapses[:] = [s for s in synapses if (s.pre, s.post) not in pairs]
+
+
+@st.composite
+def broken_sections(draw):
+    """A valid circuit's sections with one rule of validate() broken once, and that rule's name.
+
+    Each mutation breaks its own rule only, so no other column test can stand
+    in for that rule's; "none" leaves the circuit valid.
+    """
+    circuit = draw(st.one_of(st.sampled_from(COMPILED), built_circuits().map(lambda drawn: drawn[0])))
+    s = {name: list(getattr(circuit, name)) for name in SECTIONS}
+    neurons, synapses, ports, injections, gadgets = (s[name] for name in SECTIONS)
+    total = len(neurons) + len(gadgets)
+    outside = draw(st.sampled_from([-1, total]))
+    joins = [i for i, g in enumerate(gadgets) if type(g) is Join]
+    plain = sorted({n.id for n in neurons} | {g.id for g in gadgets if type(g) is ConstEmit})
+    rules = ["none", "injection node", "injection time"]
+    rules += ["node id", "leak"] if neurons else []
+    rules += ["endpoint", "delay", "pair"] if synapses else []
+    rules += ["port name", "role", "port node"] if ports else []
+    rules += ["input port on a join", "injection into a join", "one line", "line counts", "repeated source",
+              "repeated target", "join at a line end", "line wire", "extra synapse"] if joins else []
+    rule = draw(st.sampled_from(rules))
+    at = draw(st.integers(0, 10**6))  # which record: taken modulo the section's length
+    if rule == "node id":
+        i = at % len(neurons)  # out of range, or the next neuron's id
+        neurons[i] = neurons[i]._replace(id=draw(st.sampled_from([outside, *(n.id for n in neurons[i + 1 : i + 2])])))
+    elif rule == "leak":
+        neurons[at % len(neurons)] = neurons[at % len(neurons)]._replace(leak=-draw(st.integers(1, 3)))
+    elif rule == "endpoint":
+        field = draw(st.sampled_from(["pre", "post"]))
+        synapses[at % len(synapses)] = synapses[at % len(synapses)]._replace(**{field: outside})
+    elif rule == "delay":
+        synapses[at % len(synapses)] = synapses[at % len(synapses)]._replace(delay=-draw(st.integers(1, 3)))
+    elif rule == "pair":
+        synapses.append(synapses[at % len(synapses)]._replace(weight=draw(st.integers(-9, 9))))
+    elif rule == "port name":
+        ports.append(Port(ports[at % len(ports)].name, draw(st.sampled_from(plain)), "output"))
+    elif rule == "role":
+        ports[at % len(ports)] = ports[at % len(ports)]._replace(role=draw(st.sampled_from(["sideways", "Input", ""])))
+    elif rule == "port node":
+        ports[at % len(ports)] = ports[at % len(ports)]._replace(neuron=outside)
+    elif rule == "injection node":
+        injections.append(Injection(outside, 1, 0))
+    elif rule == "injection time":
+        injections.append(Injection(draw(st.sampled_from(plain)), 1, -draw(st.integers(1, 3))))
+    elif rule in ("input port on a join", "injection into a join"):
+        j = gadgets[joins[at % len(joins)]].id
+        if rule == "input port on a join":
+            ports.append(Port("join-input", j, "input"))  # no other port name has a "-"
+        else:
+            injections.append(Injection(j, 1, 0))
+    elif rule != "none":
+        index = joins[at % len(joins)]
+        j, ins, outs = gadgets[index]
+        n = len(ins)
+        m, k = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+        if rule == "one line":  # every line but the first goes, with its wires
+            _drop(synapses, *((src, j) for src in ins[1:]), *((j, dst) for dst in outs[1:]))
+            ins, outs = ins[:1], outs[:1]
+        elif rule == "line counts":  # a target with no wire: the lines no longer pair up
+            outs += (draw(st.sampled_from(plain)),)
+        elif rule == "repeated source":  # line k takes line 0's source; its own source's wire goes
+            _drop(synapses, (ins[k], j))
+            ins = ins[:k] + ins[:1] + ins[k + 1:]
+        elif rule == "repeated target":
+            _drop(synapses, (j, outs[k]))
+            outs = outs[:k] + outs[:1] + outs[k + 1:]
+        elif rule == "join at a line end":  # the join feeds itself over one plain wire
+            _drop(synapses, (ins[m], j), (j, outs[k]))
+            synapses.append(SynapseSpec(j, j, 1, 0))
+            ins, outs = ins[:m] + (j,) + ins[m + 1:], outs[:k] + (j,) + outs[k + 1:]
+        elif rule == "line wire":
+            wire = draw(st.sampled_from([i for i, w in enumerate(synapses) if j in (w.pre, w.post)]))
+            field = draw(st.sampled_from(["weight", "delay"]))
+            synapses[wire] = synapses[wire]._replace(**{field: getattr(synapses[wire], field) + 1})
+        elif rule == "extra synapse":
+            into = draw(st.booleans())
+            pairs = {(w.pre, w.post) for w in synapses}
+            free = [x for x in plain if ((x, j) if into else (j, x)) not in pairs]
+            assume(free)
+            x = draw(st.sampled_from(free))
+            synapses.append(SynapseSpec(*((x, j) if into else (j, x)), 1, 0))
+        gadgets[index] = Join(j, ins, outs)
+    return rule, s
+
+
+@settings(max_examples=400, deadline=None)
+@given(broken_sections())
+def test_the_column_tests_pass_exactly_when_the_record_pass_lists_nothing(broken):
+    rule, sections = broken
+    circuit = _unvalidated(sections)
+    violations = circuit._record_violations()
+    assert (violations == []) == (rule == "none")
+    assert circuit._columns_sound() == (violations == [])
+    assert circuit.validate() == violations
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -568,9 +684,6 @@ def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
         "gadgets[1].inputs must be a tuple of integers, got [0, 1]",
         "gadgets[1].outputs must be a tuple of integers, got (0, 1.0)",
     ]
-
-
-SECTIONS = ("neurons", "synapses", "ports", "injections", "gadgets")
 
 
 def _outcome(make):

@@ -690,9 +690,10 @@ def test_spikes_of_is_the_raster_filtered_to_one_node(drawn):
     before = [outcome.spikes_of(n) for n in nodes]  # read before the raster is built
     for n in nodes:
         expected = [e for e in outcome.raster if e.neuron == n]
+        after = outcome.spikes_of(n)
         assert before[n] == expected
-        assert outcome.spikes_of(n) == expected
-        assert all(type(e) is SpikeEvent for e in expected + before[n])
+        assert after == expected
+        assert all(type(e) is SpikeEvent for e in expected + before[n] + after)
 
 
 def test_an_outcome_keeps_its_spikes_when_the_engine_runs_again():
@@ -711,7 +712,7 @@ def test_an_outcome_keeps_its_spikes_when_the_engine_runs_again():
 
 @pytest.fixture()
 def spike_events_made(monkeypatch):
-    """The fields of every :class:`SpikeEvent` the engine module makes from now on."""
+    """The fields of every :class:`SpikeEvent` the engine module makes from now on, singly or in bulk."""
     made = []
 
     class CountedSpikeEvent(SpikeEvent):
@@ -726,7 +727,16 @@ def spike_events_made(monkeypatch):
             made.append(fields)
             return super()._make(fields)
 
+    make = murec.engine._make
+
+    def counted_make(record, rows):
+        records = make(record, rows)
+        if record is CountedSpikeEvent:
+            made.extend(records)
+        return records
+
     monkeypatch.setattr(murec.engine, "SpikeEvent", CountedSpikeEvent)
+    monkeypatch.setattr(murec.engine, "_make", counted_make)
     return made
 
 
@@ -821,6 +831,20 @@ def test_run_diff_builds_one_plan_for_all_its_cases(monkeypatch):
     assert twin == program.circuit
     assert run_diff(ADD, CompiledProgram(twin, program.meta), [(2, 3)]).ok
     assert len(built) == 2 and built[1] is twin
+
+
+def test_a_joins_output_lines_are_read_from_its_line_targets_only(
+    compiled_add, compiled_mul, compiled_pred, compiled_monus, compiled_mu_monus
+):
+    # A join's out-edges would be its output lines, which the engine and the
+    # trace take from plan.joins; the plan builds no out-edge for a join.
+    for program in (compiled_add, compiled_mul, compiled_pred, compiled_monus, compiled_mu_monus):
+        plan = murec.engine._build_plan(program.circuit)
+        assert plan.join_ids
+        assert [plan.out[j] for j in plan.join_ids] == [()] * len(plan.join_ids)
+        edges = sum(map(len, plan.out))
+        lines = sum(len(plan.joins[j]) for j in plan.join_ids)
+        assert edges + lines == len(program.circuit.synapses)
 
 
 # ---------------------------------------------------------------------------
