@@ -36,7 +36,6 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple
 
 from .circuit import Circuit, ConstEmit, _make
@@ -46,10 +45,6 @@ INT63_MAX = 2**62 - 1
 INT63_MIN = -(2**62)
 
 _NEURON, _CONST_EMIT, _JOIN = 0, 1, 2
-
-# The most timesteps an engine's ring holds; a longer transit waits on the
-# overflow heap, so no delay in a circuit file can size the ring.
-_RING_CAP = 256
 
 
 class SpikeEvent(NamedTuple):
@@ -123,10 +118,10 @@ class _Plan(NamedTuple):
     ``post`` is a join and None otherwise; ``joins[j]`` is, for a join ``j``,
     each line's target key (lines are plain wires, so weight 1 and delay 0,
     and never end at a join), and None for any other node.  A join sends
-    only along ``joins[j]``, so ``out[j]`` is empty.  ``span`` is the size
-    of an engine's ring: the smallest power of two above the largest transit
-    ``delay + 1`` (so at least 2, as a const emitter's fire and a join's
-    flush need), capped at ``_RING_CAP``.
+    only along ``joins[j]``, so ``out[j]`` is empty.  ``seed`` is the
+    circuit's injections as ``(time, 2·neuron + 1, value)`` in canonical
+    order, which is sorted and so already a heap, and ``injected`` the same
+    injections as an engine's accepted-injection rows.
     """
 
     kind: tuple[int, ...]
@@ -136,7 +131,8 @@ class _Plan(NamedTuple):
     out: tuple[tuple[tuple[int, int, int, int | None], ...], ...]
     joins: tuple[tuple[int, ...] | None, ...]
     join_ids: tuple[int, ...]
-    span: int
+    seed: tuple[tuple[int, int, int], ...]
+    injected: tuple[tuple[int, int, int, int], ...]
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
@@ -168,10 +164,11 @@ def _build_plan(circuit: Circuit) -> _Plan:
         if joins[pre] is None:
             lines = line_of[post]
             out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
-    transit = max(map(itemgetter(3), circuit.synapses), default=0) + 1  # the longest delay, plus 1
+    injections = circuit.injections
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
-        tuple(joined), 1 << min(transit, _RING_CAP - 1).bit_length(),
+        tuple(joined), tuple([(time, 2 * neuron + 1, value) for neuron, value, time in injections]),
+        tuple([(0, neuron, value, time) for neuron, value, time in injections]),
     )
 
 
@@ -191,28 +188,28 @@ class Engine:
     """Single-owner stepper over one circuit run.
 
     What depends only on the circuit (node kinds, thresholds, leaks, constant
-    values, out-edges, join lines, the ring size) is one read-only plan per
-    :class:`Circuit` object, shared by every engine over it.  An engine
-    owns only its run's state: each neuron's retained value and how long it
-    lives, each join's buffered line values, the pending work, the raster and
-    the injections it accepted.
+    values, out-edges, join lines, the circuit's own injections) is one
+    read-only plan per :class:`Circuit` object, shared by every engine over
+    it.  An engine owns only its run's state: each neuron's retained value
+    and how long it lives, each join's buffered line values, the pending
+    work, the raster and the injections it accepted.
 
-    Node ids are dense, so per-node state lives in lists indexed by id.  A
-    timestep's pending work is a dict: key ``2·g`` marks a fire of const
-    emitter ``g``, and key ``2·j + 1`` holds what arrives at node ``j``: the
+    Node ids are dense, so per-node state lives in lists indexed by id, and
+    so does pending work, by work key: key ``2·g`` holds the value const
+    emitter ``g`` fires, and key ``2·j + 1`` what arrives at node ``j``: the
     sum of the delivered values for a neuron or a const emitter, a
     line -> value dict for a join.  Sorted keys run a step in node order
     (rule 6).  Out-edges and join lines store their target's key.
 
-    The dicts sit on a timing wheel: a ring of ``span`` slots (see
-    :class:`_Plan`), time ``t`` in slot ``t & (span - 1)``, plus an overflow
-    heap of ``(time, key, value)`` for what the ring cannot hold yet (never
-    a join line: it has delay 0).  Between steps the ring covers ``open ..
-    open + span - 2`` (``open`` is the earliest unprocessed time), so an
-    injection uses it iff ``time < open + span - 1``; during step ``t`` it
-    covers ``t .. t + span - 1``, so an out-edge uses it iff its transit is
-    below ``span``.  Before step ``t`` runs, every overflow item before
-    ``t + span`` moves into the ring.
+    Pending work sits in two tiers.  The dense tier is two lists of ``2·n``
+    slots (None: no work), each with the list of its keys that hold work:
+    one for ``open``, the earliest unprocessed time, and one that step ``t``
+    fills for ``t + 1``; they swap after each step.  Almost all work has
+    transit 1, and a const emitter's fire and a join's flush always do, so
+    they use only this tier.  Everything else (injections and longer
+    transits) waits on one heap of ``(time, key, value)``, and merges into
+    the dense tier when its step comes.  The next pending time is ``open``
+    while dense keys wait, else the heap's head: no empty step is scanned.
 
     No delivery is recorded: :attr:`RunOutcome.trace` derives them from the
     raster, the plan, the accepted injections and where a fault stopped.
@@ -236,11 +233,12 @@ class Engine:
         self._held = [0] * n  # a neuron's retained value ...
         self._until: list[float] = [-1] * n  # ... live through this time
         self._lines: dict[int, dict[int, int]] = {j: {} for j in plan.join_ids}  # per join: line -> value
-        self._ring: list[dict[int, int | dict[int, int] | None]] = [{} for _ in range(plan.span)]
-        self._overflow: list[tuple[int, int, int]] = []
-        self._injected: list[tuple[int, int, int, int]] = []  # (len(raster), neuron, value, time)
+        self._due, self._due_keys = [None] * (2 * n), []  # the work at time `open`, by key, and its keys
+        self._next, self._next_keys = [None] * (2 * n), []  # the same for the step after: empty between steps
+        self._later: list[tuple[int, int, int]] = list(plan.seed)  # a heap of (time, key, value)
+        self._injected: list[tuple[int, int, int, int]] = list(plan.injected)  # (len(raster), neuron, value, time)
         self._cut = 2 * n  # the last key of the last step run: all of it, until a fault
-        for inj in (*circuit.injections, *extra_injections):
+        for inj in extra_injections:
             self.add_injection(inj.neuron, inj.value, inj.time)
 
     def add_injection(self, neuron: int, value: int, time: int) -> None:
@@ -258,17 +256,12 @@ class Engine:
         if self.fault is not None:
             return
         self._injected.append((len(self.raster), neuron, value, time))
-        span = self._plan.span
-        if time < self._open + span - 1:
-            slot = self._ring[time & (span - 1)]
-            slot[2 * neuron + 1] = slot.get(2 * neuron + 1, 0) + value
-        else:
-            heapq.heappush(self._overflow, (time, 2 * neuron + 1, value))
+        heapq.heappush(self._later, (time, 2 * neuron + 1, value))
 
     # -- inspection --------------------------------------------------------
 
     def peek_time(self) -> int | None:
-        return self._next_time(self._open)
+        return self._open if self._due_keys else (self._later[0][0] if self._later else None)
 
     def inspect(self, neuron: int, at: int | None = None) -> int:
         """Retained state of a neuron with leak accounted at time ``at``."""
@@ -298,26 +291,13 @@ class Engine:
             return self._finish("timeout", self.config.max_steps)
         return self._finish("quiescent" if self.fault is None else "fault", self.clock)
 
-    def _next_time(self, start: int) -> int | None:
-        """The earliest pending time, none being before ``start``.
-
-        It is the ring's first busy slot from ``start`` on, else the overflow
-        heap's head.
-        """
-        ring, mask = self._ring, self._plan.span - 1
-        for t in range(start, start + mask):
-            if ring[t & mask]:
-                return t
-        return self._overflow[0][0] if self._overflow else None
-
     def _advance(self, horizon: int) -> int | None:
         """Process pending timesteps up to ``horizon``; return the last one run.
 
         A fault ends the step at once and empties the queue; None: no step ran.
         """
-        ring, overflow = self._ring, self._overflow
-        kind, threshold, leak, const, out, joins, _, span = self._plan
-        mask = span - 1
+        due, due_keys, nxt, nxt_keys, later = self._due, self._due_keys, self._next, self._next_keys, self._later
+        kind, threshold, leak, const, out, joins = self._plan[:6]
         held, until, buffers = self._held, self._until, self._lines
         record = self.raster.append
         # lo <= v <= hi iff v passes both the overflow and the big-M check.
@@ -327,27 +307,33 @@ class Engine:
         ran = None
         t = self._open - 1
         while True:
-            t += 1
-            batch = ring[t & mask]
-            if not batch:  # rare in a compiled circuit: its every step is busy
-                t = self._next_time(t)
-                if t is None:
-                    break
-                batch = ring[t & mask]
+            if due_keys:
+                t += 1
+            elif later:
+                t = later[0][0]
+            else:
+                break
             if t > horizon:
                 break
-            while overflow and overflow[0][0] < t + span:
-                time, key, x = heappop(overflow)
-                slot = ring[time & mask]
-                slot[key] = slot.get(key, 0) + x
-            for key in sorted(batch) if len(batch) > 1 else batch:
+            while later and later[0][0] == t:
+                _, key, x = heappop(later)
+                v = due[key]
+                if v is None:
+                    due[key] = x
+                    due_keys.append(key)
+                else:
+                    due[key] = v + x
+            due_keys.sort()
+            for key in due_keys:
                 node = key >> 1
+                x = due[key]
+                due[key] = None
                 if not key & 1:  # a fire of const emitter `node`
-                    v = const[node]
+                    v = x
                 else:
                     k = kind[node]
                     if k == _NEURON:
-                        v = batch[key] + (held[node] if t <= until[node] else 0)
+                        v = x + (held[node] if t <= until[node] else 0)
                         if not lo <= v <= hi:
                             return self._stop(t, node, v, key)
                         if v < threshold[node]:
@@ -356,47 +342,57 @@ class Engine:
                             continue
                         held[node] = 0
                     elif k == _CONST_EMIT:
-                        ring[(t + 1) & mask][key - 1] = None  # the fire key 2·node
+                        nxt[key - 1] = const[node]  # the fire key 2·node, set only here
+                        nxt_keys.append(key - 1)
                         continue
                     else:
                         # Join: a line brings at most one value per step,
                         # range-checked when sent; once every line holds one,
                         # each goes on unchanged to its target at t + 1.
                         lines = buffers[node]
-                        lines.update(batch[key])
+                        lines.update(x)
                         posts = joins[node]
                         if len(lines) < len(posts):
                             continue
-                        nxt = ring[(t + 1) & mask]
                         for m, post in enumerate(posts):
-                            x = lines[m]
-                            record((t, node, x))
-                            nxt[post] = nxt.get(post, 0) + x
+                            p = lines[m]
+                            record((t, node, p))
+                            x = nxt[post]
+                            if x is None:
+                                nxt[post] = p
+                                nxt_keys.append(post)
+                            else:
+                                nxt[post] = x + p
                         lines.clear()
                         continue
                 # A neuron spike or a const-emit fire: fan out along every
-                # edge, in post order whichever queue takes it (a fault is the
+                # edge, in post order whichever tier takes it (a fault is the
                 # first breach in that order).
                 record((t, node, v))
                 for post, w, d1, line in out[node]:
                     p = w * v
                     if not lo <= p <= hi:
                         return self._stop(t, post >> 1, p, key)
+                    if d1 != 1:
+                        heappush(later, (t + d1, post, p))
+                        continue
+                    x = nxt[post]
                     if line is not None:  # a join line: weight 1, delay 0
-                        nxt = ring[(t + 1) & mask]
-                        inbox = nxt.get(post)
-                        if inbox is None:
+                        if x is None:
                             nxt[post] = {line: p}
+                            nxt_keys.append(post)
                         else:
-                            inbox[line] = p
-                    elif d1 < span:
-                        nxt = ring[(t + d1) & mask]
-                        nxt[post] = nxt.get(post, 0) + p
+                            x[line] = p
+                    elif x is None:
+                        nxt[post] = p
+                        nxt_keys.append(post)
                     else:
-                        heappush(overflow, (t + d1, post, p))
-            batch.clear()
+                        nxt[post] = x + p
+            due_keys.clear()
+            due, due_keys, nxt, nxt_keys = nxt, nxt_keys, due, due_keys
             ran = t
         if ran is not None:
+            self._due, self._due_keys, self._next, self._next_keys = due, due_keys, nxt, nxt_keys
             self.clock = ran
             self._open = ran + 1
         return ran
@@ -412,9 +408,8 @@ class Engine:
         self._cut = key
         self.clock = time
         self._open = time + 1
-        for slot in self._ring:
-            slot.clear()
-        self._overflow.clear()
+        self._due, self._next = [None] * len(self._due), [None] * len(self._due)
+        self._due_keys, self._next_keys, self._later = [], [], []
         return time
 
     def _finish(self, status: str, final_clock: int) -> RunOutcome:

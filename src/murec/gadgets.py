@@ -124,7 +124,11 @@ def build_projection(
     coincide = [b.add_neuron(0, 0) for _ in range(arity)]
     isolate = [b.add_neuron(0, 0) for _ in range(arity)]
     lane_emitters = [b.add_const_emit(big_m) for _ in range(arity)]
-    holds = [b.add_neuron(big_m, INFINITE) for _ in range(arity)]
+    # A hold keeps its argument through the selected lane's release, 6 steps
+    # after the argument lands in the static form and 8 in the dynamic one
+    # (its relays add a step, deriving the selector two), and then lets go:
+    # a lane not selected does not carry its argument into the next activation.
+    holds = [b.add_neuron(big_m, 6 if at is not None else 8) for _ in range(arity)]
     loader = b.add_neuron(0, 0)
     subtract = b.add_neuron(0, INFINITE)
     replenish = b.add_const_emit(-big_m)

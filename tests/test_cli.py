@@ -296,8 +296,8 @@ def test_run_fault_exit_code(tmp_path, capsys):
 
 
 def test_run_bounds_a_transit_of_ten_to_the_fifteen_steps(tmp_path, capsys):
-    # The engine's ring is sized from the longest transit, up to a cap: a delay
-    # this long must cost neither the time nor the memory of sizing it.
+    # A transit this long waits on the engine's heap: it must cost neither the
+    # time nor the memory of waiting it out step by step.
     b = CircuitBuilder()
     x = b.add_neuron(0)
     y = b.add_neuron(0)

@@ -192,6 +192,33 @@ def test_addition_small_grid(compiled_add):
             assert (run.status, run.value) == ("ok", i + x), (i, x)
 
 
+def test_addition_past_a_third_of_big_m(compiled_add):
+    # Each round parks x1 on a projection hold that does not select it; the
+    # hold must let it go, or three rounds of 250000001 reach big_m and spike.
+    run = run_program(compiled_add, [4, 250_000_001])
+    assert (run.status, run.value) == ("ok", 250_000_005)
+
+
+# Loop programs at big_m = 100 over grids whose arguments and value stay
+# below big_m / 2, so only the loop's rounds can add up past big_m.
+SMALL_M_GRIDS = {
+    "add": (ADD, lambda i, x: i + x, [(i, x) for i in range(12) for x in range(50)], 10**6),
+    "mul": (MUL, lambda a, b: a * b, [(a, b) for a in range(12) for b in range(50)], 10**6),
+    "monus": (MONUS, lambda z, x: max(x - z, 0), [(z, x) for z in range(8) for x in range(0, 50, 4)], 10**6),
+    "mu_monus": (MU_MONUS, lambda x: max(x, 1), [(x,) for x in range(1, 21)], 5 * 10**6),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_M_GRIDS)
+def test_loops_stay_right_when_their_rounds_sum_past_big_m(name):
+    expr, closed_form, grid, max_steps = SMALL_M_GRIDS[name]
+    program = compile_program(expr, LoweringConfig(big_m=100))
+    cases = [args for args in grid if max(*args, closed_form(*args)) < 50]
+    for args in cases:
+        run = run_program(program, list(args), max_steps=max_steps)
+        assert (run.status, run.value) == ("ok", closed_form(*args)), args
+
+
 def test_addition_marker_trail(compiled_add):
     markers = compiled_add.meta["instances"][-1]
     assert markers["kind"] == "primrec"

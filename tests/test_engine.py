@@ -636,8 +636,9 @@ def test_arrivals_from_one_step_are_traced_by_source_id():
     ]
 
 
-# Transits this long exceed the engine's ring, whose span is then the cap.
-RING_SPAN = murec.engine._RING_CAP
+# 256 is the ring size an earlier engine capped at; keeping it keeps these
+# tests' transits.  Every transit above one step waits on the engine's heap.
+RING_SPAN = 256
 
 
 def test_a_fan_out_faults_at_its_first_breach_in_post_order_across_ring_and_overflow():
@@ -674,6 +675,94 @@ def test_arrivals_across_ring_and_overflow_keep_emission_order(short):
         Delivery(short + 7, target, early, 1),
         Delivery(short + 7, target, late, 2),
     ]
+
+
+@pytest.mark.parametrize("threshold", [15, 16])
+def test_a_step_sums_one_step_arrivals_injections_and_long_transits_once(threshold):
+    # At t=5 `target` gets 3 from `far` (emitted at t=0 over a 5-step transit),
+    # 2 from `near` (emitted at t=4 over one step) and 10 injected after t=4:
+    # one batch of 15, so one spike or one parked value.
+    b = CircuitBuilder()
+    far = b.add_neuron(0)
+    near = b.add_neuron(0)
+    target = b.add_neuron(threshold, leak=0)
+    b.add_synapse(far, target, 1, 4)
+    b.add_synapse(near, target, 1, 0)
+    b.add_injection(far, 3, 0)
+    b.add_injection(near, 2, 4)
+    engine = Engine(b.build())
+    assert [engine.step(), engine.step()] == [0, 4]
+    engine.add_injection(target, 10, 5)
+    assert (engine.peek_time(), engine.step(), engine.peek_time()) == (5, 5, None)
+    assert engine.inspect(target, 5) == (0 if threshold == 15 else 15)
+    outcome = engine.run()
+    assert outcome.spikes_of(target) == ([SpikeEvent(5, target, 15)] if threshold == 15 else [])
+    assert [d for d in outcome.trace if d.target == target] == [
+        Delivery(5, target, far, 3),
+        Delivery(5, target, near, 2),
+        Delivery(5, target, None, 10),
+    ]
+
+
+def test_a_const_emitter_fires_and_takes_a_new_batch_in_one_step():
+    # At t=2 `ce` fires for its t=1 batch and takes a new batch: `poke2`'s
+    # one-step arrival plus an injection.  It fires once more, at t=3.
+    b = CircuitBuilder()
+    poke = b.add_neuron(0)
+    poke2 = b.add_neuron(0)
+    ce = b.add_const_emit(5)
+    sink = b.add_neuron(0)
+    b.add_synapse(poke, ce, 1, 0)
+    b.add_synapse(poke2, ce, 1, 0)
+    b.add_synapse(ce, sink, 1, 0)
+    b.add_injection(poke, 1, 0)
+    b.add_injection(poke2, 1, 1)
+    b.add_injection(ce, 9, 2)
+    outcome = simulate(b.build())
+    assert outcome.raster == [
+        SpikeEvent(0, poke, 1),
+        SpikeEvent(1, poke2, 1),
+        SpikeEvent(2, ce, 5),
+        SpikeEvent(3, ce, 5),
+        SpikeEvent(3, sink, 5),
+        SpikeEvent(4, sink, 5),
+    ]
+    assert [d for d in outcome.trace if d.target == ce] == [
+        Delivery(1, ce, poke, 1),
+        Delivery(2, ce, None, 9),
+        Delivery(2, ce, poke2, 1),
+    ]
+
+
+def test_a_fault_empties_both_queues_while_later_work_waits():
+    # At t=1 `a` faults on its edge to `sink` (10 breaches big_m=3) after it
+    # queued work for `x` at t=2 and before `skipped` ran; `far`'s arrival at t=6
+    # and an injection at t=9 wait on the heap.
+    b = CircuitBuilder()
+    src = b.add_neuron(0)
+    a = b.add_neuron(0)
+    skipped = b.add_neuron(0)
+    far = b.add_neuron(0)
+    x = b.add_neuron(0)
+    sink = b.add_neuron(0)
+    b.add_synapse(src, a, 1, 0)
+    b.add_synapse(src, skipped, 1, 0)
+    b.add_synapse(src, far, 1, 5)
+    b.add_synapse(a, x, 1, 0)
+    b.add_synapse(a, sink, 10, 0)
+    b.add_injection(src, 1, 0)
+    b.add_injection(src, 1, 9)
+    engine = Engine(b.build(), SimConfig(big_m=3))
+    assert (engine.step(), engine.step()) == (0, 1)
+    assert engine.fault == Fault("magnitude_breach", 1, sink, 10)
+    assert engine.peek_time() is None
+    assert engine._due_keys == engine._next_keys == engine._later == []
+    assert set(engine._due) == set(engine._next) == {None}
+    with pytest.raises(EmptyQueue):
+        engine.step()
+    outcome = engine.run()
+    assert (outcome.status, outcome.final_clock) == ("fault", 1)
+    assert outcome.raster == [SpikeEvent(0, src, 1), SpikeEvent(1, a, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CELL_GAMMA, cell_injections
 from murec import (
@@ -11,6 +13,7 @@ from murec import (
     CircuitBuilder,
     Engine,
     Injection,
+    SimConfig,
     SpikeEvent,
     build_constant,
     build_projection,
@@ -151,10 +154,12 @@ def test_static_projection_internal_lane_pattern():
     for m in range(1, arity + 1):
         fired = _spikes_of(outcome, 3 * arity + m)
         assert fired == ([(3, 0)] if m == index else [])
-    # The selected hold released its argument; the others still park theirs.
+    # The selected hold released its argument at t=6; the others park theirs
+    # through that step and are empty from the next one on.
     holds = box.inputs
     for m, hold in enumerate(holds, start=1):
-        assert engine.inspect(hold) == (0 if m == index else values[m - 1])
+        assert engine.inspect(hold, 6) == (0 if m == index else values[m - 1])
+        assert engine.inspect(hold, 7) == 0
 
 
 def test_dynamic_projection_releases_ten_steps_after_arrival():
@@ -187,6 +192,29 @@ def test_projection_reuse_once_the_selected_hold_has_cleared():
     _inject_args(b, box, [6, 9], at=gap)
     outcome = simulate(b.build())
     assert _spikes_of(outcome, box.output) == [(7, 5), (7 + gap, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 4), st.booleans(), st.integers(3, 6))
+def test_projection_releases_the_selected_argument_at_every_activation(data, arity, static, k):
+    # k activations, one every `gap` steps; one lane it does not select gets
+    # at least 34 each time, so its arguments sum past big_m = 100.
+    big_m, latency = 100, 7 if static else 10
+    index = data.draw(st.integers(1, arity))
+    gap = data.draw(st.integers(latency + 1, latency + 4))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 49), min_size=arity, max_size=arity), min_size=k, max_size=k))
+    loud = index % arity  # the lane after the selected one, cyclically
+    for row in rows:
+        row[loud] = data.draw(st.integers(34, 49))
+    b = CircuitBuilder()
+    box = build_projection(b, index, arity, big_m, at=0 if static else None)
+    for a, row in enumerate(rows):
+        _inject_args(b, box, row, at=a * gap)
+        if static and a:
+            b.add_injection(0, index, a * gap)  # node 0 is the selector: replay its pulse
+    outcome = simulate(b.build(), config=SimConfig(big_m=big_m))
+    assert outcome.status == "quiescent"
+    assert _spikes_of(outcome, box.output) == [(a * gap + latency, row[index - 1]) for a, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -133,23 +133,23 @@ def _nest(depth):
 CIRCUIT_GOLDEN = {
     "add": (
         ADD,
-        "632066499e7fd7ef344a9b9ee20ace578dcd4aa42e248e6f7eecc4a149a2225f",
-        "e6a713ee666bb5509c619fea6cc0c0378a30824aba9be2997048d5ab9c8204a5",
+        "9c245cfb45eb9594d3637a9f64ba6d0fff23e2e05441fe132c265e8a36034b7f",
+        "b6bbc8c117d55266124aaad5b30806277dd41e0067be448c336b6a0232abacf7",
     ),
     "mul": (
         MUL,
-        "996bcda14a5811bd68db540cd522407dc72ba55ce2909d65d127cea190ce487f",
-        "9a97ff6248f05b7ae55336527ad5672308c9d5118a2c154c3c0ba668d9a5b9dc",
+        "488a3d9b396b026c5bc76eeb12c84f9d801b4671a8278a650e873cbed4fe7766",
+        "0067653a680277e14a912b674359637f0bc9bfd6bf9aad295d8085bb4d9070e2",
     ),
     "mu_monus": (
         MU_MONUS,
-        "e82df699f2d0f42a89e217cfa43794d2d8b98a4e57a64e81f1fc1c58bb363bfb",
-        "6abb645b74df77b7746c774fe146451eceda0074832b33406f97f5e28b78b20b",
+        "9f364781a5199e987787bda086129c14dfb7c8e5a80f685614d462679afd7807",
+        "9eb7b30d246d5fa588dc6c0baa05e47caac40177bda49a381139e91ec552c850",
     ),
     "nest3": (
         _nest(3),
-        "65d4ce6e41bd17bedada78bdcbb9db2bf73c8c90f80d02cc707b9e2a9391029e",
-        "cb4481481a1891ea6a2f0c80287253bb468aebddb2680a19cfa4065561dd3537",
+        "3a761149382babb44c3c7357e88e2a754cac2d50ba805d9270896a28823d4a32",
+        "f3a6ba4fb479108922e82f6ae658dea82e1ef5626698dfca9d54489137fab030",
     ),
 }
 
