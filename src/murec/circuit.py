@@ -68,12 +68,13 @@ class ConstEmit(NamedTuple):
 class Join(NamedTuple):
     """Native node that synchronizes ``n`` lines.
 
-    Line ``m`` runs from ``inputs[m]`` through the join to ``outputs[m]``
-    over two plain wires (weight 1, delay 0, as :meth:`Circuit.validate`
-    requires); both ends are neurons or constant emitters, never joins.  It
-    buffers at most one value per step (a later step overwrites it).  At the
-    timestep the last empty line fills, every line passes its buffered value
-    on unchanged, and all buffers clear.
+    Line ``m`` runs from ``inputs[m]`` into the join over a plain wire
+    (weight 1, delay 0, as :meth:`Circuit.validate` requires), and out to
+    ``outputs[m]`` as this record states: no synapse starts at a join.  Both
+    ends are neurons or constant emitters, never joins.  It buffers at most
+    one value per step (a later step overwrites it).  At the timestep the
+    last empty line fills, every line passes its buffered value on unchanged
+    to its target one step later, and all buffers clear.
     """
 
     id: int
@@ -105,13 +106,6 @@ def _make(record: type, rows: Iterable) -> list:
     pay a Python call per row.
     """
     return list(map(tuple.__new__, repeat(record), rows))
-
-
-def _same_wires(synapses: Iterable[SynapseSpec], pre: Iterable[int], post: Iterable[int]) -> bool:
-    """Whether the synapses, all distinct, are the wires ``(pre, post, 1, 0)``, one per line."""
-    wires = list(zip(pre, post, repeat(1), repeat(0)))
-    found = set(synapses)
-    return len(found) == len(wires) and found == set(wires)
 
 
 def _line_from_json(raw: Any) -> Any:
@@ -228,8 +222,10 @@ class Circuit:
         join_ids, sources, sinks = zip(*joins) if joins else ((),) * 3
         joined = set(join_ids)
         widths = list(map(len, sources))
-        # Each join's id once per line: the join end of its lines' wires.
-        at_join = list(chain.from_iterable(map(repeat, join_ids, widths)))
+        # Each line's wire into its join, (source, join, 1, 0), and the synapses into joins.
+        wires = list(zip(chain.from_iterable(sources), chain.from_iterable(map(repeat, join_ids, widths)),
+                         repeat(1), repeat(0)))
+        into_joins = set(compress(synapses, map(joined.__contains__, post)))
         return (
             min(leaks, default=0) >= 0
             and within(pre[:1] + pre[-1:])
@@ -245,12 +241,15 @@ class Circuit:
             and min(times, default=0) >= 0
             and min(widths, default=2) >= 2
             and widths == list(map(len, sinks))
+            and widths == list(map(len, map(set, sinks)))
+            and within([*chain.from_iterable(sinks)])
             and joined.isdisjoint(chain.from_iterable(sources + sinks))
-            # The synapses into and out of joins are exactly the lines' plain wires,
-            # one per line: so each join's sources are distinct, and so are its
-            # targets, and every line endpoint is a node the synapse tests placed.
-            and _same_wires(compress(synapses, map(joined.__contains__, post)), chain.from_iterable(sources), at_join)
-            and _same_wires(compress(synapses, map(joined.__contains__, pre)), at_join, chain.from_iterable(sinks))
+            and joined.isdisjoint(pre)
+            # The synapses into joins are exactly the lines' wires, one per
+            # line: so each join's sources are distinct, and each is a node
+            # the synapse tests placed.
+            and len(into_joins) == len(wires)
+            and into_joins == set(wires)
         )
 
     def _record_violations(self) -> list[str]:
@@ -268,6 +267,7 @@ class Circuit:
             if n.leak is not None and n.leak < 0:
                 violations.append(f"neuron {n.id}: leak must be >= 0 or INFINITE")
 
+        joins = {g.id: g for g in self.gadgets if isinstance(g, Join)}
         seen_pairs: set[tuple[int, int]] = set()
         for s in self.synapses:
             if s.pre not in known or s.post not in known:
@@ -277,8 +277,10 @@ class Circuit:
             if (s.pre, s.post) in seen_pairs:
                 violations.append(f"synapse ({s.pre}, {s.post}): duplicate (pre, post) pair")
             seen_pairs.add((s.pre, s.post))
-
-        joins = {g.id: g for g in self.gadgets if isinstance(g, Join)}
+            if s.pre in joins:
+                violations.append(
+                    f"synapse ({s.pre}, {s.post}): starts at join {s.pre}, whose record holds its output lines"
+                )
         seen_names: set[str] = set()
         for p in self.ports:
             if p.name in seen_names:
@@ -299,14 +301,11 @@ class Circuit:
             if inj.neuron in joins:
                 violations.append(f"injection into join {inj.neuron} is not allowed")
 
-        # Synapses touching each join with their (weight, delay), gathered in one pass in canonical order.
+        # Synapses into each join with their (weight, delay), gathered in one pass in canonical order.
         sources: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
-        targets: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
         for s in self.synapses:
             if s.post in sources:
                 sources[s.post][s.pre] = s[2:]
-            if s.pre in targets:
-                targets[s.pre][s.post] = s[2:]
 
         for g in joins.values():
             n = len(g.inputs)
@@ -331,14 +330,6 @@ class Circuit:
                     violations.append(f"join {g.id}: synapse from unlisted source {pre}")
                 if line != (1, 0):
                     violations.append(f"join {g.id}: synapse ({pre}, {g.id}) must have weight 1 and delay 0")
-            for dst in g.outputs:
-                if dst not in targets[g.id]:
-                    violations.append(f"join {g.id}: line target {dst} has no synapse")
-            for post, line in targets[g.id].items():
-                if post not in g.outputs:
-                    violations.append(f"join {g.id}: synapse to unlisted target {post}")
-                if line != (1, 0):
-                    violations.append(f"join {g.id}: synapse ({g.id}, {post}) must have weight 1 and delay 0")
 
         return violations
 
@@ -508,12 +499,10 @@ class CircuitBuilder:
 
     def add_join(self, inputs: Iterable[int], outputs: Iterable[int]) -> int:
         ins = tuple(inputs)
-        outs = tuple(outputs)
         nid = len(self._neurons) + len(self._gadgets)
-        self._gadgets.append(Join(nid, ins, outs))
-        # Line synapses are plain wires, as Circuit.validate requires.
+        self._gadgets.append(Join(nid, ins, tuple(outputs)))
+        # Input lines are plain wires, as Circuit.validate requires; output lines are the record's alone.
         self._synapses += [(src, nid, 1, 0) for src in ins]
-        self._synapses += [(nid, dst, 1, 0) for dst in outs]
         return nid
 
     # -- edges, ports, plan ------------------------------------------------

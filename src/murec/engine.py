@@ -116,12 +116,13 @@ class _Plan(NamedTuple):
     ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1,
     line)`` in post order, where ``line`` is the edge's line index when
     ``post`` is a join and None otherwise; ``joins[j]`` is, for a join ``j``,
-    each line's target key (lines are plain wires, so weight 1 and delay 0,
-    and never end at a join), and None for any other node.  A join sends
-    only along ``joins[j]``, so ``out[j]`` is empty.  ``seed`` is the
-    circuit's injections as ``(time, 2·neuron + 1, value)`` in canonical
-    order, which is sorted and so already a heap, and ``injected`` the same
-    injections as an engine's accepted-injection rows.
+    each line's target key, read from the join record's outputs (a line
+    passes its value on unchanged one step later and never ends at a join),
+    and None for any other node.  No synapse starts at a join, so ``out[j]``
+    is empty.  ``seed`` is the circuit's injections as ``(time, 2·neuron +
+    1, value)`` in canonical order, which is sorted and so already a heap,
+    and ``injected`` the same injections as an engine's accepted-injection
+    rows.
     """
 
     kind: tuple[int, ...]
@@ -161,9 +162,8 @@ def _build_plan(circuit: Circuit) -> _Plan:
     # Synapses are sorted by (pre, post), so each out-list is in post order.
     out: list[list[tuple[int, int, int, int | None]]] = [[] for _ in range(n)]
     for pre, post, weight, delay in circuit.synapses:
-        if joins[pre] is None:
-            lines = line_of[post]
-            out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
+        lines = line_of[post]
+        out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
     injections = circuit.injections
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),

@@ -108,20 +108,29 @@ def test_builder_rejects_bad_port_role_and_negative_scalars():
     assert _violations_at_build(b) == ["injection into 0: time must be >= 0"]
 
 
+def _leaves(join: int, post: int) -> str:
+    """The violation for a synapse that starts at a join."""
+    return f"synapse ({join}, {post}): starts at join {join}, whose record holds its output lines"
+
+
 def test_builder_join_requires_two_distinct_lines():
-    # Each case joins over four fresh neurons 0..3, so the join is node 4.
+    # Each case joins over four fresh neurons 0..3, so the join is node 4.  An
+    # output line is the record's alone, so only an input line has a wire.
     cases = [
         (([0], [1]), ["join 4: needs at least 2 lines"]),
         (
             ([0, 0], [1, 2]),
             ["synapse (0, 4): duplicate (pre, post) pair", "join 4: input lines must be distinct"],
         ),
+        (([0, 1], [2, 2]), ["join 4: output lines must be distinct"]),
         (([0, 1], [2]), ["join 4: inputs and outputs must have equal length"]),
         (
             ([0, 99], [1, 2]),
             ["synapse (99, 4): unknown endpoint", "join 4: unknown line endpoint 99"],
         ),
-        (([0, 4], [1, 2]), ["join 4: line endpoint 4 is a join", "join 4: synapse to unlisted target 4"]),
+        (([0, 1], [2, 99]), ["join 4: unknown line endpoint 99"]),
+        (([0, 4], [1, 2]), [_leaves(4, 4), "join 4: line endpoint 4 is a join"]),
+        (([0, 1], [2, 4]), ["join 4: line endpoint 4 is a join"]),
     ]
     for (inputs, outputs), expected in cases:
         b = CircuitBuilder()
@@ -137,11 +146,21 @@ def test_builder_join_creates_unit_line_synapses():
     dsts = [b.add_neuron(0), b.add_neuron(0)]
     j = b.add_join(srcs, dsts)
     circuit = b.build()
-    pairs = {(s.pre, s.post): s for s in circuit.synapses}
-    for src in srcs:
-        assert pairs[(src, j)].weight == 1 and pairs[(src, j)].delay == 0
-    for dst in dsts:
-        assert pairs[(j, dst)].weight == 1 and pairs[(j, dst)].delay == 0
+    # One unit wire into the join per input line; the output lines are the record's alone.
+    assert circuit.synapses == tuple(SynapseSpec(src, j, 1, 0) for src in srcs)
+    assert circuit.gadgets == (Join(j, tuple(srcs), tuple(dsts)),)
+
+
+def test_no_synapse_may_start_at_a_join():
+    # An output line's wire, as older circuit files carried, or any other
+    # synapse out of a join is refused: the record alone says where lines go.
+    for post, weight, delay in [(2, 1, 0), (3, 1, 0), (0, 5, 2)]:
+        b = CircuitBuilder()
+        srcs = [b.add_neuron(0), b.add_neuron(0)]
+        dsts = [b.add_neuron(0), b.add_neuron(0)]
+        j = b.add_join(srcs, dsts)
+        b.add_synapse(j, post, weight, delay)
+        assert _violations_at_build(b) == [_leaves(j, post)]
 
 
 def test_builder_rejects_injection_into_join_at_build():
@@ -243,24 +262,18 @@ def test_validate_reports_join_line_synapse_mismatch():
     with pytest.raises(InvalidCircuit) as err:
         Circuit(
             neurons=[NeuronSpec(i, 0, 0) for i in range(4)],
-            synapses=[
-                SynapseSpec(0, 4, 1, 0),
-                SynapseSpec(2, 4, 1, 0),
-                SynapseSpec(4, 2, 1, 0),
-                SynapseSpec(4, 3, 1, 0),
-            ],
+            synapses=[SynapseSpec(0, 4, 1, 0), SynapseSpec(2, 4, 1, 0)],
             ports=[],
             injections=[],
             gadgets=[Join(4, (0, 1), (2, 3))],
         )
-    violations = err.value.violations
-    assert any("line source 1 has no synapse" in v for v in violations)
-    assert any("unlisted source 2" in v for v in violations)
+    assert err.value.violations == ["join 4: line source 1 has no synapse", "join 4: synapse from unlisted source 2"]
 
 
 def test_validate_lists_join_violations_in_canonical_order():
     # Join 6 over 0,1 -> 2,3 and join 7 over 2,3 -> 4,5, each missing line
-    # synapses and carrying unlisted ones.
+    # synapses, carrying unlisted ones and sending along synapses of its own:
+    # those are named in synapse order, the rest join by join.
     with pytest.raises(InvalidCircuit) as err:
         Circuit(
             neurons=[NeuronSpec(i, 0, 0) for i in range(6)],
@@ -268,13 +281,11 @@ def test_validate_lists_join_violations_in_canonical_order():
                 SynapseSpec(0, 6, 1, 0),
                 SynapseSpec(5, 6, 1, 0),
                 SynapseSpec(4, 6, 1, 0),
-                SynapseSpec(6, 2, 1, 0),
                 SynapseSpec(6, 5, 1, 0),
-                SynapseSpec(6, 4, 1, 0),
+                SynapseSpec(6, 2, 1, 0),
                 SynapseSpec(2, 7, 1, 0),
                 SynapseSpec(3, 7, 1, 0),
                 SynapseSpec(0, 7, 1, 0),
-                SynapseSpec(7, 4, 1, 0),
                 SynapseSpec(7, 1, 1, 0),
             ],
             ports=[],
@@ -282,15 +293,13 @@ def test_validate_lists_join_violations_in_canonical_order():
             gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
         )
     assert err.value.violations == [
+        _leaves(6, 2),
+        _leaves(6, 5),
+        _leaves(7, 1),
         "join 6: line source 1 has no synapse",
         "join 6: synapse from unlisted source 4",
         "join 6: synapse from unlisted source 5",
-        "join 6: line target 3 has no synapse",
-        "join 6: synapse to unlisted target 4",
-        "join 6: synapse to unlisted target 5",
         "join 7: synapse from unlisted source 0",
-        "join 7: line target 5 has no synapse",
-        "join 7: synapse to unlisted target 1",
     ]
 
 
@@ -308,11 +317,10 @@ def test_input_port_on_a_join_is_rejected_when_the_circuit_is_built():
 
 
 def test_a_join_line_must_be_a_plain_wire():
-    # Join 6 over 0,1 -> 2,3 and join 7 over 2,3 -> 4,5: every line synapse
-    # with a weight other than 1 or a delay other than 0 is named, each join's
-    # sources before its targets, joins in id order.
-    lines = {(0, 6): (2, 0), (1, 6): (1, 0), (6, 2): (1, 3), (6, 3): (1, 0),
-             (2, 7): (1, 0), (3, 7): (-1, 1), (7, 4): (1, 0), (7, 5): (0, -2)}
+    # Join 6 over 0,1 -> 2,3 and join 7 over 2,3 -> 4,5: every input line
+    # synapse with a weight other than 1 or a delay other than 0 is named,
+    # joins in id order.
+    lines = {(0, 6): (2, 0), (1, 6): (1, 3), (2, 7): (1, 0), (3, 7): (0, -2)}
     with pytest.raises(InvalidCircuit) as err:
         Circuit(
             neurons=[NeuronSpec(i, 0, 0) for i in range(6)],
@@ -320,25 +328,27 @@ def test_a_join_line_must_be_a_plain_wire():
             gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
         )
     assert err.value.violations == [
-        "synapse (7, 5): delay must be >= 0",
+        "synapse (3, 7): delay must be >= 0",
         "join 6: synapse (0, 6) must have weight 1 and delay 0",
-        "join 6: synapse (6, 2) must have weight 1 and delay 0",
+        "join 6: synapse (1, 6) must have weight 1 and delay 0",
         "join 7: synapse (3, 7) must have weight 1 and delay 0",
-        "join 7: synapse (7, 5) must have weight 1 and delay 0",
     ]
 
 
 def test_a_join_line_may_not_end_at_a_join():
-    # Synapse (4, 5) is join 4's first output line and join 5's first input
-    # line at once; the builder cannot write it, as each add_join adds its own.
+    # Join 4's first output line ends at join 5, and join 5's first input
+    # line starts at join 4.  That input line's wire (4, 5) starts at a join,
+    # so it is named too; the output line has no wire.
     with pytest.raises(InvalidCircuit) as err:
         Circuit(
             neurons=[NeuronSpec(i, 0, 0) for i in range(4)],
-            synapses=[SynapseSpec(pre, post, 1, 0) for pre, post in [(0, 4), (1, 4), (2, 5), (4, 2), (4, 5), (5, 0), (5, 3)]],
+            synapses=[SynapseSpec(pre, post, 1, 0) for pre, post in [(0, 4), (1, 4), (2, 5), (4, 5)]],
             injections=[Injection(0, 1, 0), Injection(1, 2, 0)],
             gadgets=[Join(4, (0, 1), (5, 2)), Join(5, (4, 2), (3, 0))],
         )
-    assert err.value.violations == ["join 4: line endpoint 5 is a join", "join 5: line endpoint 4 is a join"]
+    assert err.value.violations == [
+        _leaves(4, 5), "join 4: line endpoint 5 is a join", "join 5: line endpoint 4 is a join"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +387,9 @@ def broken_sections(draw):
     rules += ["node id", "leak"] if neurons else []
     rules += ["endpoint", "delay", "pair"] if synapses else []
     rules += ["port name", "role", "port node"] if ports else []
-    rules += ["input port on a join", "injection into a join", "one line", "line counts", "repeated source",
-              "repeated target", "join at a line end", "line wire", "extra synapse"] if joins else []
+    rules += ["input port on a join", "injection into a join", "one line", "line counts", "repeated input",
+              "repeated output", "unknown output", "join at a line end", "line wire", "extra synapse",
+              "synapse from a join"] if joins else []
     rule = draw(st.sampled_from(rules))
     at = draw(st.integers(0, 10**6))  # which record: taken modulo the section's length
     if rule == "node id":
@@ -414,32 +425,32 @@ def broken_sections(draw):
         j, ins, outs = gadgets[index]
         n = len(ins)
         m, k = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
-        if rule == "one line":  # every line but the first goes, with its wires
-            _drop(synapses, *((src, j) for src in ins[1:]), *((j, dst) for dst in outs[1:]))
+        if rule == "one line":  # every line but the first goes, with its input wires
+            _drop(synapses, *((src, j) for src in ins[1:]))
             ins, outs = ins[:1], outs[:1]
-        elif rule == "line counts":  # a target with no wire: the lines no longer pair up
+        elif rule == "line counts":  # an extra target: the lines no longer pair up
             outs += (draw(st.sampled_from(plain)),)
-        elif rule == "repeated source":  # line k takes line 0's source; its own source's wire goes
+        elif rule == "repeated input":  # line k takes line 0's source; its own source's wire goes
             _drop(synapses, (ins[k], j))
             ins = ins[:k] + ins[:1] + ins[k + 1:]
-        elif rule == "repeated target":
-            _drop(synapses, (j, outs[k]))
+        elif rule == "repeated output":  # output lines have no wires, so no synapse test sees this
             outs = outs[:k] + outs[:1] + outs[k + 1:]
-        elif rule == "join at a line end":  # the join feeds itself over one plain wire
-            _drop(synapses, (ins[m], j), (j, outs[k]))
-            synapses.append(SynapseSpec(j, j, 1, 0))
-            ins, outs = ins[:m] + (j,) + ins[m + 1:], outs[:k] + (j,) + outs[k + 1:]
+        elif rule == "unknown output":
+            outs = outs[:m] + (outside,) + outs[m + 1:]
+        elif rule == "join at a line end":  # a line ends at its own join (a line starting there has a wire from it)
+            outs = outs[:k] + (j,) + outs[k + 1:]
         elif rule == "line wire":
-            wire = draw(st.sampled_from([i for i, w in enumerate(synapses) if j in (w.pre, w.post)]))
+            wire = draw(st.sampled_from([i for i, w in enumerate(synapses) if w.post == j]))
             field = draw(st.sampled_from(["weight", "delay"]))
             synapses[wire] = synapses[wire]._replace(**{field: getattr(synapses[wire], field) + 1})
         elif rule == "extra synapse":
-            into = draw(st.booleans())
             pairs = {(w.pre, w.post) for w in synapses}
-            free = [x for x in plain if ((x, j) if into else (j, x)) not in pairs]
+            free = [x for x in plain if (x, j) not in pairs]
             assume(free)
-            x = draw(st.sampled_from(free))
-            synapses.append(SynapseSpec(*((x, j) if into else (j, x)), 1, 0))
+            synapses.append(SynapseSpec(draw(st.sampled_from(free)), j, 1, 0))
+        elif rule == "synapse from a join":  # an output line's wire, as older files carried, or any other
+            post, weight, delay = draw(st.sampled_from(plain)), draw(st.integers(-9, 9)), draw(st.integers(0, 3))
+            synapses.append(SynapseSpec(j, post, weight, delay))
         gadgets[index] = Join(j, ins, outs)
     return rule, s
 

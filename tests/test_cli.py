@@ -57,10 +57,10 @@ def test_compile_writes_default_output_and_stats(add_rec, tmp_path, capsys):
     assert artifact.exists()
     assert out[0] == f"wrote {artifact}"
     assert out[1].startswith("neurons=") and "trigger_cells=2" in out[1]
-    assert out[1] == "neurons=56 synapses=115 native_gadgets=22 trigger_cells=2"
+    assert out[1] == "neurons=56 synapses=107 native_gadgets=22 trigger_cells=2"
     assert out[2] == "latency=dynamic big_m=1000000000"
     circuit = CompiledProgram.deserialize(artifact.read_text()).circuit
-    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (56, 115, 22)
+    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (56, 107, 22)
     inputs = sorted(circuit.ports_by_role("input"), key=lambda p: p.neuron)
     assert [p.name for p in inputs] == ["i", "x1"]
 
@@ -396,17 +396,39 @@ def test_run_rejects_a_big_m_below_two(tmp_path, capsys, source, big_m):
 @pytest.mark.parametrize("line", ["input", "output"])
 @pytest.mark.parametrize("field, value", [("weight", 2), ("delay", 3)])
 def test_run_rejects_a_join_line_that_is_not_a_plain_wire(add_circuit, capsys, line, field, value):
-    # A weighted or delayed line would make the join's flush a second send
-    # path; such a file is refused when loaded, before any run.
+    # A weighted or delayed line into a join would make it a second send
+    # path; such a file is refused when loaded, before any run.  No wire may
+    # leave a join at all, whatever its weight and delay: the join's record
+    # alone holds its output lines.
     doc = json.loads(add_circuit.read_text())
     join, _, inputs, outputs = next(g for g in doc["circuit"]["gadgets"] if g[1] == "join")
-    pre, post = (inputs[0], join) if line == "input" else (join, outputs[0])
-    synapse = next(s for s in doc["circuit"]["synapses"] if s[:2] == [pre, post])
+    if line == "input":
+        pre, post = inputs[0], join
+        synapse = next(s for s in doc["circuit"]["synapses"] if s[:2] == [pre, post])
+        expected = f"join {join}: synapse ({pre}, {post}) must have weight 1 and delay 0"
+    else:
+        pre, post = join, outputs[0]
+        synapse = [pre, post, 1, 0]
+        doc["circuit"]["synapses"].append(synapse)
+        expected = f"synapse ({pre}, {post}): starts at join {join}, whose record holds its output lines"
     synapse[SynapseSpec._fields.index(field)] = value
     add_circuit.write_text(json.dumps(doc))
     assert main(["run", str(add_circuit), "--in", "i=3", "--in", "x1=2"]) == 1
+    assert capsys.readouterr().err == f"error: invalid circuit: {expected}\n"
+
+
+def test_run_rejects_a_synapse_leaving_a_join(add_circuit, capsys):
+    # Older files also wired each join's output lines, (join, target, 1, 0);
+    # a join's record alone says where its lines go, so a file still carrying
+    # such a wire is refused when loaded.  `murec compile` rebuilds it.
+    doc = json.loads(add_circuit.read_text())
+    join, _, _, outputs = next(g for g in doc["circuit"]["gadgets"] if g[1] == "join")
+    doc["circuit"]["synapses"].append([join, outputs[0], 1, 0])
+    add_circuit.write_text(json.dumps(doc))
+    assert main(["run", str(add_circuit), "--in", "i=3", "--in", "x1=2"]) == 1
     assert capsys.readouterr().err == (
-        f"error: invalid circuit: join {join}: synapse ({pre}, {post}) must have weight 1 and delay 0\n"
+        f"error: invalid circuit: synapse ({join}, {outputs[0]}): starts at join {join}, "
+        "whose record holds its output lines\n"
     )
 
 
@@ -424,19 +446,17 @@ def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
 
 
 def test_run_rejects_a_join_line_that_ends_at_a_join(tmp_path, capsys):
-    # Synapse (4, 5) serves as join 4's output line and join 5's input line.
+    # Join 4's first output line ends at join 5; join 5's lines come from neurons.
     circuit = {
         "neurons": [[i, 0, 0] for i in range(4)],
-        "synapses": [[pre, post, 1, 0] for pre, post in [(0, 4), (1, 4), (2, 5), (4, 2), (4, 5), (5, 0), (5, 3)]],
+        "synapses": [[pre, post, 1, 0] for pre, post in [(0, 4), (1, 4), (2, 5), (3, 5)]],
         "injections": [[0, 1, 0], [1, 2, 0]],
-        "gadgets": [[4, "join", [0, 1], [5, 2]], [5, "join", [4, 2], [3, 0]]],
+        "gadgets": [[4, "join", [0, 1], [5, 2]], [5, "join", [2, 3], [3, 0]]],
     }
     path = tmp_path / "joins.circuit.json"
     path.write_text(json.dumps({"circuit": circuit, "meta": {"big_m": 10**9}}))
     assert main(["run", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: invalid circuit: join 4: line endpoint 5 is a join; join 5: line endpoint 4 is a join\n"
-    )
+    assert capsys.readouterr().err == "error: invalid circuit: join 4: line endpoint 5 is a join\n"
 
 
 @pytest.mark.parametrize(

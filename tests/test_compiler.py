@@ -24,6 +24,7 @@ from murec import (
     Compose,
     ConfigError,
     Const,
+    Join,
     LoweringConfig,
     Mu,
     ParseError,
@@ -283,6 +284,34 @@ def test_loop_machinery_is_clean_after_the_run(compiled_add):
     assert go_line not in state_lines
     h_lines = engine.join_lines(markers["h_join"])
     assert 1 not in h_lines  # the accumulator line only fills on a continue
+
+
+def _y_after(program, outcome, start: int) -> list[tuple[int, int]]:
+    """The output spikes of ``outcome`` from ``start`` on, as (steps after ``start``, value)."""
+    y, = (p.neuron for p in program.circuit.ports if p.name == "y")
+    return [(time - start, value) for time, _, value in outcome.spikes_of(y) if time >= start]
+
+
+@pytest.mark.parametrize("program", [ADD, MUL, MONUS, MU_MONUS], ids=["add", "mul", "monus", "mu_monus"])
+def test_a_drained_program_runs_again_as_a_fresh_one(program):
+    # A box may be re-activated once its previous activation has drained:
+    # after quiescence, a second argument tuple gives the value, and the
+    # offset from its injection, of a fresh run, although joins still buffer
+    # lines from the first activation.
+    compiled = compile_program(program)
+    ports = {p.name: p.neuron for p in compiled.circuit.ports}
+    joins = [g.id for g in compiled.circuit.gadgets if isinstance(g, Join)]
+    grid = list(itertools.product(range(3), repeat=len(compiled.circuit.ports_by_role("input"))))
+    fresh = {args: _y_after(compiled, engine_run(compiled, list(args))[1], 0) for args in grid}
+    for first, second in itertools.product(grid, repeat=2):
+        engine, outcome = engine_run(compiled, list(first))
+        assert outcome.status == "quiescent" and any(map(engine.join_lines, joins))
+        start = outcome.final_clock + 1
+        for name, value in bind_args(compiled, list(second)).items():
+            engine.add_injection(ports[name], value, start)
+        again = engine.run()
+        assert again.status == "quiescent"
+        assert _y_after(compiled, again, start) == fresh[second], (first, second)
 
 
 # ---------------------------------------------------------------------------

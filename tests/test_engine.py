@@ -463,7 +463,11 @@ def test_join_waits_for_every_line_then_releases_in_line_order():
     j = b.add_join([a, c], [d1, d2])
     b.add_injection(a, 3, 0)  # parks line 0 at t=1
     b.add_injection(c, 7, 8)  # fills line 1 at t=9
-    outcome = simulate(b.build())
+    circuit = b.build()
+    # The join's output lines are its record's: the plan gives it no out-edge.
+    plan = murec.engine._build_plan(circuit)
+    assert plan.out[j] == () and plan.joins[j] == (2 * d1 + 1, 2 * d2 + 1)
+    outcome = simulate(circuit)
     join_events = [e for e in outcome.raster if e.neuron == j]
     assert join_events == [SpikeEvent(9, j, 3), SpikeEvent(9, j, 7)]
     assert SpikeEvent(10, d1, 3) in outcome.raster
@@ -636,19 +640,19 @@ def test_arrivals_from_one_step_are_traced_by_source_id():
     ]
 
 
-# 256 is the ring size an earlier engine capped at; keeping it keeps these
-# tests' transits.  Every transit above one step waits on the engine's heap.
-RING_SPAN = 256
+# A long transit, in steps.  Work with a transit of one step goes to the
+# engine's dense next-step tier; every longer transit waits on its heap.
+LONG_TRANSIT = 256
 
 
-def test_a_fan_out_faults_at_its_first_breach_in_post_order_across_ring_and_overflow():
-    # One spike reaches `low` over an edge longer than the ring and `high`
-    # over a one-step edge; both products breach big_m=10.
+def test_a_fan_out_faults_at_its_first_breach_in_post_order_across_long_and_one_step_transits():
+    # One spike reaches `low` over a long edge and `high` over a one-step
+    # edge; both products breach big_m=10.
     b = CircuitBuilder()
     src = b.add_neuron(0)
     low = b.add_neuron(0)
     high = b.add_neuron(0)
-    b.add_synapse(src, low, 9, 2 * RING_SPAN)
+    b.add_synapse(src, low, 9, 2 * LONG_TRANSIT)
     b.add_synapse(src, high, 9, 0)
     b.add_injection(src, 5, 0)
     outcome = simulate(b.build(), config=SimConfig(big_m=10))
@@ -656,24 +660,24 @@ def test_a_fan_out_faults_at_its_first_breach_in_post_order_across_ring_and_over
     assert outcome.raster == [SpikeEvent(0, src, 5)]
 
 
-@pytest.mark.parametrize("short", [RING_SPAN - 1, RING_SPAN, RING_SPAN + 1])
-def test_arrivals_across_ring_and_overflow_keep_emission_order(short):
-    # `early` (t=0, transit short + 7) and `late` (t=7, transit `short`) both
-    # reach `target` at short + 7; the earlier emission arrives first.
+@pytest.mark.parametrize("transit", [LONG_TRANSIT - 1, LONG_TRANSIT, LONG_TRANSIT + 1])
+def test_long_transits_arriving_together_keep_emission_order(transit):
+    # `early` (t=0, transit + 7 steps) and `late` (t=7, `transit` steps) both
+    # reach `target` at transit + 7; the earlier emission arrives first.
     b = CircuitBuilder()
     early = b.add_neuron(0)
     late = b.add_neuron(0)
     target = b.add_neuron(100)
-    b.add_synapse(early, target, 1, short + 6)
-    b.add_synapse(late, target, 1, short - 1)
+    b.add_synapse(early, target, 1, transit + 6)
+    b.add_synapse(late, target, 1, transit - 1)
     b.add_injection(early, 1, 0)
     b.add_injection(late, 2, 7)
     outcome = simulate(b.build())
     assert outcome.trace == [
         Delivery(0, early, None, 1),
         Delivery(7, late, None, 2),
-        Delivery(short + 7, target, early, 1),
-        Delivery(short + 7, target, late, 2),
+        Delivery(transit + 7, target, early, 1),
+        Delivery(transit + 7, target, late, 2),
     ]
 
 
@@ -920,20 +924,6 @@ def test_run_diff_builds_one_plan_for_all_its_cases(monkeypatch):
     assert twin == program.circuit
     assert run_diff(ADD, CompiledProgram(twin, program.meta), [(2, 3)]).ok
     assert len(built) == 2 and built[1] is twin
-
-
-def test_a_joins_output_lines_are_read_from_its_line_targets_only(
-    compiled_add, compiled_mul, compiled_pred, compiled_monus, compiled_mu_monus
-):
-    # A join's out-edges would be its output lines, which the engine and the
-    # trace take from plan.joins; the plan builds no out-edge for a join.
-    for program in (compiled_add, compiled_mul, compiled_pred, compiled_monus, compiled_mu_monus):
-        plan = murec.engine._build_plan(program.circuit)
-        assert plan.join_ids
-        assert [plan.out[j] for j in plan.join_ids] == [()] * len(plan.join_ids)
-        edges = sum(map(len, plan.out))
-        lines = sum(len(plan.joins[j]) for j in plan.join_ids)
-        assert edges + lines == len(program.circuit.synapses)
 
 
 # ---------------------------------------------------------------------------

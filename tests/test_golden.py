@@ -133,23 +133,23 @@ def _nest(depth):
 CIRCUIT_GOLDEN = {
     "add": (
         ADD,
-        "9c245cfb45eb9594d3637a9f64ba6d0fff23e2e05441fe132c265e8a36034b7f",
-        "b6bbc8c117d55266124aaad5b30806277dd41e0067be448c336b6a0232abacf7",
+        "f770cdf2f0fe712b8261be4e704ac25cfd653814e5faf7181bf70437ecedb659",
+        "0f7e31c7e8344119923e53add18ca6c627611a59b5d1f25a0d4fc267e76896b2",
     ),
     "mul": (
         MUL,
-        "488a3d9b396b026c5bc76eeb12c84f9d801b4671a8278a650e873cbed4fe7766",
-        "0067653a680277e14a912b674359637f0bc9bfd6bf9aad295d8085bb4d9070e2",
+        "82c39eaa608e098fdc8a92dddfad07b25eff00d47bd8ac487c2c815635a03070",
+        "d7f9dc00eb542da01adb20e4d8dc28d5cc30da8cad9b3816f427f0f503f96c0e",
     ),
     "mu_monus": (
         MU_MONUS,
-        "9f364781a5199e987787bda086129c14dfb7c8e5a80f685614d462679afd7807",
-        "9eb7b30d246d5fa588dc6c0baa05e47caac40177bda49a381139e91ec552c850",
+        "c1a9deb48944b04ec98a1b2d5e42bd9013fd3266211afd0af254c7b9b81ff810",
+        "449c8ca1fb9d9e32b4f99c5d465a78339c472c95ff665a2b1679d17efda51df0",
     ),
     "nest3": (
         _nest(3),
-        "3a761149382babb44c3c7357e88e2a754cac2d50ba805d9270896a28823d4a32",
-        "f3a6ba4fb479108922e82f6ae658dea82e1ef5626698dfca9d54489137fab030",
+        "4737441145ca5aaf4b4cdd5a8c0d09a5978135c65f161aa00d8642e4caa3f450",
+        "caa69b4c5c5833c5a39a3071627def728dcd255522ca6a84a4e63fa54082b923",
     ),
 }
 

@@ -109,8 +109,7 @@ class Reference:
             return True
         for m, target in enumerate(join.outputs):
             self.spikes.append((t, node, lines[m]))
-            (weight, delay), = [(w, d) for post, w, d in self.synapses[node] if post == target]
-            if not self._send(t, node, target, weight * lines[m], delay):
+            if not self._send(t, node, target, lines[m], 0):
                 return False
         lines.clear()
         return True
