@@ -8,17 +8,17 @@ for a spike is ``delay + 1``.  Ports name nodes used for external input or
 output, and the injection plan lists externally supplied values a run needs.
 
 Records are named tuples, so they are immutable and cheap to make.  Circuits
-are valid and frozen from construction on: every field's type is checked,
-then every section is a tuple sorted into canonical order once and then
-checked (an invalid circuit raises :class:`InvalidCircuit`), so canonical
-JSON (stable key order, sorted records) encodes the sections as they stand,
-and equal circuits give byte-equal text.
+are valid and frozen from construction on: the sections are checked as given
+(an invalid circuit raises :class:`InvalidCircuit`), and only then is each
+made a tuple sorted into canonical order, so canonical JSON (stable key
+order, sorted records) encodes the sections as they stand, and equal circuits
+give byte-equal text.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import eq, is_, itemgetter
 from typing import Any, Iterable, NamedTuple, Union
 
@@ -99,6 +99,17 @@ _FIELD_TYPES = {
 }
 
 
+# Each section's canonical order, as a sort key of field positions: id,
+# (pre, post), name, (time, neuron, value), id.
+_ORDER = {
+    "neurons": itemgetter(0),
+    "synapses": itemgetter(0, 1),
+    "ports": itemgetter(0),
+    "injections": itemgetter(2, 0, 1),
+    "gadgets": itemgetter(0),
+}
+
+
 def _make(record: type, rows: Iterable) -> list:
     """``record`` of each row, each row holding its fields in order.
 
@@ -114,7 +125,7 @@ def _line_from_json(raw: Any) -> Any:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Frozen circuit: sections become sorted tuples; any violation raises InvalidCircuit."""
+    """Frozen circuit: checked as given (any violation raises InvalidCircuit), then its sections become sorted tuples."""
 
     neurons: tuple[NeuronSpec, ...] = ()
     synapses: tuple[SynapseSpec, ...] = ()
@@ -123,21 +134,12 @@ class Circuit:
     gadgets: tuple[NativeGadget, ...] = ()
 
     def __post_init__(self) -> None:
-        # Sorting and the structural rules compare ids, so field types come first.
-        violations = self._type_violations()
-        if violations:
-            raise InvalidCircuit(violations)
-        # The only place that sorts: everything downstream trusts this order.
-        set_field = object.__setattr__
-        # Sort keys are field positions: id, (pre, post), name, (time, neuron, value), id.
-        set_field(self, "neurons", tuple(sorted(self.neurons, key=itemgetter(0))))
-        set_field(self, "synapses", tuple(sorted(self.synapses, key=itemgetter(0, 1))))
-        set_field(self, "ports", tuple(sorted(self.ports, key=itemgetter(0))))
-        set_field(self, "injections", tuple(sorted(self.injections, key=itemgetter(2, 0, 1))))
-        set_field(self, "gadgets", tuple(sorted(self.gadgets, key=itemgetter(0))))
         violations = self.validate()
         if violations:
             raise InvalidCircuit(violations)
+        # The only place that sorts: everything downstream trusts this order.
+        for section, key in _ORDER.items():
+            object.__setattr__(self, section, tuple(sorted(getattr(self, section), key=key)))
 
     # -- lookups ---------------------------------------------------------
 
@@ -149,58 +151,24 @@ class Circuit:
 
     # -- validation ------------------------------------------------------
 
-    def _type_violations(self) -> list[str]:
-        """Name every field of the wrong type, as ``section[index].field``, in the order given.
-
-        Type tests over whole columns, run in C, pass in the common case; only a
-        circuit that fails them pays for the per-field pass that writes the messages.
-        """
-        neurons, ports, gadgets = self.neurons, self.ports, self.gadgets
-        names = list(map(itemgetter(0), ports))
-        lines = [line for g in gadgets if type(g) is Join for line in g[1:]]
-        integers = chain(
-            chain.from_iterable(self.synapses),
-            chain.from_iterable(self.injections),
-            map(itemgetter(0), neurons),
-            map(itemgetter(1), neurons),
-            map(itemgetter(1), ports),
-            map(itemgetter(0), gadgets),
-            (g.value for g in gadgets if type(g) is ConstEmit),
-            chain.from_iterable(lines),
-        )
-        if (
-            {tuple}.issuperset(map(type, lines))
-            and {str}.issuperset(map(type, names))
-            and "" not in names
-            and {int, type(INFINITE)}.issuperset(map(type, map(itemgetter(2), neurons)))
-            and {int}.issuperset(map(type, integers))
-        ):
-            return []
-        violations = []
-        for section in ("neurons", "synapses", "ports", "injections", "gadgets"):
-            for index, record in enumerate(getattr(self, section)):
-                for field, value in zip(record._fields, record):
-                    fits, kind = _FIELD_TYPES.get(field, _INTEGER)
-                    if not fits(value):
-                        violations.append(f"{section}[{index}].{field} must be {kind}, got {value!r}")
-        return violations
-
     def validate(self) -> list[str]:
-        """List every structural violation in canonical order (construction raises on any).
+        """List every violation; construction raises on any.
 
-        Whole-column tests, run in C, recognise a valid circuit; only a circuit
-        that fails one pays for the per-record pass that writes the messages.
+        Mistyped fields are listed alone, named by their place in the sections
+        as given; otherwise every structural violation, in canonical order.
+        Whole-column tests, run in C, recognise a valid circuit whatever its
+        record order; only a circuit that fails one pays for the per-record
+        pass that writes the messages.
         """
         return [] if self._columns_sound() else self._record_violations()
 
     def _columns_sound(self) -> bool:
         """Whether :meth:`_record_violations` lists nothing, decided one column at a time.
 
-        Fields are of the right type and sections in canonical order here, as
-        ``__post_init__`` made them.  Once the node ids are exactly
-        ``range(total)``, a node is known iff it lies in that range, so a min
-        and a max test a whole column; synapses are sorted by ``(pre, post)``,
-        so ``pre``'s ends bound it and a repeated pair is a repeat of the row before.
+        Each section is unzipped once, in the order given.  The type tests come
+        first, since the structural ones compare and hash the fields.  Once the
+        node ids are exactly ``range(total)``, a node is known iff it lies in
+        that range, so a min and a max test a whole column.
         """
         neurons, synapses, ports, injections, gadgets = (
             self.neurons, self.synapses, self.ports, self.injections, self.gadgets
@@ -210,16 +178,26 @@ class Circuit:
         def within(column) -> bool:
             return min(column, default=0) >= 0 and max(column, default=-1) < total
 
-        ids, _, leaks = zip(*neurons) if neurons else ((),) * 3
-        if sorted([*ids, *map(itemgetter(0), gadgets)]) != list(range(total)):
-            return False
-        leaks = set(leaks)
-        leaks.discard(INFINITE)
-        pre, post, _, delay = zip(*synapses) if synapses else ((),) * 4
+        ids, thresholds, leaks = zip(*neurons) if neurons else ((),) * 3
+        pre, post, weights, delay = zip(*synapses) if synapses else ((),) * 4
         names, nodes, roles = zip(*ports) if ports else ((),) * 3
-        targets, _, times = zip(*injections) if injections else ((),) * 3
-        joins = list(compress(gadgets, map(is_, map(type, gadgets), repeat(Join))))
+        targets, values, times = zip(*injections) if injections else ((),) * 3
+        gadget_ids = list(map(itemgetter(0), gadgets))
+        kinds = list(map(type, gadgets))
+        emitted = map(itemgetter(1), compress(gadgets, map(is_, kinds, repeat(ConstEmit))))
+        joins = list(compress(gadgets, map(is_, kinds, repeat(Join))))
         join_ids, sources, sinks = zip(*joins) if joins else ((),) * 3
+        integers = chain(ids, thresholds, pre, post, weights, delay, nodes, targets, values, times, gadget_ids,
+                         emitted, chain.from_iterable(sources + sinks))
+        if not (
+            {tuple}.issuperset(map(type, sources + sinks))
+            and {str}.issuperset(map(type, names))
+            and "" not in names
+            and {int, type(INFINITE)}.issuperset(map(type, leaks))
+            and {int}.issuperset(map(type, integers))
+            and sorted([*ids, *gadget_ids]) == list(range(total))
+        ):
+            return False
         joined = set(join_ids)
         widths = list(map(len, sources))
         # Each line's wire into its join, (source, join, 1, 0), and the synapses into joins.
@@ -227,11 +205,11 @@ class Circuit:
                          repeat(1), repeat(0)))
         into_joins = set(compress(synapses, map(joined.__contains__, post)))
         return (
-            min(leaks, default=0) >= 0
-            and within(pre[:1] + pre[-1:])
+            min(set(leaks) - {INFINITE}, default=0) >= 0
+            and within(pre)
             and within(post)
             and min(delay, default=0) >= 0
-            and not any(map(eq, zip(pre, post), islice(zip(pre, post), 1, None)))
+            and len(set(zip(pre, post))) == len(synapses)
             and len(set(names)) == len(names)
             and all(map(("input", "output").__contains__, roles))
             and within(nodes)
@@ -253,23 +231,42 @@ class Circuit:
         )
 
     def _record_violations(self) -> list[str]:
-        """Each record's violations, in canonical order: the one writer of every message."""
+        """Each record's violations: the one writer of every message.
+
+        A mistyped field is named as ``section[index].field``, in the order
+        given, and such violations are listed alone, since the structural rules
+        compare ids.  Structural violations are listed in canonical order, from
+        sorted copies of the sections.
+        """
         violations: list[str] = []
+        for section in _ORDER:
+            for index, record in enumerate(getattr(self, section)):
+                for field, value in zip(record._fields, record):
+                    fits, kind = _FIELD_TYPES.get(field, _INTEGER)
+                    if not fits(value):
+                        violations.append(f"{section}[{index}].{field} must be {kind}, got {value!r}")
+        if violations:
+            return violations
+        neurons, synapses, ports, injections, gadgets = (
+            sorted(getattr(self, section), key=key) for section, key in _ORDER.items()
+        )
         ids = sorted(self.node_ids())
-        total = len(self.neurons) + len(self.gadgets)
+        total = len(neurons) + len(gadgets)
         if len(ids) != total:
             violations.append("node ids are not unique across neurons and gadgets")
         if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
             violations.append("node ids are not contiguous from 0")
         known = set(ids)
 
-        for n in self.neurons:
+        for n in neurons:
             if n.leak is not None and n.leak < 0:
                 violations.append(f"neuron {n.id}: leak must be >= 0 or INFINITE")
 
-        joins = {g.id: g for g in self.gadgets if isinstance(g, Join)}
+        joins = {g.id: g for g in gadgets if isinstance(g, Join)}
+        # Synapses into each join with their (weight, delay), gathered in canonical order.
+        sources: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
         seen_pairs: set[tuple[int, int]] = set()
-        for s in self.synapses:
+        for s in synapses:
             if s.pre not in known or s.post not in known:
                 violations.append(f"synapse ({s.pre}, {s.post}): unknown endpoint")
             if s.delay < 0:
@@ -281,8 +278,10 @@ class Circuit:
                 violations.append(
                     f"synapse ({s.pre}, {s.post}): starts at join {s.pre}, whose record holds its output lines"
                 )
+            if s.post in sources:
+                sources[s.post][s.pre] = s[2:]
         seen_names: set[str] = set()
-        for p in self.ports:
+        for p in ports:
             if p.name in seen_names:
                 violations.append(f"port {p.name!r}: duplicate name")
             seen_names.add(p.name)
@@ -293,19 +292,13 @@ class Circuit:
             if p.role == "input" and p.neuron in joins:
                 violations.append(f"port {p.name!r}: input port on join {p.neuron} is not allowed")
 
-        for inj in self.injections:
+        for inj in injections:
             if inj.neuron not in known:
                 violations.append(f"injection into unknown node {inj.neuron}")
             if inj.time < 0:
                 violations.append(f"injection into {inj.neuron}: time must be >= 0")
             if inj.neuron in joins:
                 violations.append(f"injection into join {inj.neuron} is not allowed")
-
-        # Synapses into each join with their (weight, delay), gathered in one pass in canonical order.
-        sources: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
-        for s in self.synapses:
-            if s.post in sources:
-                sources[s.post][s.pre] = s[2:]
 
         for g in joins.values():
             n = len(g.inputs)

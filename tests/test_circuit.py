@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import io
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -359,10 +358,29 @@ SECTIONS = ("neurons", "synapses", "ports", "injections", "gadgets")
 COMPILED = [compile_program(program).circuit for program in (ADD, MUL, MU_MONUS)]
 
 
+# Each section's canonical order, which Circuit sorts into once the records are valid.
+CANONICAL = {
+    "neurons": lambda n: n.id,
+    "synapses": lambda s: (s.pre, s.post),
+    "ports": lambda p: p.name,
+    "injections": lambda i: (i.time, i.neuron, i.value),
+    "gadgets": lambda g: g.id,
+}
+# The wording of a field's type rule, by field name; a field not listed is an integer.
+KINDS = {
+    "leak": "an integer or INFINITE",
+    "name": "a non-empty string",
+    "inputs": "a tuple of integers",
+    "outputs": "a tuple of integers",
+}
+
+
 def _unvalidated(sections: dict) -> Circuit:
-    """The circuit ``Circuit(**sections)`` makes, types checked and sections sorted, with validate() skipped."""
-    with mock.patch.object(Circuit, "validate", lambda self: []):
-        return Circuit(**sections)
+    """A circuit holding ``sections`` exactly as given: neither checked nor sorted."""
+    circuit = object.__new__(Circuit)
+    for name, records in sections.items():
+        object.__setattr__(circuit, name, tuple(records))
+    return circuit
 
 
 def _drop(synapses: list, *pairs) -> None:
@@ -371,10 +389,11 @@ def _drop(synapses: list, *pairs) -> None:
 
 @st.composite
 def broken_sections(draw):
-    """A valid circuit's sections with one rule of validate() broken once, and that rule's name.
+    """A valid circuit's sections, shuffled, with one rule of validate() broken once.
 
-    Each mutation breaks its own rule only, so no other column test can stand
-    in for that rule's; "none" leaves the circuit valid.
+    Returns the rule's name, the sections, and for a "field type" draw the one
+    message it must give.  Each mutation breaks its own rule only, so no other
+    column test can stand in for that rule's; "none" leaves the circuit valid.
     """
     circuit = draw(st.one_of(st.sampled_from(COMPILED), built_circuits().map(lambda drawn: drawn[0])))
     s = {name: list(getattr(circuit, name)) for name in SECTIONS}
@@ -390,6 +409,7 @@ def broken_sections(draw):
     rules += ["input port on a join", "injection into a join", "one line", "line counts", "repeated input",
               "repeated output", "unknown output", "join at a line end", "line wire", "extra synapse",
               "synapse from a join"] if joins else []
+    rules += ["field type"] if any(s.values()) else []
     rule = draw(st.sampled_from(rules))
     at = draw(st.integers(0, 10**6))  # which record: taken modulo the section's length
     if rule == "node id":
@@ -420,7 +440,7 @@ def broken_sections(draw):
             ports.append(Port("join-input", j, "input"))  # no other port name has a "-"
         else:
             injections.append(Injection(j, 1, 0))
-    elif rule != "none":
+    elif rule not in ("none", "field type"):
         index = joins[at % len(joins)]
         j, ins, outs = gadgets[index]
         n = len(ins)
@@ -452,18 +472,37 @@ def broken_sections(draw):
             post, weight, delay = draw(st.sampled_from(plain)), draw(st.integers(-9, 9)), draw(st.integers(0, 3))
             synapses.append(SynapseSpec(j, post, weight, delay))
         gadgets[index] = Join(j, ins, outs)
-    return rule, s
+    s = {name: draw(st.permutations(records)) for name, records in s.items()}
+    message = None
+    if rule == "field type":  # one field of the wrong type, named by its place in the shuffled section
+        section = draw(st.sampled_from([name for name in SECTIONS if s[name]]))
+        index = at % len(s[section])
+        record = s[section][index]
+        field = draw(st.sampled_from([name for name in record._fields if name != "role"]))  # a role may be anything
+        accepted = {"leak": [None], "name": ["x"]}.get(field, [])
+        bad = draw(st.sampled_from([v for v in (True, 1.5, "x", None) if v not in accepted]))
+        s[section][index] = record._replace(**{field: bad})
+        message = f"{section}[{index}].{field} must be {KINDS.get(field, 'an integer')}, got {bad!r}"
+    return rule, s, message
 
 
 @settings(max_examples=400, deadline=None)
 @given(broken_sections())
 def test_the_column_tests_pass_exactly_when_the_record_pass_lists_nothing(broken):
-    rule, sections = broken
+    # Circuit checks the records as given and sorts them only once they are
+    # valid, so neither pass may lean on record order: the sections come
+    # shuffled, and a structural rule lists what the same records list sorted.
+    rule, sections, message = broken
     circuit = _unvalidated(sections)
     violations = circuit._record_violations()
     assert (violations == []) == (rule == "none")
     assert circuit._columns_sound() == (violations == [])
     assert circuit.validate() == violations
+    if rule == "field type":
+        assert violations == [message]
+    else:
+        in_order = {name: sorted(records, key=CANONICAL[name]) for name, records in sections.items()}
+        assert _unvalidated(in_order)._record_violations() == violations
 
 
 # ---------------------------------------------------------------------------

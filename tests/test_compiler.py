@@ -292,12 +292,25 @@ def _y_after(program, outcome, start: int) -> list[tuple[int, int]]:
     return [(time - start, value) for time, _, value in outcome.spikes_of(y) if time >= start]
 
 
-@pytest.mark.parametrize("program", [ADD, MUL, MONUS, MU_MONUS], ids=["add", "mul", "monus", "mu_monus"])
+@pytest.mark.parametrize(
+    "program",
+    [
+        ADD,
+        MUL,
+        MONUS,
+        MU_MONUS,
+        Compose(Succ(), (MU_MONUS,)),  # (compose (succ) (MU_MONUS))
+        # (prec (proj 1 1) (compose (succ) ((compose MU_MONUS ((proj 2 3)))))): a mu in a prec step
+        PrimRec(Proj(1, 1), Compose(Succ(), (Compose(MU_MONUS, (Proj(2, 3),)),))),
+    ],
+    ids=["add", "mul", "monus", "mu_monus", "succ_of_mu_monus", "mu_monus_in_prec_step"],
+)
 def test_a_drained_program_runs_again_as_a_fresh_one(program):
     # A box may be re-activated once its previous activation has drained:
     # after quiescence, a second argument tuple gives the value, and the
     # offset from its injection, of a fresh run, although joins still buffer
-    # lines from the first activation.
+    # lines from the first activation.  That holds for a mu under a
+    # composition and inside a prec step too.
     compiled = compile_program(program)
     ports = {p.name: p.neuron for p in compiled.circuit.ports}
     joins = [g.id for g in compiled.circuit.gadgets if isinstance(g, Join)]
