@@ -99,6 +99,16 @@ _FIELD_TYPES = {
 }
 
 
+# Each section's record types, with the wording of the message for any other record.
+_RECORDS = {
+    "neurons": ({NeuronSpec}, "a NeuronSpec"),
+    "synapses": ({SynapseSpec}, "a SynapseSpec"),
+    "ports": ({Port}, "a Port"),
+    "injections": ({Injection}, "an Injection"),
+    "gadgets": ({ConstEmit, Join}, "a ConstEmit or a Join"),
+}
+
+
 # Each section's canonical order, as a sort key of field positions: id,
 # (pre, post), name, (time, neuron, value), id.
 _ORDER = {
@@ -154,25 +164,29 @@ class Circuit:
     def validate(self) -> list[str]:
         """List every violation; construction raises on any.
 
-        Mistyped fields are listed alone, named by their place in the sections
-        as given; otherwise every structural violation, in canonical order.
-        Whole-column tests, run in C, recognise a valid circuit whatever its
-        record order; only a circuit that fails one pays for the per-record
-        pass that writes the messages.
+        Mistyped records and fields are listed alone, named by their place in
+        the sections as given; otherwise every structural violation, in
+        canonical order.  Whole-column tests, run in C, recognise a valid
+        circuit whatever its record order; only a circuit that fails one pays
+        for the per-record pass that writes the messages.
         """
         return [] if self._columns_sound() else self._record_violations()
 
     def _columns_sound(self) -> bool:
         """Whether :meth:`_record_violations` lists nothing, decided one column at a time.
 
-        Each section is unzipped once, in the order given.  The type tests come
-        first, since the structural ones compare and hash the fields.  Once the
-        node ids are exactly ``range(total)``, a node is known iff it lies in
-        that range, so a min and a max test a whole column.
+        Each section's record types are tested first, since the unzips rely on
+        each record's width; each section is then unzipped once, in the order
+        given.  The field type tests come next, since the structural ones
+        compare and hash the fields.  Once the node ids are exactly
+        ``range(total)``, a node is known iff it lies in that range, so a min
+        and a max test a whole column.
         """
         neurons, synapses, ports, injections, gadgets = (
             self.neurons, self.synapses, self.ports, self.injections, self.gadgets
         )
+        if not all(kinds.issuperset(map(type, getattr(self, s))) for s, (kinds, _) in _RECORDS.items()):
+            return False
         total = len(neurons) + len(gadgets)
 
         def within(column) -> bool:
@@ -233,14 +247,18 @@ class Circuit:
     def _record_violations(self) -> list[str]:
         """Each record's violations: the one writer of every message.
 
-        A mistyped field is named as ``section[index].field``, in the order
-        given, and such violations are listed alone, since the structural rules
-        compare ids.  Structural violations are listed in canonical order, from
-        sorted copies of the sections.
+        A record not of its section's type is named as ``section[index]``, and
+        a mistyped field as ``section[index].field``, in the order given; such
+        violations are listed alone, since the structural rules compare ids.
+        Structural violations are listed in canonical order, from sorted
+        copies of the sections.
         """
         violations: list[str] = []
-        for section in _ORDER:
+        for section, (kinds, wording) in _RECORDS.items():
             for index, record in enumerate(getattr(self, section)):
+                if type(record) not in kinds:
+                    violations.append(f"{section}[{index}] must be {wording}, got {record!r}")
+                    continue
                 for field, value in zip(record._fields, record):
                     fits, kind = _FIELD_TYPES.get(field, _INTEGER)
                     if not fits(value):

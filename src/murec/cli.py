@@ -7,9 +7,7 @@ differential mismatches; 64 unknown or unbound input port.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import random
 import sys
@@ -33,7 +31,7 @@ from .errors import (
     UnboundPort,
     UnknownPort,
 )
-from .expr import DEFAULT_FUEL, FuelExhausted, Value, check_arity, eval_oracle, gen_expr, parse_program
+from .expr import DEFAULT_FUEL, Value, check_arity, eval_oracle, gen_expr, parse_program
 
 
 def _latency_str(latency: int | None) -> str:
@@ -99,12 +97,9 @@ def _default_raster_out(circuit_path: Path, fmt: str) -> Path:
 
 
 def _trace_csv(trace) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["time", "target", "source", "value"])
-    for d in trace:
-        writer.writerow([d.time, d.target, "" if d.source is None else d.source, d.value])
-    return out.getvalue()
+    return "time,target,source,value\n" + "".join(
+        ["%d,%d,%d,%d\n" % d if d.source is not None else "%d,%d,,%d\n" % (d.time, d.target, d.value) for d in trace]
+    )
 
 
 def cmd_run(ns: argparse.Namespace) -> int:

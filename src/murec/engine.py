@@ -87,8 +87,8 @@ class RunOutcome:
     final_clock: int
     spikes: list[tuple[int, int, int]]
     fault: Fault | None = None
-    # The trace's other inputs: the plan, each accepted injection as
-    # (raster length then, neuron, value, time), the last step run, its last work key.
+    # The trace's other inputs: the plan (its seed is the circuit's injections), each injection
+    # added to the engine as (raster length then, time, key, value), the last step run, its last work key.
     _trace_inputs: tuple = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -120,9 +120,8 @@ class _Plan(NamedTuple):
     passes its value on unchanged one step later and never ends at a join),
     and None for any other node.  No synapse starts at a join, so ``out[j]``
     is empty.  ``seed`` is the circuit's injections as ``(time, 2·neuron +
-    1, value)`` in canonical order, which is sorted and so already a heap,
-    and ``injected`` the same injections as an engine's accepted-injection
-    rows.
+    1, value)`` in canonical order, which is sorted and so already a heap;
+    it is the only form of them, read by the queue and the trace alike.
     """
 
     kind: tuple[int, ...]
@@ -133,7 +132,6 @@ class _Plan(NamedTuple):
     joins: tuple[tuple[int, ...] | None, ...]
     join_ids: tuple[int, ...]
     seed: tuple[tuple[int, int, int], ...]
-    injected: tuple[tuple[int, int, int, int], ...]
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
@@ -164,11 +162,9 @@ def _build_plan(circuit: Circuit) -> _Plan:
     for pre, post, weight, delay in circuit.synapses:
         lines = line_of[post]
         out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
-    injections = circuit.injections
     return _Plan(
         tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
-        tuple(joined), tuple([(time, 2 * neuron + 1, value) for neuron, value, time in injections]),
-        tuple([(0, neuron, value, time) for neuron, value, time in injections]),
+        tuple(joined), tuple([(time, 2 * neuron + 1, value) for neuron, value, time in circuit.injections]),
     )
 
 
@@ -192,7 +188,7 @@ class Engine:
     read-only plan per :class:`Circuit` object, shared by every engine over
     it.  An engine owns only its run's state: each neuron's retained value
     and how long it lives, each join's buffered line values, the pending
-    work, the raster and the injections it accepted.
+    work, the raster and the injections added to it.
 
     Node ids are dense, so per-node state lives in lists indexed by id, and
     so does pending work, by work key: key ``2·g`` holds the value const
@@ -212,7 +208,7 @@ class Engine:
     while dense keys wait, else the heap's head: no empty step is scanned.
 
     No delivery is recorded: :attr:`RunOutcome.trace` derives them from the
-    raster, the plan, the accepted injections and where a fault stopped.
+    raster, the plan, the injections added to the engine and where a fault stopped.
     """
 
     def __init__(
@@ -236,7 +232,7 @@ class Engine:
         self._due, self._due_keys = [None] * (2 * n), []  # the work at time `open`, by key, and its keys
         self._next, self._next_keys = [None] * (2 * n), []  # the same for the step after: empty between steps
         self._later: list[tuple[int, int, int]] = list(plan.seed)  # a heap of (time, key, value)
-        self._injected: list[tuple[int, int, int, int]] = list(plan.injected)  # (len(raster), neuron, value, time)
+        self._injected: list[tuple[int, int, int, int]] = []  # added here: (len(raster), time, key, value)
         self._cut = 2 * n  # the last key of the last step run: all of it, until a fault
         for inj in extra_injections:
             self.add_injection(inj.neuron, inj.value, inj.time)
@@ -255,8 +251,9 @@ class Engine:
             raise ValueError(f"injection time must be >= {self._open}, got {time}")
         if self.fault is not None:
             return
-        self._injected.append((len(self.raster), neuron, value, time))
-        heapq.heappush(self._later, (time, 2 * neuron + 1, value))
+        row = (time, 2 * neuron + 1, value)
+        self._injected.append((len(self.raster), *row))
+        heapq.heappush(self._later, row)
 
     # -- inspection --------------------------------------------------------
 
@@ -423,12 +420,13 @@ def _trace(plan: _Plan, injected: list, last: int, cut: int, spikes: list) -> li
 
     Rows sort by arrival, target, then a unique emission position (so no sort
     key is built): with ``m`` one more than the number of injections, the
-    ``i``-th injection, accepted while the raster held ``r`` spikes, is at
-    ``r·m + i``, and spike ``r`` (from 0) after those, at ``r·m + m - 1``.
+    ``i``-th injection (the plan's seed, then the engine's), made while the
+    raster held ``r`` spikes, is at ``r·m + i``, and spike ``r`` (from 0) after those, at ``r·m + m - 1``.
     """
-    kind, out, joins = plan.kind, plan.out, plan.joins
-    m = len(injected) + 1
-    rows = [(time, 2 * neuron + 1, r * m + i, None, value) for i, (r, neuron, value, time) in enumerate(injected)]
+    kind, out, joins, seed = plan.kind, plan.out, plan.joins, plan.seed
+    m = len(seed) + len(injected) + 1
+    rows = [(time, key, i, None, value) for i, (time, key, value) in enumerate(seed)]
+    rows += [(time, key, r * m + i, None, value) for i, (r, time, key, value) in enumerate(injected, len(seed))]
     line = 0
     for r, (t, s, v) in enumerate(spikes):
         at = r * m + m - 1

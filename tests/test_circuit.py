@@ -17,6 +17,7 @@ from murec import (
     CircuitBuilder,
     CompiledProgram,
     ConstEmit,
+    Delivery,
     Engine,
     Injection,
     InvalidCircuit,
@@ -32,6 +33,7 @@ from murec import (
     raster_csv,
     raster_jsonl,
 )
+from murec.cli import _trace_csv
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +711,10 @@ def test_a_null_leak_is_refused_not_read_as_infinite():
 
 
 def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
-    # A string id among integer ids would break the sort; the type pass names
-    # it first, with every other mistyped field, in the order given.  A float
-    # is not truncated: serialize() writes integers with %d, so a weight of
-    # 2.5 would otherwise come back from its file as 2.
+    # A string id among integer ids would break the sort; the record pass's
+    # type loop names it first, with every other mistyped field, in the order
+    # given.  A float is not truncated: serialize() writes integers with %d,
+    # so a weight of 2.5 would otherwise come back from its file as 2.
     with pytest.raises(InvalidCircuit) as err:
         Circuit(
             neurons=[NeuronSpec(0, 1.5, 0), NeuronSpec("1", 0, 2.0)],
@@ -733,6 +735,52 @@ def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
         "gadgets[0].value must be an integer, got 1000000000.0",
         "gadgets[1].inputs must be a tuple of integers, got [0, 1]",
         "gadgets[1].outputs must be a tuple of integers, got (0, 1.0)",
+    ]
+
+
+_ONE = (NeuronSpec(0, 0, 0),)
+_TWO = (NeuronSpec(0, 0, 0), NeuronSpec(1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        (dict(neurons=_ONE, gadgets=(NeuronSpec(1, 0, 0),)),
+         "gadgets[0] must be a ConstEmit or a Join, got NeuronSpec(id=1, threshold=0, leak=0)"),
+        (dict(neurons=_ONE, gadgets=((1,),)), "gadgets[0] must be a ConstEmit or a Join, got (1,)"),
+        (dict(neurons=_ONE, gadgets=((1, 5),)), "gadgets[0] must be a ConstEmit or a Join, got (1, 5)"),
+        (dict(neurons=[(0, 1.5, 0)]), "neurons[0] must be a NeuronSpec, got (0, 1.5, 0)"),
+        (dict(neurons=[(0, 1, 0)]), "neurons[0] must be a NeuronSpec, got (0, 1, 0)"),
+        (dict(neurons=_TWO, synapses=[(0, 1, 1)]), "synapses[0] must be a SynapseSpec, got (0, 1, 1)"),
+        (dict(neurons=_ONE, ports=[("y", 0, "output")]), "ports[0] must be a Port, got ('y', 0, 'output')"),
+        (dict(neurons=_ONE, injections=[Port("y", 0, "output")]),
+         "injections[0] must be an Injection, got Port(name='y', neuron=0, role='output')"),
+    ],
+    ids=["neuron-as-gadget", "1-tuple-gadget", "2-tuple-gadget", "tuple-neuron-float", "tuple-neuron",
+         "tuple-synapse", "tuple-port", "port-as-injection"],
+)
+def test_circuit_refuses_a_record_that_is_not_its_sections_named_tuple(sections, message):
+    # Such a record used to be kept (a gadget of another type, or a plain
+    # tuple of the right width) and failed later, in the engine or at save.
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(**sections)
+    assert err.value.violations == [message]
+
+
+def test_a_record_of_the_wrong_type_is_listed_with_the_mistyped_fields_in_the_order_given():
+    # Its fields are not named (they need not be the section's), and, as with
+    # a mistyped field, the structural rules (the negative delay) are not run.
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(
+            neurons=[NeuronSpec(0, 1.5, 0), (1, 2.5, 0)],
+            synapses=[SynapseSpec(0, 1, 1, -1)],
+            gadgets=[SynapseSpec(2, 0, 1, 0), ConstEmit(3, 0.5)],
+        )
+    assert err.value.violations == [
+        "neurons[0].threshold must be an integer, got 1.5",
+        "neurons[1] must be a NeuronSpec, got (1, 2.5, 0)",
+        "gadgets[0] must be a ConstEmit or a Join, got SynapseSpec(pre=2, post=0, weight=1, delay=0)",
+        "gadgets[1].value must be an integer, got 0.5",
     ]
 
 
@@ -845,6 +893,27 @@ def test_raster_csv_equals_a_csv_writer_rendering(drawn):
     circuit, big_m = drawn
     raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster
     assert raster_csv(circuit, raster) == _reference_raster_csv(circuit, raster)
+
+
+def _reference_trace_csv(trace):
+    """The ``--trace`` file as one ``csv.writer`` row per delivery; no source is an empty cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["time", "target", "source", "value"])
+    for d in trace:
+        writer.writerow([d.time, d.target, "" if d.source is None else d.source, d.value])
+    return out.getvalue()
+
+
+_BEYOND_63_BITS = st.integers(-(2**70), 2**70)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.builds(Delivery, _BEYOND_63_BITS, _BEYOND_63_BITS, st.none() | _BEYOND_63_BITS, _BEYOND_63_BITS)))
+@example([Delivery(1, 2, 0, 3), Delivery(0, 0, None, -(2**64))])  # source 0 is node 0, not "no source"
+@example([])
+def test_trace_csv_equals_a_csv_writer_rendering(trace):
+    assert _trace_csv(trace) == _reference_trace_csv(trace)
 
 
 def _reference_raster_jsonl(circuit, raster):

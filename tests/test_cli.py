@@ -73,6 +73,15 @@ def test_compile_honours_explicit_output_path(add_rec, tmp_path, capsys):
     assert f"wrote {target}" in capsys.readouterr().out
 
 
+def test_compile_names_the_output_after_a_source_not_named_rec(tmp_path, capsys):
+    src = tmp_path / "prog.txt"
+    src.write_text(ADD_REC + "\n")
+    assert main(["compile", str(src)]) == 0
+    artifact = tmp_path / "prog.txt.circuit.json"
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {artifact}"
+    assert artifact.exists()
+
+
 def test_compile_static_program_reports_its_latency(tmp_path, capsys):
     src = tmp_path / "plus2.rec"
     src.write_text("(compose (succ) ((succ)))\n")
@@ -179,6 +188,18 @@ def test_run_rejects_malformed_bindings(add_circuit, capsys):
     capsys.readouterr()
     assert main(["run", str(add_circuit), "--in", "i=-1", "--in", "x1=0"]) == 2
     capsys.readouterr()
+    assert main(["run", str(add_circuit), "--in", "i=abc", "--in", "x1=3"]) == 2
+    assert capsys.readouterr().err == "error: input i must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("name", ["c.json", "c"])
+def test_run_names_the_raster_after_a_circuit_file_not_named_circuit_json(add_circuit, tmp_path, capsys, name):
+    args = ["--in", "i=1", "--in", "x1=2"]
+    assert main(["run", str(add_circuit), *args]) == 0
+    shutil.copy(add_circuit, tmp_path / name)
+    assert main(["run", str(tmp_path / name), *args]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "c.raster.csv").read_text() == (tmp_path / "add.raster.csv").read_text()
 
 
 def test_run_rejects_a_port_bound_twice(add_circuit, capsys):

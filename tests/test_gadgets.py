@@ -12,9 +12,7 @@ from murec import (
     ArityError,
     CircuitBuilder,
     Engine,
-    Injection,
     SimConfig,
-    SpikeEvent,
     build_constant,
     build_projection,
     build_successor,

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and uses every name it imports."""
 from __future__ import annotations
 
 import ast
@@ -17,6 +17,20 @@ def test_module_imports_only_the_standard_library(path):
     names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
     foreign = {name.partition(".")[0] for name in names} - set(sys.stdlib_module_names) - {"murec"}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    # __init__.py imports to re-export, and `annotations` is a compiler flag.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } - {"annotations"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
 
 
 def test_every_module_is_checked():
