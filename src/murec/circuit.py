@@ -8,18 +8,19 @@ for a spike is ``delay + 1``.  Ports name nodes used for external input or
 output, and the injection plan lists externally supplied values a run needs.
 
 Records are named tuples, so they are immutable and cheap to make.  Circuits
-are valid and frozen from construction on: the sections are checked as given
-(an invalid circuit raises :class:`InvalidCircuit`), and only then is each
-made a tuple sorted into canonical order, so canonical JSON (stable key
-order, sorted records) encodes the sections as they stand, and equal circuits
-give byte-equal text.
+are valid and frozen from construction on: the record and field types are
+checked as given, a column at a time; each section is then made a tuple sorted
+into canonical order; and one pass over the sorted records checks the
+structure (an invalid circuit raises :class:`InvalidCircuit`).  So canonical
+JSON (stable key order, sorted records) encodes the sections as they stand,
+and equal circuits give byte-equal text.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, is_, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Union
 
 from .errors import InvalidCircuit, ParseError
@@ -85,15 +86,19 @@ class Join(NamedTuple):
 NativeGadget = Union[ConstEmit, Join]
 
 
-# Each record field's type rule, by field name, with the wording of its message;
-# a field not listed is an integer (exactly: a bool is an int to isinstance).
-# Port roles are checked by value, in validate().
-_INTEGER = (lambda v: type(v) is int, "an integer")
-_LINE = (lambda v: type(v) is tuple and all(type(x) is int for x in v), "a tuple of integers")
+# Each record field's type rule, by field name: a test of a column of the
+# field's values, with the wording of its message; a field not listed is an
+# integer (exactly: a bool is an int to isinstance).  Port roles are checked by
+# value, in the structural pass of validate().
+_INTEGER = (lambda column: {int}.issuperset(map(type, column)), "an integer")
+_LINE = (
+    lambda column: {tuple}.issuperset(map(type, column)) and {int}.issuperset(map(type, chain.from_iterable(column))),
+    "a tuple of integers",
+)
 _FIELD_TYPES = {
-    "leak": (lambda v: v is INFINITE or type(v) is int, "an integer or INFINITE"),
-    "name": (lambda v: type(v) is str and v != "", "a non-empty string"),
-    "role": (lambda v: True, ""),
+    "leak": (lambda column: {int, type(INFINITE)}.issuperset(map(type, column)), "an integer or INFINITE"),
+    "name": (lambda column: {str}.issuperset(map(type, column)) and "" not in column, "a non-empty string"),
+    "role": (lambda column: True, ""),
     "inputs": _LINE,
     "outputs": _LINE,
 }
@@ -135,7 +140,7 @@ def _line_from_json(raw: Any) -> Any:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Frozen circuit: checked as given (any violation raises InvalidCircuit), then its sections become sorted tuples."""
+    """Frozen circuit: :meth:`validate` checks it and sorts its sections into tuples; any violation raises InvalidCircuit."""
 
     neurons: tuple[NeuronSpec, ...] = ()
     synapses: tuple[SynapseSpec, ...] = ()
@@ -147,14 +152,8 @@ class Circuit:
         violations = self.validate()
         if violations:
             raise InvalidCircuit(violations)
-        # The only place that sorts: everything downstream trusts this order.
-        for section, key in _ORDER.items():
-            object.__setattr__(self, section, tuple(sorted(getattr(self, section), key=key)))
 
     # -- lookups ---------------------------------------------------------
-
-    def node_ids(self) -> set[int]:
-        return {n.id for n in self.neurons} | {g.id for g in self.gadgets}
 
     def ports_by_role(self, role: str) -> list[Port]:
         return [p for p in self.ports if p.role == role]
@@ -164,183 +163,116 @@ class Circuit:
     def validate(self) -> list[str]:
         """List every violation; construction raises on any.
 
-        Mistyped records and fields are listed alone, named by their place in
-        the sections as given; otherwise every structural violation, in
-        canonical order.  Whole-column tests, run in C, recognise a valid
-        circuit whatever its record order; only a circuit that fails one pays
-        for the per-record pass that writes the messages.
-        """
-        return [] if self._columns_sound() else self._record_violations()
-
-    def _columns_sound(self) -> bool:
-        """Whether :meth:`_record_violations` lists nothing, decided one column at a time.
-
-        Each section's record types are tested first, since the unzips rely on
-        each record's width; each section is then unzipped once, in the order
-        given.  The field type tests come next, since the structural ones
-        compare and hash the fields.  Once the node ids are exactly
-        ``range(total)``, a node is known iff it lies in that range, so a min
-        and a max test a whole column.
-        """
-        neurons, synapses, ports, injections, gadgets = (
-            self.neurons, self.synapses, self.ports, self.injections, self.gadgets
-        )
-        if not all(kinds.issuperset(map(type, getattr(self, s))) for s, (kinds, _) in _RECORDS.items()):
-            return False
-        total = len(neurons) + len(gadgets)
-
-        def within(column) -> bool:
-            return min(column, default=0) >= 0 and max(column, default=-1) < total
-
-        ids, thresholds, leaks = zip(*neurons) if neurons else ((),) * 3
-        pre, post, weights, delay = zip(*synapses) if synapses else ((),) * 4
-        names, nodes, roles = zip(*ports) if ports else ((),) * 3
-        targets, values, times = zip(*injections) if injections else ((),) * 3
-        gadget_ids = list(map(itemgetter(0), gadgets))
-        kinds = list(map(type, gadgets))
-        emitted = map(itemgetter(1), compress(gadgets, map(is_, kinds, repeat(ConstEmit))))
-        joins = list(compress(gadgets, map(is_, kinds, repeat(Join))))
-        join_ids, sources, sinks = zip(*joins) if joins else ((),) * 3
-        integers = chain(ids, thresholds, pre, post, weights, delay, nodes, targets, values, times, gadget_ids,
-                         emitted, chain.from_iterable(sources + sinks))
-        if not (
-            {tuple}.issuperset(map(type, sources + sinks))
-            and {str}.issuperset(map(type, names))
-            and "" not in names
-            and {int, type(INFINITE)}.issuperset(map(type, leaks))
-            and {int}.issuperset(map(type, integers))
-            and sorted([*ids, *gadget_ids]) == list(range(total))
-        ):
-            return False
-        joined = set(join_ids)
-        widths = list(map(len, sources))
-        # Each line's wire into its join, (source, join, 1, 0), and the synapses into joins.
-        wires = list(zip(chain.from_iterable(sources), chain.from_iterable(map(repeat, join_ids, widths)),
-                         repeat(1), repeat(0)))
-        into_joins = set(compress(synapses, map(joined.__contains__, post)))
-        return (
-            min(set(leaks) - {INFINITE}, default=0) >= 0
-            and within(pre)
-            and within(post)
-            and min(delay, default=0) >= 0
-            and len(set(zip(pre, post))) == len(synapses)
-            and len(set(names)) == len(names)
-            and all(map(("input", "output").__contains__, roles))
-            and within(nodes)
-            and joined.isdisjoint(compress(nodes, map(eq, roles, repeat("input"))))
-            and within(targets)
-            and joined.isdisjoint(targets)
-            and min(times, default=0) >= 0
-            and min(widths, default=2) >= 2
-            and widths == list(map(len, sinks))
-            and widths == list(map(len, map(set, sinks)))
-            and within([*chain.from_iterable(sinks)])
-            and joined.isdisjoint(chain.from_iterable(sources + sinks))
-            and joined.isdisjoint(pre)
-            # The synapses into joins are exactly the lines' wires, one per
-            # line: so each join's sources are distinct, and each is a node
-            # the synapse tests placed.
-            and len(into_joins) == len(wires)
-            and into_joins == set(wires)
-        )
-
-    def _record_violations(self) -> list[str]:
-        """Each record's violations: the one writer of every message.
-
-        A record not of its section's type is named as ``section[index]``, and
-        a mistyped field as ``section[index].field``, in the order given; such
-        violations are listed alone, since the structural rules compare ids.
-        Structural violations are listed in canonical order, from sorted
-        copies of the sections.
+        Types come first, as given: each section's record types, then each
+        field's column.  Only a section that fails a test is walked record by
+        record, naming a record not of its section's type as
+        ``section[index]`` and a mistyped field as ``section[index].field``.
+        Such violations are listed alone, since the structural rules compare
+        ids.  Otherwise each section becomes a tuple sorted into canonical
+        order (the only sort: everything downstream trusts this order), and
+        one pass over the sorted records lists every structural violation in
+        that order.  On a built circuit it lists nothing and changes nothing.
         """
         violations: list[str] = []
+        given = {}  # each section read once, so an iterator is checked and sorted whole
         for section, (kinds, wording) in _RECORDS.items():
-            for index, record in enumerate(getattr(self, section)):
+            records = given[section] = tuple(getattr(self, section))
+            # A gadget's fields depend on its record type, so each type's records are unzipped apart.
+            if kinds.issuperset(map(type, records)) and all(
+                _FIELD_TYPES.get(field, _INTEGER)[0](column)
+                for record_type in kinds
+                for field, column in zip(
+                    record_type._fields,
+                    zip(*(records if len(kinds) == 1 else [r for r in records if type(r) is record_type])),
+                )
+            ):
+                continue
+            for index, record in enumerate(records):
                 if type(record) not in kinds:
                     violations.append(f"{section}[{index}] must be {wording}, got {record!r}")
                     continue
                 for field, value in zip(record._fields, record):
                     fits, kind = _FIELD_TYPES.get(field, _INTEGER)
-                    if not fits(value):
+                    if not fits((value,)):
                         violations.append(f"{section}[{index}].{field} must be {kind}, got {value!r}")
         if violations:
             return violations
+
+        for section, key in _ORDER.items():
+            object.__setattr__(self, section, tuple(sorted(given[section], key=key)))
         neurons, synapses, ports, injections, gadgets = (
-            sorted(getattr(self, section), key=key) for section, key in _ORDER.items()
+            self.neurons, self.synapses, self.ports, self.injections, self.gadgets
         )
-        ids = sorted(self.node_ids())
-        total = len(neurons) + len(gadgets)
-        if len(ids) != total:
+        known = {*map(itemgetter(0), neurons), *map(itemgetter(0), gadgets)}
+        if len(known) != len(neurons) + len(gadgets):
             violations.append("node ids are not unique across neurons and gadgets")
-        if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
+        if known and (min(known) != 0 or max(known) != len(known) - 1):
             violations.append("node ids are not contiguous from 0")
-        known = set(ids)
+        violations += [
+            f"neuron {i}: leak must be >= 0 or INFINITE" for i, _, leak in neurons if leak is not None and leak < 0
+        ]
 
-        for n in neurons:
-            if n.leak is not None and n.leak < 0:
-                violations.append(f"neuron {n.id}: leak must be >= 0 or INFINITE")
-
-        joins = {g.id: g for g in gadgets if isinstance(g, Join)}
+        joins = {g.id: g for g in gadgets if type(g) is Join}
         # Synapses into each join with their (weight, delay), gathered in canonical order.
         sources: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
-        seen_pairs: set[tuple[int, int]] = set()
-        for s in synapses:
-            if s.pre not in known or s.post not in known:
-                violations.append(f"synapse ({s.pre}, {s.post}): unknown endpoint")
-            if s.delay < 0:
-                violations.append(f"synapse ({s.pre}, {s.post}): delay must be >= 0")
-            if (s.pre, s.post) in seen_pairs:
-                violations.append(f"synapse ({s.pre}, {s.post}): duplicate (pre, post) pair")
-            seen_pairs.add((s.pre, s.post))
-            if s.pre in joins:
+        last_pre = last_post = None  # sorted, so a repeated pair follows its first
+        for pre, post, weight, delay in synapses:
+            if pre not in known or post not in known:
+                violations.append(f"synapse ({pre}, {post}): unknown endpoint")
+            if delay < 0:
+                violations.append(f"synapse ({pre}, {post}): delay must be >= 0")
+            if pre == last_pre and post == last_post:
+                violations.append(f"synapse ({pre}, {post}): duplicate (pre, post) pair")
+            last_pre, last_post = pre, post
+            if pre in joins:
                 violations.append(
-                    f"synapse ({s.pre}, {s.post}): starts at join {s.pre}, whose record holds its output lines"
+                    f"synapse ({pre}, {post}): starts at join {pre}, whose record holds its output lines"
                 )
-            if s.post in sources:
-                sources[s.post][s.pre] = s[2:]
-        seen_names: set[str] = set()
-        for p in ports:
-            if p.name in seen_names:
-                violations.append(f"port {p.name!r}: duplicate name")
-            seen_names.add(p.name)
-            if p.neuron not in known:
-                violations.append(f"port {p.name!r}: unknown node {p.neuron}")
-            if p.role not in ("input", "output"):
-                violations.append(f"port {p.name!r}: role must be input or output")
-            if p.role == "input" and p.neuron in joins:
-                violations.append(f"port {p.name!r}: input port on join {p.neuron} is not allowed")
+            if post in sources:
+                sources[post][pre] = weight, delay
+        last_name = None  # sorted, so a repeated name follows its first
+        for name, node, role in ports:
+            if name == last_name:
+                violations.append(f"port {name!r}: duplicate name")
+            last_name = name
+            if node not in known:
+                violations.append(f"port {name!r}: unknown node {node}")
+            if role not in ("input", "output"):
+                violations.append(f"port {name!r}: role must be input or output")
+            if role == "input" and node in joins:
+                violations.append(f"port {name!r}: input port on join {node} is not allowed")
 
-        for inj in injections:
-            if inj.neuron not in known:
-                violations.append(f"injection into unknown node {inj.neuron}")
-            if inj.time < 0:
-                violations.append(f"injection into {inj.neuron}: time must be >= 0")
-            if inj.neuron in joins:
-                violations.append(f"injection into join {inj.neuron} is not allowed")
+        for node, _, time in injections:
+            if node not in known:
+                violations.append(f"injection into unknown node {node}")
+            if time < 0:
+                violations.append(f"injection into {node}: time must be >= 0")
+            if node in joins:
+                violations.append(f"injection into join {node} is not allowed")
 
-        for g in joins.values():
-            n = len(g.inputs)
+        for j, ins, outs in joins.values():
+            n = len(ins)
             if n < 2:
-                violations.append(f"join {g.id}: needs at least 2 lines")
-            if len(g.outputs) != n:
-                violations.append(f"join {g.id}: inputs and outputs must have equal length")
-            if len(set(g.inputs)) != len(g.inputs):
-                violations.append(f"join {g.id}: input lines must be distinct")
-            if len(set(g.outputs)) != len(g.outputs):
-                violations.append(f"join {g.id}: output lines must be distinct")
-            for node in (*g.inputs, *g.outputs):
+                violations.append(f"join {j}: needs at least 2 lines")
+            if len(outs) != n:
+                violations.append(f"join {j}: inputs and outputs must have equal length")
+            if len(set(ins)) != n:
+                violations.append(f"join {j}: input lines must be distinct")
+            if len(set(outs)) != len(outs):
+                violations.append(f"join {j}: output lines must be distinct")
+            for node in (*ins, *outs):
                 if node not in known:
-                    violations.append(f"join {g.id}: unknown line endpoint {node}")
+                    violations.append(f"join {j}: unknown line endpoint {node}")
                 elif node in joins:
-                    violations.append(f"join {g.id}: line endpoint {node} is a join")
-            for src in g.inputs:
-                if src not in sources[g.id]:
-                    violations.append(f"join {g.id}: line source {src} has no synapse")
-            for pre, line in sources[g.id].items():
-                if pre not in g.inputs:
-                    violations.append(f"join {g.id}: synapse from unlisted source {pre}")
+                    violations.append(f"join {j}: line endpoint {node} is a join")
+            for src in ins:
+                if src not in sources[j]:
+                    violations.append(f"join {j}: line source {src} has no synapse")
+            for pre, line in sources[j].items():
+                if pre not in ins:
+                    violations.append(f"join {j}: synapse from unlisted source {pre}")
                 if line != (1, 0):
-                    violations.append(f"join {g.id}: synapse ({pre}, {g.id}) must have weight 1 and delay 0")
+                    violations.append(f"join {j}: synapse ({pre}, {j}) must have weight 1 and delay 0")
 
         return violations
 
@@ -350,7 +282,7 @@ class Circuit:
         """The canonical JSON document: each record an array in its named tuple's field order.
 
         A gadget's array is ``[id, kind, *fields]``, and infinite leak is ``"inf"``.
-        Sections are in the order ``__post_init__`` set.
+        Sections are in the order :meth:`validate` set.
         """
         return {
             "neurons": [[i, threshold, "inf" if leak is None else leak] for i, threshold, leak in self.neurons],

@@ -190,8 +190,12 @@ def cmd_diff(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {ns.samples}")
     if ns.arity == 0:  # gen_expr needs at least one argument
         raise ConfigError("--arity must be at least 1, got 0")
+    if ns.random is not None and ns.random < 1:
+        raise ConfigError(f"--random must be at least 1, got {ns.random}")
     cfg = LoweringConfig(big_m=ns.big_m)
     if ns.random is not None:
+        if ns.program is not None or ns.args is not None:
+            raise ConfigError("diff takes a program file with --args or --random N, not both")
         rng = random.Random(ns.seed)
 
         def draw():  # a program, then its cases; lazily, so a job's error comes before the next draw

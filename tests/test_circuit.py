@@ -48,7 +48,7 @@ def test_builder_allocates_dense_ids_across_node_kinds():
     n2 = b.add_neuron(3, leak=INFINITE)
     assert (n0, g1, n2) == (0, 1, 2)
     circuit = b.build()
-    assert circuit.node_ids() == {0, 1, 2}
+    assert {n.id for n in circuit.neurons} | {g.id for g in circuit.gadgets} == {0, 1, 2}
     assert circuit.validate() == []
 
 
@@ -216,6 +216,16 @@ def test_builder_records_anything_and_build_either_validates_or_lists_violations
 # ---------------------------------------------------------------------------
 
 
+def test_a_section_given_as_an_iterator_is_checked_and_kept_whole():
+    # validate() reads a section for its types and then sorts it: an iterator
+    # read twice would give the sort nothing, and the circuit would lose its records.
+    circuit = Circuit(neurons=iter([NeuronSpec(1, 0, 0), NeuronSpec(0, 0, 0)]))
+    assert circuit.neurons == (NeuronSpec(0, 0, 0), NeuronSpec(1, 0, 0))
+    with pytest.raises(InvalidCircuit) as err:
+        Circuit(neurons=iter([NeuronSpec(0, 0, 0), NeuronSpec(2, 0, 0)]))
+    assert err.value.violations == ["node ids are not contiguous from 0"]
+
+
 def test_validate_reports_gapped_ids():
     with pytest.raises(InvalidCircuit) as err:
         Circuit(
@@ -353,14 +363,14 @@ def test_a_join_line_may_not_end_at_a_join():
 
 
 # ---------------------------------------------------------------------------
-# validate(): the column tests and the per-record pass agree
+# validate(): shuffled sections list what the same records list sorted
 # ---------------------------------------------------------------------------
 
 SECTIONS = ("neurons", "synapses", "ports", "injections", "gadgets")
 COMPILED = [compile_program(program).circuit for program in (ADD, MUL, MU_MONUS)]
 
 
-# Each section's canonical order, which Circuit sorts into once the records are valid.
+# Each section's canonical order, which Circuit sorts into once the types hold.
 CANONICAL = {
     "neurons": lambda n: n.id,
     "synapses": lambda s: (s.pre, s.post),
@@ -395,7 +405,7 @@ def broken_sections(draw):
 
     Returns the rule's name, the sections, and for a "field type" draw the one
     message it must give.  Each mutation breaks its own rule only, so no other
-    column test can stand in for that rule's; "none" leaves the circuit valid.
+    rule can stand in for it; "none" leaves the circuit valid.
     """
     circuit = draw(st.one_of(st.sampled_from(COMPILED), built_circuits().map(lambda drawn: drawn[0])))
     s = {name: list(getattr(circuit, name)) for name in SECTIONS}
@@ -490,21 +500,18 @@ def broken_sections(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(broken_sections())
-def test_the_column_tests_pass_exactly_when_the_record_pass_lists_nothing(broken):
-    # Circuit checks the records as given and sorts them only once they are
-    # valid, so neither pass may lean on record order: the sections come
+def test_validate_lists_a_broken_rule_whatever_the_record_order(broken):
+    # Circuit checks the types as given and sorts the sections only once they
+    # hold, so no rule may lean on the order given: the sections come
     # shuffled, and a structural rule lists what the same records list sorted.
     rule, sections, message = broken
-    circuit = _unvalidated(sections)
-    violations = circuit._record_violations()
+    violations = _unvalidated(sections).validate()
     assert (violations == []) == (rule == "none")
-    assert circuit._columns_sound() == (violations == [])
-    assert circuit.validate() == violations
     if rule == "field type":
         assert violations == [message]
     else:
         in_order = {name: sorted(records, key=CANONICAL[name]) for name, records in sections.items()}
-        assert _unvalidated(in_order)._record_violations() == violations
+        assert _unvalidated(in_order).validate() == violations
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +718,8 @@ def test_a_null_leak_is_refused_not_read_as_infinite():
 
 
 def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
-    # A string id among integer ids would break the sort; the record pass's
-    # type loop names it first, with every other mistyped field, in the order
+    # A string id among integer ids would break the sort; validate()'s type
+    # check names it first, with every other mistyped field, in the order
     # given.  A float is not truncated: serialize() writes integers with %d,
     # so a weight of 2.5 would otherwise come back from its file as 2.
     with pytest.raises(InvalidCircuit) as err:

@@ -644,6 +644,12 @@ def test_diff_argument_errors(add_rec, capsys):
     capsys.readouterr()
     assert main(["diff", str(add_rec)]) == 2  # neither --args nor --random
     capsys.readouterr()
+    assert main(["diff", str(add_rec), "--args", "0..1,0..1", "--random", "2"]) == 2  # both
+    captured = capsys.readouterr()
+    assert captured.err == "error: diff takes a program file with --args or --random N, not both\n"
+    assert captured.out == ""
+    assert main(["diff", "--args", "0..1", "--random", "2"]) == 2  # --args alone is a program's too
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -656,8 +662,10 @@ def test_diff_argument_errors(add_rec, capsys):
         ("--depth", "-1", "--depth must be a natural, got -1"),
         ("--samples", "0", "--samples must be at least 1, got 0"),
         ("--arity", "0", "--arity must be at least 1, got 0"),  # gen_expr needs an argument
+        ("--random", "0", "--random must be at least 1, got 0"),  # zero programs would check nothing
+        ("--random", "-3", "--random must be at least 1, got -3"),
     ],
-    ids=["arity", "max_value", "fuel", "max_steps", "depth", "samples", "arity_zero"],
+    ids=["arity", "max_value", "fuel", "max_steps", "depth", "samples", "arity_zero", "random_zero", "random_negative"],
 )
 def test_diff_rejects_an_out_of_range_number(capsys, option, value, message):
     assert main(["diff", "--random", "2", option, value]) == 2

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library, and uses every name it imports."""
+"""The package imports nothing outside the standard library, uses every name it imports, and every private name it defines."""
 from __future__ import annotations
 
 import ast
@@ -31,6 +31,41 @@ def test_module_uses_every_name_it_imports(path):
     } - {"annotations"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def _defined_private_names(body: list, where: str) -> list[tuple[str, str]]:
+    """Each non-dunder ``_name`` that ``body`` defines, with where, and those of the classes it holds."""
+    found = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            names = []
+        found += [(name, where) for name in names if name.startswith("_") and not name.endswith("__")]
+        if isinstance(node, ast.ClassDef):
+            found += _defined_private_names(node.body, f"{where}.{node.name}")
+    return found
+
+
+def test_every_private_name_the_package_defines_is_used():
+    # A helper left behind when its last caller goes is dead code.  A use is
+    # a name or attribute read anywhere in the package, or a string naming it.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    defined = [pair for name, tree in trees.items() for pair in _defined_private_names(tree.body, name)]
+    assert len(defined) > 20  # the scan sees the package's helpers
+    assert [f"{where}: {name}" for name, where in defined if name not in used] == []
 
 
 def test_every_module_is_checked():
