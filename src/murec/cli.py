@@ -183,7 +183,17 @@ def _print_report(report: DiffReport) -> None:
         )
 
 
+# The options of random mode, with their defaults; a program path with --args takes none of them.
+_RANDOM_ONLY = {"--depth": 3, "--seed": 0, "--arity": None, "--samples": 5, "--max-value": 50}
+
+
 def cmd_diff(ns: argparse.Namespace) -> int:
+    for option, default in _RANDOM_ONLY.items():
+        name = option[2:].replace("-", "_")
+        if getattr(ns, name) is None:
+            setattr(ns, name, default)
+        elif ns.program is not None and ns.random is None:
+            raise ConfigError(f"{option} applies only to --random N, not to a program file")
     for option in ("--depth", "--arity", "--max-value", "--fuel", "--max-steps"):
         _natural(getattr(ns, option[2:].replace("-", "_")) or 0, option)  # --arity may be None
     if ns.samples < 1:
@@ -265,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", nargs="?", help="path to the .rec source (with --args)")
     p.add_argument("--args", help="per-argument ranges, e.g. 0..10,0..10")
     p.add_argument("--random", type=int, metavar="N", help="generate N random expressions")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--depth", type=int, help="nesting depth of generated expressions (default 3)")
+    p.add_argument("--seed", type=int, help="seed of the generator (default 0)")
     p.add_argument("--arity", type=int, help="fix the arity of generated expressions")
-    p.add_argument("--samples", type=int, default=5, help="argument tuples per expression")
-    p.add_argument("--max-value", type=int, default=50, help="largest sampled argument")
+    p.add_argument("--samples", type=int, help="argument tuples per expression (default 5)")
+    p.add_argument("--max-value", type=int, help="largest sampled argument (default 50)")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
     p.add_argument("--big-m", type=int, default=LoweringConfig.big_m)

@@ -25,7 +25,8 @@ one fills, each value reaching its line's target unchanged one step later.
 
 Arithmetic is checked: values leaving the signed 63-bit range fault with
 ``overflow``; values reaching magnitude ``2 * big_m`` fault with
-``magnitude_breach`` (the big-M separation is gone).
+``magnitude_breach`` (the big-M separation is gone).  A wire (weight 1,
+delay 0, into a neuron or a const emitter) passes on a value already checked.
 """
 from __future__ import annotations
 
@@ -36,7 +37,9 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .circuit import Circuit, ConstEmit, _make
 from .errors import EmptyQueue, InvalidCircuit, UnknownNeuron
@@ -44,7 +47,8 @@ from .errors import EmptyQueue, InvalidCircuit, UnknownNeuron
 INT63_MAX = 2**62 - 1
 INT63_MIN = -(2**62)
 
-_NEURON, _CONST_EMIT, _JOIN = 0, 1, 2
+# Work codes, one per work key (see _Plan.op); the neuron codes come first: code <= _NEURON is a neuron.
+_LEAK0, _NEURON, _FIRE, _CONST_EMIT, _JOIN = range(5)
 
 
 class SpikeEvent(NamedTuple):
@@ -111,24 +115,28 @@ class RunOutcome:
 
 
 class _Plan(NamedTuple):
-    """What an engine needs of a circuit, indexed by node id; read-only.
+    """What an engine needs of a circuit, indexed by node id or work key; read-only.
 
-    ``out[i]`` lists node ``i``'s out-edges ``(2·post + 1, weight, delay + 1,
-    line)`` in post order, where ``line`` is the edge's line index when
-    ``post`` is a join and None otherwise; ``joins[j]`` is, for a join ``j``,
-    each line's target key, read from the join record's outputs (a line
-    passes its value on unchanged one step later and never ends at a join),
-    and None for any other node.  No synapse starts at a join, so ``out[j]``
-    is empty.  ``seed`` is the circuit's injections as ``(time, 2·neuron +
-    1, value)`` in canonical order, which is sorted and so already a heap;
-    it is the only form of them, read by the queue and the trace alike.
+    ``op[key]`` is each work key's code: ``_FIRE`` at ``2·i``; at ``2·i + 1``
+    ``_LEAK0`` (a neuron of leak 0), ``_NEURON``, ``_CONST_EMIT`` or ``_JOIN``.
+    Node ``i``'s out-edges, in post order: ``wires[i]`` holds the key ``2·post
+    + 1`` of each wire, ``edges[i]`` every other synapse as ``(2·post + 1,
+    weight, delay + 1, line)``, ``line`` being its line index into a join
+    ``post``, else None.  ``joins[j]`` is, for a join ``j``, each line's
+    target key, from the join record's outputs (a line passes its value on
+    unchanged one step later and never ends at a join), and None for any
+    other node; no synapse starts at a join.  ``seed`` is the circuit's
+    injections as ``(time, 2·neuron + 1, value)`` in canonical order, which is
+    sorted and so already a heap; it is the only form of them, read by the
+    queue and the trace alike.
     """
 
-    kind: tuple[int, ...]
+    op: tuple[int, ...]
     threshold: tuple[int, ...]
     leak: tuple[float, ...]  # INFINITE is float("inf"): retained forever
     const: tuple[int, ...]
-    out: tuple[tuple[tuple[int, int, int, int | None], ...], ...]
+    wires: list[list[int]]  # kept as built, and never changed: tuple copies cost a plan build 10-20%
+    edges: list[Sequence[tuple[int, int, int, int | None]]]
     joins: tuple[tuple[int, ...] | None, ...]
     join_ids: tuple[int, ...]
     seed: tuple[tuple[int, int, int], ...]
@@ -136,7 +144,7 @@ class _Plan(NamedTuple):
 
 def _build_plan(circuit: Circuit) -> _Plan:
     n = len(circuit.neurons) + len(circuit.gadgets)
-    kind = [_NEURON] * n
+    op = [_FIRE, _NEURON] * n
     threshold = [0] * n
     leak: list[float] = [float("inf")] * n
     const = [0] * n
@@ -144,27 +152,35 @@ def _build_plan(circuit: Circuit) -> _Plan:
         threshold[i] = th
         if lk is not None:
             leak[i] = lk
+            if lk == 0:
+                op[2 * i + 1] = _LEAK0
     line_of: list[dict[int, int] | None] = [None] * n  # per join: source -> line index
     joins: list = [None] * n
     joined = []
     for g in circuit.gadgets:
         if type(g) is ConstEmit:
             i, value = g
-            kind[i], const[i] = _CONST_EMIT, value
+            op[2 * i + 1], const[i] = _CONST_EMIT, value
         else:
             j, inputs, outputs = g
-            kind[j] = _JOIN
+            op[2 * j + 1] = _JOIN
             line_of[j] = {src: m for m, src in enumerate(inputs)}
             joins[j] = tuple(2 * dst + 1 for dst in outputs)
             joined.append(j)
     # Synapses are sorted by (pre, post), so each out-list is in post order.
-    out: list[list[tuple[int, int, int, int | None]]] = [[] for _ in range(n)]
+    wires: list[list[int]] = [[] for _ in range(n)]
+    edges: list = [()] * n  # a node's list is made at its first edge: most have none
     for pre, post, weight, delay in circuit.synapses:
         lines = line_of[post]
-        out[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
+        if lines is None and weight == 1 and delay == 0:
+            wires[pre].append(2 * post + 1)
+        else:
+            if not edges[pre]:
+                edges[pre] = []
+            edges[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
     return _Plan(
-        tuple(kind), tuple(threshold), tuple(leak), tuple(const), tuple(map(tuple, out)), tuple(joins),
-        tuple(joined), tuple([(time, 2 * neuron + 1, value) for neuron, value, time in circuit.injections]),
+        tuple(op), tuple(threshold), tuple(leak), tuple(const), wires, edges, tuple(joins), tuple(joined),
+        tuple([(time, 2 * neuron + 1, value) for neuron, value, time in circuit.injections]),
     )
 
 
@@ -183,10 +199,10 @@ def _plan_of(circuit: Circuit) -> _Plan:
 class Engine:
     """Single-owner stepper over one circuit run.
 
-    What depends only on the circuit (node kinds, thresholds, leaks, constant
-    values, out-edges, join lines, the circuit's own injections) is one
-    read-only plan per :class:`Circuit` object, shared by every engine over
-    it.  An engine owns only its run's state: each neuron's retained value
+    What depends only on the circuit (a work code per work key, thresholds,
+    leaks, constant values, wires and other out-edges, join lines, the
+    circuit's own injections) is one read-only plan per :class:`Circuit`
+    object, shared by every engine over it.  An engine owns only its run's state: each neuron's retained value
     and how long it lives, each join's buffered line values, the pending
     work, the raster and the injections added to it.
 
@@ -195,7 +211,8 @@ class Engine:
     emitter ``g`` fires, and key ``2·j + 1`` what arrives at node ``j``: the
     sum of the delivered values for a neuron or a const emitter, a
     line -> value dict for a join.  Sorted keys run a step in node order
-    (rule 6).  Out-edges and join lines store their target's key.
+    (rule 6), and each key's work code (``_Plan.op``) says what it does.
+    Out-edges and join lines store their target's key.
 
     Pending work sits in two tiers.  The dense tier is two lists of ``2·n``
     slots (None: no work), each with the list of its keys that hold work:
@@ -225,7 +242,7 @@ class Engine:
         self.raster: list[tuple[int, int, int]] = []
 
         plan = self._plan = _plan_of(circuit)
-        n = len(plan.kind)
+        n = len(plan.threshold)
         self._held = [0] * n  # a neuron's retained value ...
         self._until: list[float] = [-1] * n  # ... live through this time
         self._lines: dict[int, dict[int, int]] = {j: {} for j in plan.join_ids}  # per join: line -> value
@@ -242,10 +259,10 @@ class Engine:
         if not type(neuron) is type(value) is type(time) is int:  # a bool is refused, as in a circuit file
             name, x = next(f for f in (("neuron", neuron), ("value", value), ("time", time)) if type(f[1]) is not int)
             raise TypeError(f"injection {name} must be an integer, got {x!r}")
-        kind = self._plan.kind
-        if not 0 <= neuron < len(kind):
+        op = self._plan.op
+        if not 0 <= 2 * neuron < len(op):
             raise UnknownNeuron(f"node {neuron} does not exist")
-        if kind[neuron] == _JOIN:
+        if op[2 * neuron + 1] == _JOIN:
             raise InvalidCircuit([f"injection into join {neuron} is not allowed"])
         if time < self._open:
             raise ValueError(f"injection time must be >= {self._open}, got {time}")
@@ -262,8 +279,8 @@ class Engine:
 
     def inspect(self, neuron: int, at: int | None = None) -> int:
         """Retained state of a neuron with leak accounted at time ``at``."""
-        kind = self._plan.kind
-        if not 0 <= neuron < len(kind) or kind[neuron] != _NEURON:
+        op = self._plan.op
+        if not 0 <= 2 * neuron < len(op) or op[2 * neuron + 1] > _NEURON:
             raise UnknownNeuron(f"node {neuron} is not a neuron")
         when = self.clock if at is None else at
         return self._held[neuron] if when <= self._until[neuron] else 0
@@ -294,7 +311,7 @@ class Engine:
         A fault ends the step at once and empties the queue; None: no step ran.
         """
         due, due_keys, nxt, nxt_keys, later = self._due, self._due_keys, self._next, self._next_keys, self._later
-        kind, threshold, leak, const, out, joins = self._plan[:6]
+        op, threshold, leak, const, wires, edges, joins = self._plan[:7]
         held, until, buffers = self._held, self._until, self._lines
         record = self.raster.append
         # lo <= v <= hi iff v passes both the overflow and the big-M check.
@@ -322,51 +339,65 @@ class Engine:
                     due[key] = v + x
             due_keys.sort()
             for key in due_keys:
-                node = key >> 1
                 x = due[key]
                 due[key] = None
-                if not key & 1:  # a fire of const emitter `node`
+                o = op[key]
+                node = key >> 1
+                if o <= _NEURON:
+                    # A neuron integrates; a leak-0 one holds nothing from an earlier step.
+                    v = x + held[node] if o and t <= until[node] else x
+                    if not lo <= v <= hi:
+                        return self._stop(t, node, v, key)
+                    if v < threshold[node]:
+                        held[node] = v
+                        until[node] = t + leak[node]
+                        continue
+                    held[node] = 0
+                elif o == _FIRE:  # const emitter `node` fires its constant
                     v = x
+                    if not lo <= v <= hi and wires[node]:  # the first wire breaches, unless an edge before it does
+                        record((t, node, v))
+                        first = wires[node][0]
+                        breach = ((post, w * v) for post, w, _, _ in edges[node] if not lo <= w * v <= hi)
+                        post, p = min(next(breach, (first, v)), (first, v))
+                        return self._stop(t, post >> 1, p, key)
+                elif o == _CONST_EMIT:
+                    nxt[key - 1] = const[node]  # the fire key 2·node, set only here
+                    nxt_keys.append(key - 1)
+                    continue
                 else:
-                    k = kind[node]
-                    if k == _NEURON:
-                        v = x + (held[node] if t <= until[node] else 0)
-                        if not lo <= v <= hi:
-                            return self._stop(t, node, v, key)
-                        if v < threshold[node]:
-                            held[node] = v
-                            until[node] = t + leak[node]
-                            continue
-                        held[node] = 0
-                    elif k == _CONST_EMIT:
-                        nxt[key - 1] = const[node]  # the fire key 2·node, set only here
-                        nxt_keys.append(key - 1)
+                    # Join: a line brings at most one value per step,
+                    # range-checked when sent; once every line holds one,
+                    # each goes on unchanged to its target at t + 1.
+                    lines = buffers[node]
+                    lines.update(x)
+                    posts = joins[node]
+                    if len(lines) < len(posts):
                         continue
-                    else:
-                        # Join: a line brings at most one value per step,
-                        # range-checked when sent; once every line holds one,
-                        # each goes on unchanged to its target at t + 1.
-                        lines = buffers[node]
-                        lines.update(x)
-                        posts = joins[node]
-                        if len(lines) < len(posts):
-                            continue
-                        for m, post in enumerate(posts):
-                            p = lines[m]
-                            record((t, node, p))
-                            x = nxt[post]
-                            if x is None:
-                                nxt[post] = p
-                                nxt_keys.append(post)
-                            else:
-                                nxt[post] = x + p
-                        lines.clear()
-                        continue
-                # A neuron spike or a const-emit fire: fan out along every
-                # edge, in post order whichever tier takes it (a fault is the
-                # first breach in that order).
+                    for m, post in enumerate(posts):
+                        p = lines[m]
+                        record((t, node, p))
+                        x = nxt[post]
+                        if x is None:
+                            nxt[post] = p
+                            nxt_keys.append(post)
+                        else:
+                            nxt[post] = x + p
+                    lines.clear()
+                    continue
+                # A neuron spike or a const-emit fire.  Along a wire the value
+                # goes on as it is, and lo <= v <= hi already holds; every
+                # other edge is checked, in post order whichever tier takes it
+                # (a fault is the first breach in that order).
                 record((t, node, v))
-                for post, w, d1, line in out[node]:
+                for post in wires[node]:
+                    x = nxt[post]
+                    if x is None:
+                        nxt[post] = v
+                        nxt_keys.append(post)
+                    else:
+                        nxt[post] = x + v
+                for post, w, d1, line in edges[node]:
                     p = w * v
                     if not lo <= p <= hi:
                         return self._stop(t, post >> 1, p, key)
@@ -423,15 +454,16 @@ def _trace(plan: _Plan, injected: list, last: int, cut: int, spikes: list) -> li
     ``i``-th injection (the plan's seed, then the engine's), made while the
     raster held ``r`` spikes, is at ``r·m + i``, and spike ``r`` (from 0) after those, at ``r·m + m - 1``.
     """
-    kind, out, joins, seed = plan.kind, plan.out, plan.joins, plan.seed
+    op, wires, edges, joins, seed = plan.op, plan.wires, plan.edges, plan.joins, plan.seed
     m = len(seed) + len(injected) + 1
     rows = [(time, key, i, None, value) for i, (time, key, value) in enumerate(seed)]
     rows += [(time, key, r * m + i, None, value) for i, (r, time, key, value) in enumerate(injected, len(seed))]
     line = 0
     for r, (t, s, v) in enumerate(spikes):
         at = r * m + m - 1
-        if kind[s] != _JOIN:
-            rows += [(t + d1, post, at, s, w * v) for post, w, d1, _ in out[s]]
+        if op[2 * s + 1] != _JOIN:
+            rows += [(t + 1, post, at, s, v) for post in wires[s]]
+            rows += [(t + d1, post, at, s, w * v) for post, w, d1, _ in edges[s]]
         else:
             line = line + 1 if r and spikes[r - 1][:2] == (t, s) else 0
             rows.append((t + 1, joins[s][line], at, s, v))
@@ -463,16 +495,37 @@ def port_spikes(circuit: Circuit, raster: list[SpikeEvent], role: str = "output"
     return found
 
 
+def _positions(items: list, item) -> list[int]:
+    """Every index of ``item`` in ``items``, in order, each found by a ``list.index`` scan in C."""
+    found = []
+    try:
+        while True:
+            found.append(items.index(item, found[-1] + 1 if found else 0))
+    except ValueError:
+        return found
+
+
 def _render(circuit: Circuit, raster: list[tuple[int, int, int]], bare: str, head: str, tail) -> str:
-    """Each spike's row: ``bare % event``, or on an output node ``head % event`` per port name."""
+    """Each spike's row: ``bare % event``, or on an output node ``head % event`` per port name.
+
+    ``list.index`` scans find the output-node spikes, and each run of rows
+    between them is one ``%`` over the run's flattened spikes: about 0.8× the
+    time of a ``%`` per row, for transients of about 35 bytes a spike.
+    """
     # Per output node ["", tail(name1), ...]: joined by the spike's head, it
     # gives that spike's row once per port name.
     tails: dict[int, list[str]] = {}
     for p in circuit.ports_by_role("output"):
         tails.setdefault(p.neuron, [""]).append(tail(p.name))
-    return "".join(
-        [bare % event if event[1] not in tails else (head % event).join(tails[event[1]]) for event in raster]
-    )
+    nodes = list(map(itemgetter(1), raster))
+    rows, start = [], 0
+    for i in sorted([i for node in tails for i in _positions(nodes, node)]):
+        run = raster[start:i]
+        rows += (bare * len(run) % tuple(chain.from_iterable(run)), (head % raster[i]).join(tails[nodes[i]]))
+        start = i + 1
+    run = raster[start:]
+    rows.append(bare * len(run) % tuple(chain.from_iterable(run)))
+    return "".join(rows)
 
 
 def raster_csv(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:

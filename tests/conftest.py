@@ -128,6 +128,27 @@ def cell_injections(cell, ops: list[tuple[str, int, int]]) -> list[Injection]:
     return injections
 
 
+def const_fire_past_the_bound(order: tuple[str, ...] = ("edge", "wire", "join")):
+    """A const emitter that fires 50 at t=2, past the bound of big_m=3 (|v| < 6).
+
+    Its out-edges are a weight -1 edge, a wire (weight 1, delay 0) and a join
+    line; their targets take ids 4, 5 and 6 in ``order``.  Returns the circuit
+    and the emitter's id, 1.
+    """
+    b = CircuitBuilder()
+    poke = b.add_neuron(0)
+    ce = b.add_const_emit(50)
+    b.add_synapse(poke, ce, 1, 0)
+    b.add_injection(poke, 1, 0)
+    outputs = [b.add_neuron(0), b.add_neuron(0)]  # the join's line targets, ids 2 and 3
+    for name in order:
+        if name == "join":
+            b.add_join([ce, poke], outputs)
+        else:
+            b.add_synapse(ce, b.add_neuron(0), -1 if name == "edge" else 1, 0)
+    return b.build(), ce
+
+
 # Port name characters, with every one that JSON or CSV has to escape or quote.
 PORT_NAME_CHARS = st.sampled_from(["y", "x", " ", '"', "\\", ",", "\n", "\r", "%", "é", "\u6f22", "\U0001f642"])
 

@@ -880,6 +880,34 @@ def test_serialize_equals_a_json_dumps_rendering(drawn, note):
     assert json.loads(program.serialize()) == program.to_document()
 
 
+def _two_names_on_one_node():
+    """A spiking node with two output names that JSON escapes, one of them non-ASCII."""
+    b = CircuitBuilder()
+    src = b.add_neuron(0)
+    dst = b.add_neuron(0)
+    b.add_synapse(src, dst, 3, 1)
+    b.mark_port(dst, "output", 'q"\\,\n')
+    b.mark_port(dst, "output", "\u00e9\U0001f642")
+    b.mark_port(src, "output", "y")
+    b.add_injection(src, 2, 0)
+    return b.build(), 10**9
+
+
+def _output_spikes_at_both_ends():
+    """A raster whose first and last rows are output spikes, the last two of them in a row."""
+    b = CircuitBuilder()
+    first = b.add_neuron(0)
+    plain = b.add_neuron(0)
+    second, third = b.add_neuron(0), b.add_neuron(0)
+    b.add_synapse(first, plain, 1, 0)
+    b.add_synapse(plain, second, 1, 0)
+    b.add_synapse(plain, third, 1, 0)
+    for node, name in ((first, "a"), (second, "b"), (third, "c")):
+        b.mark_port(node, "output", name)
+    b.add_injection(first, 4, 0)
+    return b.build(), 10**9
+
+
 def _reference_raster_csv(circuit, raster):
     """``raster_csv`` as one ``csv.writer`` row per spike and output port name."""
     names = {}
@@ -896,6 +924,9 @@ def _reference_raster_csv(circuit, raster):
 
 @settings(max_examples=80, deadline=None)
 @given(built_circuits())
+@example(_two_names_on_one_node())
+@example((CircuitBuilder().build(), 10**9))  # an empty raster
+@example(_output_spikes_at_both_ends())
 def test_raster_csv_equals_a_csv_writer_rendering(drawn):
     circuit, big_m = drawn
     raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster
@@ -935,23 +966,11 @@ def _reference_raster_jsonl(circuit, raster):
     )
 
 
-def _two_names_on_one_node():
-    """A spiking node with two output names that JSON escapes, one of them non-ASCII."""
-    b = CircuitBuilder()
-    src = b.add_neuron(0)
-    dst = b.add_neuron(0)
-    b.add_synapse(src, dst, 3, 1)
-    b.mark_port(dst, "output", 'q"\\,\n')
-    b.mark_port(dst, "output", "\u00e9\U0001f642")
-    b.mark_port(src, "output", "y")
-    b.add_injection(src, 2, 0)
-    return b.build(), 10**9
-
-
 @settings(max_examples=80, deadline=None)
 @given(built_circuits())
 @example(_two_names_on_one_node())
 @example((CircuitBuilder().build(), 10**9))  # an empty raster
+@example(_output_spikes_at_both_ends())
 def test_raster_jsonl_equals_a_json_dumps_rendering(drawn):
     circuit, big_m = drawn
     raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster

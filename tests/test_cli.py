@@ -650,6 +650,11 @@ def test_diff_argument_errors(add_rec, capsys):
     assert captured.out == ""
     assert main(["diff", "--args", "0..1", "--random", "2"]) == 2  # --args alone is a program's too
     assert capsys.readouterr().out == ""
+    # A grid run given a random-mode option would test something other than what was asked.
+    random_only = (("--depth", "7"), ("--seed", "4"), ("--arity", "3"), ("--samples", "9"), ("--max-value", "0"))
+    for option, value in random_only:
+        assert main(["diff", str(add_rec), "--args", "0..1,0..1", option, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {option} applies only to --random N, not to a program file\n")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import murec.engine
-from conftest import ADD, built_circuits
+from conftest import ADD, built_circuits, const_fire_past_the_bound
 from murec import (
     INFINITE,
     Circuit,
@@ -366,6 +366,20 @@ def test_overflow_outside_signed_63_bit_range():
     assert outcome.fault.value == 2**63
 
 
+@pytest.mark.parametrize(
+    ("order", "value"),
+    [(("edge", "wire", "join"), -50), (("wire", "join", "edge"), 50), (("join", "edge", "wire"), 50)],
+    ids=["edge_first", "wire_first", "join_first"],
+)
+def test_a_fire_past_the_bound_is_recorded_then_faults_on_its_first_out_edge(order, value):
+    # Every out-edge breaches; the fault is at the first in post order, node 4.
+    circuit, ce = const_fire_past_the_bound(order)
+    outcome = simulate(circuit, config=SimConfig(big_m=3))
+    assert outcome.fault == Fault("magnitude_breach", 2, 4, value)
+    assert outcome.raster == [SpikeEvent(0, 0, 1), SpikeEvent(2, ce, 50)]
+    assert (outcome.status, outcome.final_clock) == ("fault", 2)
+
+
 def test_fault_stops_the_run_at_its_timestep():
     b = CircuitBuilder()
     src = b.add_neuron(0)
@@ -466,7 +480,7 @@ def test_join_waits_for_every_line_then_releases_in_line_order():
     circuit = b.build()
     # The join's output lines are its record's: the plan gives it no out-edge.
     plan = murec.engine._build_plan(circuit)
-    assert plan.out[j] == () and plan.joins[j] == (2 * d1 + 1, 2 * d2 + 1)
+    assert not plan.wires[j] and not plan.edges[j] and plan.joins[j] == (2 * d1 + 1, 2 * d2 + 1)
     outcome = simulate(circuit)
     join_events = [e for e in outcome.raster if e.neuron == j]
     assert join_events == [SpikeEvent(9, j, 3), SpikeEvent(9, j, 7)]

@@ -12,10 +12,10 @@ so it checks the trace that the engine's outcome derives from the raster.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import built_circuits
+from conftest import built_circuits, const_fire_past_the_bound
 from murec import ConstEmit, EmptyQueue, Engine, Injection, Join, SimConfig
 
 GUARD_MIN, GUARD_MAX = -(2**62), 2**62 - 1  # the machine-integer guard band: signed 63-bit
@@ -163,6 +163,7 @@ CONFIGS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(built_circuits(DELAYS), CONFIGS, st.lists(st.tuples(st.integers(0, 7), st.integers(-9, 9), OFFSETS), max_size=3))
+@example((const_fire_past_the_bound()[0], 3), SimConfig(max_steps=30, big_m=3), [])  # a fire past the bound
 def test_runs_match_the_reference(drawn, config, extra):
     circuit, _ = drawn
     n = len(circuit.neurons) + len(circuit.gadgets)
