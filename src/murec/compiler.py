@@ -44,14 +44,12 @@ from .expr import (
     DEFAULT_FUEL,
     Compose,
     Const,
-    FuelExhausted,
     Mu,
     PrimRec,
     Proj,
     RecExpr,
     Succ,
     Value,
-    arity,
     check_arity,
     eval_oracle,
     to_sexpr,
@@ -116,8 +114,8 @@ def _wire_branches(
 # -- lowering ----------------------------------------------------------------
 
 
-def lower_expr(low: _Lowering, expr: RecExpr, ctx: int | None) -> Box:
-    """Lower one expression; ``ctx`` is the known input-arrival time, if any."""
+def lower_expr(low: _Lowering, expr: RecExpr, n_args: int, ctx: int | None) -> Box:
+    """Lower ``expr``, whose arity ``n_args`` its caller states; ``ctx`` is the known input-arrival time, if any."""
     if isinstance(expr, Const):
         return build_constant(low.b, expr.value, expr.arity, at=ctx)
     if isinstance(expr, Succ):
@@ -125,20 +123,19 @@ def lower_expr(low: _Lowering, expr: RecExpr, ctx: int | None) -> Box:
     if isinstance(expr, Proj):
         return build_projection(low.b, expr.index, expr.arity, low.cfg.big_m, at=ctx)
     if isinstance(expr, Compose):
-        return _lower_compose(low, expr, ctx)
+        return _lower_compose(low, expr, n_args, ctx)
     if isinstance(expr, PrimRec):
-        return _lower_primrec(low, expr)
+        return _lower_primrec(low, expr, n_args - 1)
     if isinstance(expr, Mu):
-        return _lower_mu(low, expr)
+        return _lower_mu(low, expr, n_args)
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _lower_compose(low: _Lowering, expr: Compose, ctx: int | None) -> Box:
+def _lower_compose(low: _Lowering, expr: Compose, n_args: int, ctx: int | None) -> Box:
     b = low.b
-    n_args = arity(expr)
     fans = [_relay(b) for _ in range(max(n_args, 1))]
     child_ctx = None if ctx is None else ctx + 1
-    g_boxes = [lower_expr(low, g, child_ctx) for g in expr.inner]
+    g_boxes = [lower_expr(low, g, n_args, child_ctx) for g in expr.inner]
     for g_box in g_boxes:
         for fan, node in zip(fans, g_box.inputs):
             b.add_synapse(fan, node, 1, 0)
@@ -148,14 +145,14 @@ def _lower_compose(low: _Lowering, expr: Compose, ctx: int | None) -> Box:
         # every operand value lands on the head box in the same timestep.
         lmax = max(g_box.latency for g_box in g_boxes)
         h_ctx = None if child_ctx is None else child_ctx + lmax + 1
-        h_box = lower_expr(low, expr.outer, h_ctx)
+        h_box = lower_expr(low, expr.outer, len(expr.inner), h_ctx)
         for g_box, node in zip(g_boxes, h_box.inputs):
             b.add_synapse(g_box.output, node, 1, lmax - g_box.latency)
         latency = None if h_box.latency is None else lmax + 2 + h_box.latency
     else:
         # At least one operand finishes at an input-dependent time: a join
         # parks early arrivals and releases the batch when the last one lands.
-        h_box = lower_expr(low, expr.outer, None)
+        h_box = lower_expr(low, expr.outer, len(expr.inner), None)
         if len(g_boxes) == 1:
             b.add_synapse(g_boxes[0].output, h_box.inputs[0], 1, 0)
         else:
@@ -164,7 +161,7 @@ def _lower_compose(low: _Lowering, expr: Compose, ctx: int | None) -> Box:
     return Box(inputs=fans, output=h_box.output, latency=latency)
 
 
-def _lower_primrec(low: _Lowering, expr: PrimRec) -> Box:
+def _lower_primrec(low: _Lowering, expr: PrimRec, n_xs: int) -> Box:
     """Event-driven loop computing f(i, xs) = h(i-1, ... h(1, h(0, g(xs), xs), xs) ...).
 
     One round per counter value n = 0..i.  A comparator spikes c = i - n each
@@ -177,7 +174,6 @@ def _lower_primrec(low: _Lowering, expr: PrimRec) -> Box:
     """
     b = low.b
     big_m = low.cfg.big_m
-    n_xs = arity(expr.base)
 
     in_i = _relay(b)
     in_xs = [_relay(b) for _ in range(n_xs)]
@@ -207,8 +203,8 @@ def _lower_primrec(low: _Lowering, expr: PrimRec) -> Box:
     go_sink = _relay(b)
     out = _relay(b)
 
-    g_box = lower_expr(low, expr.base, None)
-    h_box = lower_expr(low, expr.step, None)
+    g_box = lower_expr(low, expr.base, n_xs, None)
+    h_box = lower_expr(low, expr.step, n_xs + 2, None)
 
     # Seeding: carriers all fire three steps after the inputs arrive.
     b.add_synapse(in_i, seed, 1, 0)
@@ -280,7 +276,7 @@ def _lower_primrec(low: _Lowering, expr: PrimRec) -> Box:
     return Box(inputs=[in_i, *in_xs], output=out, latency=None)
 
 
-def _lower_mu(low: _Lowering, expr: Mu) -> Box:
+def _lower_mu(low: _Lowering, expr: Mu, n_xs: int) -> Box:
     """Event-driven search for the least z >= 1 with f(z, xs) = 0.
 
     The counter carrier stores each candidate z into both trigger cells, the
@@ -291,7 +287,6 @@ def _lower_mu(low: _Lowering, expr: Mu) -> Box:
     """
     b = low.b
     big_m = low.cfg.big_m
-    n_xs = arity(expr)
 
     ins = [_relay(b) for _ in range(max(n_xs, 1))]
     seed_z = b.add_const_emit(1)
@@ -308,13 +303,13 @@ def _lower_mu(low: _Lowering, expr: Mu) -> Box:
     ce_one = b.add_const_emit(1)
     out = _relay(b)
 
-    f_box = lower_expr(low, expr.body, None)
+    f_box = lower_expr(low, expr.body, n_xs + 1, None)
 
     # Seeding: z = 1 and the argument copies fire three steps after arrival.
     for node in ins:
         b.add_synapse(node, seed_z, 1, 0)
     b.add_synapse(seed_z, c_z, 1, 0)
-    for src, dst in zip(ins if n_xs else [], c_xs):
+    for src, dst in zip(ins, c_xs):
         b.add_synapse(src, dst, 1, 2)
 
     # Probe: carriers feed the body directly (they fire in lockstep).
@@ -406,7 +401,7 @@ def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> Comp
         raise ConfigError(f"big_m={cfg.big_m} must be at least 2")
 
     low = _Lowering(b=CircuitBuilder(), cfg=cfg)
-    box = lower_expr(low, expr, 0)
+    box = lower_expr(low, expr, n_args, 0)
 
     if isinstance(expr, PrimRec):
         input_names = ["i"] + [f"x{j}" for j in range(1, n_args)]
@@ -536,7 +531,6 @@ def run_diff(
     Consistency: an interpreter value must match a clean single-spike run, and
     interpreter fuel exhaustion must match a circuit timeout.
     """
-    text = to_sexpr(expr)
     mismatches: list[dict[str, Any]] = []
     timeouts = 0
     for case in cases:
@@ -544,13 +538,10 @@ def run_diff(
         run = run_program(program, list(case), max_steps=max_steps)
         if run.status == "timeout":
             timeouts += 1
-        expected: Any = oracle.value if isinstance(oracle, Value) else "fuel-exhausted"
         got: Any = run.value if run.status == "ok" else run.status
-        consistent = (
-            isinstance(oracle, Value) and run.status == "ok" and run.value == oracle.value
-        ) or (isinstance(oracle, FuelExhausted) and run.status == "timeout")
-        if not consistent:
+        if got != (oracle.value if isinstance(oracle, Value) else "timeout"):
+            expected = oracle.value if isinstance(oracle, Value) else "fuel-exhausted"
             mismatches.append(
-                {"expr": text, "args": list(case), "oracle": expected, "circuit": got}
+                {"expr": to_sexpr(expr), "args": list(case), "oracle": expected, "circuit": got}
             )
     return DiffReport(cases=len(cases), mismatches=mismatches, timeouts=timeouts)

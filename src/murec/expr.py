@@ -55,19 +55,8 @@ RecExpr = Union[Const, Succ, Proj, Compose, PrimRec, Mu]
 
 
 def arity(expr: RecExpr) -> int:
-    if isinstance(expr, Const):
-        return expr.arity
-    if isinstance(expr, Succ):
-        return 1
-    if isinstance(expr, Proj):
-        return expr.arity
-    if isinstance(expr, Compose):
-        return arity(expr.inner[0]) if expr.inner else 0
-    if isinstance(expr, PrimRec):
-        return arity(expr.base) + 1
-    if isinstance(expr, Mu):
-        return arity(expr.body) - 1
-    raise TypeError(f"not an expression: {expr!r}")
+    """``check_arity`` under its old name: the tree's arity, or ArityError if it is ill-formed."""
+    return check_arity(expr)
 
 
 def check_arity(expr: RecExpr) -> int:

@@ -157,7 +157,9 @@ PORT_NAME_CHARS = st.sampled_from(["y", "x", " ", '"', "\\", ",", "\n", "\r", "%
 def built_circuits(draw, delays=st.integers(0, 4)):
     """A builder-made circuit with neurons, const emits and joins, plus a big_m to run it.
 
-    ``delays`` draws each synapse's delay.
+    A synapse is a wire (weight 1, delay 0), which the engine fans out
+    without a per-edge check, on a coin toss; otherwise its weight is drawn
+    from -9..9 and its delay from ``delays``.
     """
     b = CircuitBuilder()
     n_nodes = draw(st.integers(min_value=1, max_value=8))
@@ -177,7 +179,11 @@ def built_circuits(draw, delays=st.integers(0, 4)):
         if (pre, post) in used:
             continue
         used.add((pre, post))
-        b.add_synapse(pre, post, draw(st.integers(-9, 9)), draw(delays))
+        # A coin toss, not st.one_of(st.just(0), delays): one_of flattens a
+        # one_of ``delays``, so 0 would be one branch in five.
+        wire = draw(st.booleans())
+        weight = 1 if wire else draw(st.integers(-9, 9))
+        b.add_synapse(pre, post, weight, 0 if wire else draw(delays))
     for _ in range(draw(st.integers(0, 2))):
         n_lines = draw(st.integers(2, 3))
         if len(ids) < n_lines:

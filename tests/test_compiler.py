@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+import murec.compiler
+import murec.expr
 from conftest import (
     ADD,
     ALWAYS_POSITIVE,
@@ -373,6 +375,50 @@ def test_minimization_instances_cover_the_nested_recursions(compiled_mu_monus):
     kinds = [m["kind"] for m in compiled_mu_monus.meta["instances"]]
     assert sorted(kinds) == ["mu", "primrec", "primrec"]
     assert compiled_mu_monus.meta["instances"][-1]["kind"] == "mu"
+
+
+# ---------------------------------------------------------------------------
+# the arity walk
+# ---------------------------------------------------------------------------
+
+
+def _nodes(expr) -> int:
+    if isinstance(expr, Compose):
+        return 1 + _nodes(expr.outer) + sum(_nodes(g) for g in expr.inner)
+    if isinstance(expr, PrimRec):
+        return 1 + _nodes(expr.base) + _nodes(expr.step)
+    if isinstance(expr, Mu):
+        return 1 + _nodes(expr.body)
+    return 1
+
+
+def _succ_chain(depth: int):
+    expr = Succ()
+    for _ in range(depth):
+        expr = Compose(Succ(), (expr,))
+    return expr
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [ADD, MUL, PRED, MONUS, MU_MONUS, ALWAYS_POSITIVE, _succ_chain(200)],
+    ids=["add", "mul", "pred", "monus", "mu_monus", "always_positive", "succ_chain_200"],
+)
+def test_compile_checks_arity_in_one_walk_and_never_recomputes_it(expr, monkeypatch):
+    # The lowering takes each subexpression's arity from its parent; a
+    # recomputation per node would make the chain's compile quadratic.
+    calls = {"arity": 0, "check_arity": 0}
+    for name in calls:
+        original = getattr(murec.expr, name)
+
+        def counted(e, name=name, original=original):
+            calls[name] += 1
+            return original(e)
+
+        monkeypatch.setattr(murec.expr, name, counted)
+        monkeypatch.setattr(murec.compiler, name, counted, raising=False)
+    compile_program(expr)
+    assert calls == {"arity": 0, "check_arity": _nodes(expr)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from murec import (
     Value,
     arity,
     check_arity,
+    compile_program,
     eval_oracle,
     gen_expr,
     parse_program,
@@ -158,6 +159,18 @@ def test_arities_of_the_program_family():
 def test_check_arity_rejects_ill_formed_trees(expr):
     with pytest.raises(ArityError):
         check_arity(expr)
+    with pytest.raises(ArityError):  # arity is check_arity, so it gives no number for these
+        arity(expr)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [arity, check_arity, to_sexpr, lambda e: eval_oracle(e, []), compile_program],
+    ids=["arity", "check_arity", "to_sexpr", "eval_oracle", "compile_program"],
+)
+def test_a_non_expression_is_refused(walk):
+    with pytest.raises(TypeError, match="not an expression: '\\(succ\\)'"):
+        walk("(succ)")
 
 
 def test_check_arity_accepts_nullary_constructions():

@@ -1,13 +1,15 @@
-"""The package imports nothing outside the standard library, uses every name it imports, and every private name it defines."""
+"""The package imports nothing outside the standard library, uses every name it imports and every private name it defines, and parses at its declared Python floor."""
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "murec").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "murec").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -66,6 +68,14 @@ def test_every_private_name_the_package_defines_is_used():
     defined = [pair for name, tree in trees.items() for pair in _defined_private_names(tree.body, name)]
     assert len(defined) > 20  # the scan sees the package's helpers
     assert [f"{where}: {name}" for name, where in defined if name not in used] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_parses_at_the_declared_python_floor(path):
+    # A regex, not tomllib: the floor itself (3.10) has no tomllib.
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    ast.parse(path.read_text(), filename=str(path), feature_version=(int(floor[1]), int(floor[2])))
 
 
 def test_every_module_is_checked():
