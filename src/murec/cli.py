@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import random
 import sys
@@ -294,6 +295,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command makes no reference cycles (bar the few of the meta encoder in
+    # `compile`, freed at the next pass), so the cyclic collector's passes
+    # over its thousands of live records only cost time.  The collector's
+    # state is process-wide: restore it on every exit.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         ns = _parser().parse_args(argv)
         return ns.func(ns)
@@ -309,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:  # a program that parses but is too deep for the walks over it
         print("error: program nested too deeply", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -157,9 +157,10 @@ PORT_NAME_CHARS = st.sampled_from(["y", "x", " ", '"', "\\", ",", "\n", "\r", "%
 def built_circuits(draw, delays=st.integers(0, 4)):
     """A builder-made circuit with neurons, const emits and joins, plus a big_m to run it.
 
-    A synapse is a wire (weight 1, delay 0), which the engine fans out
-    without a per-edge check, on a coin toss; otherwise its weight is drawn
-    from -9..9 and its delay from ``delays``.
+    Synapses join random (pre, post) pairs and up to six fan-outs of one to
+    three out-edges each.  A synapse is a wire (weight 1, delay 0), which the
+    engine fans out without a per-edge check, on a coin toss; otherwise its
+    weight is drawn from -9..9 and its delay from ``delays``.
     """
     b = CircuitBuilder()
     n_nodes = draw(st.integers(min_value=1, max_value=8))
@@ -171,11 +172,13 @@ def built_circuits(draw, delays=st.integers(0, 4)):
             ids.append(neuron_ids[-1])
         else:
             ids.append(b.add_const_emit(draw(st.integers(-9, 9))))
-    n_edges = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(draw(st.sampled_from(ids)), draw(st.sampled_from(ids))) for _ in range(draw(st.integers(0, 12)))]
+    # Fan-outs, so that a node often has several out-edges, of mixed kinds,
+    # whose post order decides which breach a fire reports first.
+    for pre in draw(st.lists(st.sampled_from(ids), max_size=6)):
+        pairs += [(pre, post) for post in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))]
     used = set()
-    for _ in range(n_edges):
-        pre = draw(st.sampled_from(ids))
-        post = draw(st.sampled_from(ids))
+    for pre, post in pairs:
         if (pre, post) in used:
             continue
         used.add((pre, post))

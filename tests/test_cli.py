@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, file formats, exit codes."""
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import os
 import shutil
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADD_REC, MONUS_REC
+from conftest import ADD_REC, MONUS_REC, MUL_REC
 import murec
 from murec import (
     CircuitBuilder,
@@ -299,21 +301,23 @@ def test_run_timeout_exit_code_and_raster(tmp_path, capsys):
     assert (tmp_path / "diverge.raster.csv").exists()
 
 
-def test_run_fault_exit_code(tmp_path, capsys):
-    # A hand-made artifact whose one synapse amplifies past twice big_m.
+def _amplifier(path: Path) -> Path:
+    """A hand-made circuit file whose one synapse amplifies ``x1`` past twice big_m."""
     b = CircuitBuilder()
     x = b.add_neuron(0)
     y = b.add_neuron(0)
     b.add_synapse(x, y, 10**9, 0)
     b.mark_port(x, "input", "x1")
     b.mark_port(y, "output", "y")
-    meta = {"big_m": 10**9}
-    artifact = tmp_path / "amp.circuit.json"
-    artifact.write_text(CompiledProgram(circuit=b.build(), meta=meta).serialize())
-    assert main(["run", str(artifact), "--in", "x1=4"]) == 4
+    path.write_text(CompiledProgram(circuit=b.build(), meta={"big_m": 10**9}).serialize())
+    return path
+
+
+def test_run_fault_exit_code(tmp_path, capsys):
+    assert main(["run", str(_amplifier(tmp_path / "amp.circuit.json")), "--in", "x1=4"]) == 4
     out = capsys.readouterr().out
     assert "status=fault kind=magnitude_breach" in out
-    assert f"node={y}" in out
+    assert "node=1" in out  # y, the amplified neuron
 
 
 def test_run_bounds_a_transit_of_ten_to_the_fifteen_steps(tmp_path, capsys):
@@ -730,6 +734,100 @@ def test_a_call_that_exits_in_argument_parsing_leaves_the_next_call_whole(add_re
         assert "error:" in capsys.readouterr().err
     assert main(["eval", str(add_rec), "2", "3"]) == 0
     assert capsys.readouterr() == ("5\n", "")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def exits(tmp_path, add_rec, add_circuit):
+    """A command line for each exit code ``main`` returns."""
+    diverge = tmp_path / "diverge.rec"
+    diverge.write_text(ALWAYS_POSITIVE_REC + "\n")
+    argvs = {
+        0: ["eval", add_rec, "2", "3"],
+        1: ["compile", tmp_path / "missing.rec"],
+        2: ["eval", add_rec, "2", "3", "--fuel", "-5"],
+        3: ["eval", diverge, "1", "--fuel", "1000"],
+        4: ["run", _amplifier(tmp_path / "amp.circuit.json"), "--in", "x1=4"],
+        5: ["diff", add_rec, "--args", "30..30,5..5", "--fuel", "10"],
+        64: ["run", add_circuit, "--in", "q=1"],
+    }
+    return {code: [str(arg) for arg in argv] for code, argv in argvs.items()}
+
+
+def _cycles_left_by(argv: list[str], capsys) -> tuple[int, int]:
+    """One ``main`` call's exit code, and how many objects it left in reference cycles.
+
+    The call runs once first, so that caches filled on first use do not
+    count.  The collector stays off throughout, so that no automatic pass
+    frees a cycle before ``gc.collect`` counts it.
+    """
+    gc.disable()
+    try:
+        main(argv)
+        gc.collect()
+        code = main(argv)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    return code, left
+
+
+def test_commands_leave_no_reference_cycles(exits, add_rec, add_circuit, tmp_path, capsys):
+    # What makes pausing the collector in `main` safe: its passes would free nothing.
+    commands = [
+        (["run", str(add_circuit), "--in", "i=2", "--in", "x1=3", "--trace", str(tmp_path / "t.csv")], 0),
+        (["diff", str(add_rec), "--args", "0..3,0..3"], 0),
+        (["diff", "--random", "3", "--seed", "5"], 0),
+        *((argv, code) for code, argv in exits.items()),  # exit 0 is an `eval`
+    ]
+    assert [_cycles_left_by(argv, capsys) for argv, _ in commands] == [(code, 0) for _, code in commands]
+
+
+def test_compile_leaves_a_fixed_cycle_whatever_the_program(add_rec, tmp_path, capsys):
+    # json.dumps(meta, indent=2) builds its pure-Python encoder's closures in a
+    # cycle on every call; that must not grow with the program.
+    source = "(proj 1 2)"
+    for head in (MUL_REC, MUL_REC, MONUS_REC, MUL_REC, ADD_REC, MUL_REC):
+        source = f"(compose {head} ({source} (proj 2 2)))"
+    nest = tmp_path / "nest.rec"
+    nest.write_text(source + "\n")
+    small = _cycles_left_by(["compile", str(add_rec)], capsys)
+    large = _cycles_left_by(["compile", str(nest)], capsys)
+    circuit = CompiledProgram.deserialize((tmp_path / "nest.circuit.json").read_text()).circuit
+    assert len(circuit.neurons) + len(circuit.gadgets) == 1041
+    assert small == large
+
+
+def _raise_runtime_error(ns):
+    raise RuntimeError("a command failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+@pytest.mark.parametrize("case", [0, 1, 2, 3, 4, 5, 64, "argparse_exit", "escaping_error"])
+def test_main_leaves_the_collector_as_it_found_it(exits, monkeypatch, capsys, enabled, case):
+    if case == "escaping_error":
+        monkeypatch.setattr(cli, "cmd_run", _raise_runtime_error)
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))  # binds the patched cmd_run
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "argparse_exit":
+            with pytest.raises(SystemExit):
+                main(["run", "x.circuit.json", "--bogus"])
+        elif case == "escaping_error":
+            with pytest.raises(RuntimeError, match="a command failed"):
+                main(["run", "x.circuit.json"])
+        else:
+            assert main(exits[case]) == case
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

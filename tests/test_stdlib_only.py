@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library, uses every name it imports and every private name it defines, and parses at its declared Python floor."""
+"""The package imports nothing outside the standard library, uses every name it imports and every private name it defines, parses at its declared Python floor, and touches the cyclic collector only at the command entry point."""
 from __future__ import annotations
 
 import ast
@@ -12,13 +12,24 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "murec").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_module_imports_only_the_standard_library(path):
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level modules that ``path`` imports by absolute name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
-    foreign = {name.partition(".")[0] for name in names} - set(sys.stdlib_module_names) - {"murec"}
+    return {name.partition(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    foreign = _imported_modules(path) - set(sys.stdlib_module_names) - {"murec"}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+def test_only_the_command_entry_point_touches_the_cyclic_collector():
+    # The collector's state is process-wide, so it is the command's policy,
+    # set in `cli.main`; the library leaves it to its caller.
+    assert [path.name for path in SOURCES if "gc" in _imported_modules(path)] == ["cli.py"]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
