@@ -49,6 +49,14 @@ def _natural(text: str | int, what: str) -> int:
     return value
 
 
+def _read(path: str) -> str:
+    """The file's text; a file that is not UTF-8 is as bad an input as one that does not parse."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 # -- compile -----------------------------------------------------------------
 
 
@@ -59,10 +67,10 @@ def _default_compile_out(program_path: Path) -> Path:
 
 
 def cmd_compile(ns: argparse.Namespace) -> int:
-    expr = parse_program(Path(ns.program).read_text())
+    expr = parse_program(_read(ns.program))
     program = compile_program(expr, LoweringConfig(big_m=ns.big_m, strict_primitive=ns.strict_primitive))
     out = Path(ns.output) if ns.output else _default_compile_out(Path(ns.program))
-    out.write_text(program.serialize())
+    out.write_text(program.serialize(), encoding="utf-8")
     circuit = program.circuit
     print(f"wrote {out}")
     print(
@@ -105,15 +113,15 @@ def _trace_csv(trace) -> str:
 
 def cmd_run(ns: argparse.Namespace) -> int:
     _natural(ns.max_steps, "--max-steps")
-    program = CompiledProgram.deserialize(Path(ns.circuit).read_text())
+    program = CompiledProgram.deserialize(_read(ns.circuit))
     binding = _parse_bindings(ns.inputs or [])
     run = run_program(program, binding, max_steps=ns.max_steps)
 
     raster_path = Path(ns.raster) if ns.raster else _default_raster_out(Path(ns.circuit), ns.format)
     render = raster_jsonl if ns.format == "jsonl" else raster_csv
-    raster_path.write_text(render(program.circuit, run.outcome.spikes))
+    raster_path.write_bytes(render(program.circuit, run.outcome))
     if ns.trace is not None:
-        Path(ns.trace).write_text(_trace_csv(run.outcome.trace))
+        Path(ns.trace).write_text(_trace_csv(run.outcome.trace), encoding="utf-8")
 
     outcome = run.outcome
     if run.status == "fault":
@@ -133,7 +141,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 def cmd_eval(ns: argparse.Namespace) -> int:
     _natural(ns.fuel, "--fuel")
-    expr = parse_program(Path(ns.program).read_text())
+    expr = parse_program(_read(ns.program))
     args = []
     for raw in ns.args:
         try:
@@ -218,7 +226,7 @@ def cmd_diff(ns: argparse.Namespace) -> int:
     else:
         if not ns.program or ns.args is None:
             raise ConfigError("diff needs either a program file with --args or --random N")
-        expr = parse_program(Path(ns.program).read_text())
+        expr = parse_program(_read(ns.program))
         jobs = [(expr, _parse_ranges(ns.args, check_arity(expr)))]
     report = DiffReport(0, [], 0, seed=None if ns.random is None else ns.seed)
     for expr, cases in jobs:

@@ -37,8 +37,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .circuit import Circuit, ConstEmit, _make
@@ -82,14 +81,15 @@ class SimConfig:
 class RunOutcome:
     """A run's result.
 
-    ``spikes`` is the raster as plain ``(time, node, value)`` tuples, in raster
-    order; ``raster`` wraps each in a :class:`SpikeEvent` and ``trace`` derives
-    every delivery from the spikes, both on first read.
+    ``flat`` is the raster as one flat list of ints, ``[t0, n0, v0, t1, n1,
+    v1, ...]``: each spike's time, node and value, in raster order.
+    ``raster`` makes a :class:`SpikeEvent` of each triple and ``trace``
+    derives every delivery from them, both on first read.
     """
 
     status: str  # "quiescent" | "timeout" | "fault"
     final_clock: int
-    spikes: list[tuple[int, int, int]]
+    flat: list[int]
     fault: Fault | None = None
     # The trace's other inputs: the plan (its seed is the circuit's injections), each injection
     # added to the engine as (raster length then, time, key, value), the last step run, its last work key.
@@ -98,16 +98,18 @@ class RunOutcome:
     @cached_property
     def raster(self) -> list[SpikeEvent]:
         """Every spike as a :class:`SpikeEvent`, in raster order."""
-        return _make(SpikeEvent, self.spikes)
+        flat = self.flat
+        return _make(SpikeEvent, zip(flat[::3], flat[1::3], flat[2::3]))
 
     @cached_property
     def trace(self) -> list[Delivery]:
         """Every delivery that arrived, by ``(time, target)``, then in arrival order."""
-        return _trace(*self._trace_inputs, self.spikes)
+        return _trace(*self._trace_inputs, self.flat)
 
     def spikes_of(self, node: int) -> list[SpikeEvent]:
         """One node's spikes, as in the raster, without building the raster."""
-        return _make(SpikeEvent, [spike for spike in self.spikes if spike[1] == node])
+        flat = self.flat
+        return _make(SpikeEvent, [flat[3 * i : 3 * i + 3] for i in _positions(flat[1::3], node)])
 
     @property
     def quiescent(self) -> bool:
@@ -115,60 +117,67 @@ class RunOutcome:
 
 
 class _Plan(NamedTuple):
-    """What an engine needs of a circuit, indexed by node id or work key; read-only.
+    """What an engine needs of a circuit, indexed by work key or node id; read-only.
 
-    ``op[key]`` is each work key's code: ``_FIRE`` at ``2·i``; at ``2·i + 1``
-    ``_LEAK0`` (a neuron of leak 0), ``_NEURON``, ``_CONST_EMIT`` or ``_JOIN``.
-    Node ``i``'s out-edges, in post order: ``wires[i]`` holds the key ``2·post
-    + 1`` of each wire, ``edges[i]`` every other synapse as ``(2·post + 1,
-    weight, delay + 1, line)``, ``line`` being its line index into a join
-    ``post``, else None.  ``joins[j]`` is, for a join ``j``, each line's
-    target key, from the join record's outputs (a line passes its value on
-    unchanged one step later and never ends at a join), and None for any
-    other node; no synapse starts at a join.  ``seed`` is the circuit's
-    injections as ``(time, 2·neuron + 1, value)`` in canonical order, which is
-    sorted and so already a heap; it is the only form of them, read by the
-    queue and the trace alike.
+    Node ``i`` has two work keys: ``2·i``, where a const emitter fires, and
+    ``2·i + 1``, where deliveries arrive.  ``op[key]`` is each key's code:
+    ``_FIRE`` at ``2·i``; at ``2·i + 1`` ``_LEAK0`` (a neuron of leak 0),
+    ``_NEURON``, ``_CONST_EMIT`` or ``_JOIN``.  ``threshold``, ``leak``,
+    ``const`` and ``joins`` hold a node's entry at ``2·i + 1``; ``joins`` is,
+    for a join, each line's target key, from the join record's outputs (a
+    line passes its value on unchanged one step later and never ends at a
+    join), and ``join_keys`` lists the joins' keys.  Out-edges are read only
+    at a spike, whose record computes the node id anyway, so they are by
+    node, in post order: ``wires[i]`` holds the key ``2·post + 1`` of each
+    wire, ``edges[i]`` every other synapse as ``(2·post + 1, weight, delay +
+    1, line)``, ``line`` being its line index into a join ``post``, else
+    None; no synapse starts at a join.  ``seed`` is the circuit's injections
+    as ``(time, 2·neuron + 1, value)`` in canonical order, which is sorted
+    and so already a heap; it is the only form of them, read by the queue
+    and the trace alike.
     """
 
-    op: tuple[int, ...]
-    threshold: tuple[int, ...]
-    leak: tuple[float, ...]  # INFINITE is float("inf"): retained forever
-    const: tuple[int, ...]
-    wires: list[list[int]]  # kept as built, and never changed: tuple copies cost a plan build 10-20%
+    # The lists as built, never changed: tuple copies would cost a plan build more than the key layout does.
+    op: list[int]
+    threshold: list[int]
+    leak: list[float]  # INFINITE is float("inf"): retained forever
+    const: list[int]
+    wires: list[list[int]]
     edges: list[Sequence[tuple[int, int, int, int | None]]]
-    joins: tuple[tuple[int, ...] | None, ...]
-    join_ids: tuple[int, ...]
+    joins: list[tuple[int, ...] | None]
+    join_keys: list[int]
     seed: tuple[tuple[int, int, int], ...]
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
     n = len(circuit.neurons) + len(circuit.gadgets)
     op = [_FIRE, _NEURON] * n
-    threshold = [0] * n
-    leak: list[float] = [float("inf")] * n
-    const = [0] * n
+    threshold = [0] * (2 * n)
+    leak: list[float] = [float("inf")] * (2 * n)
+    const = [0] * (2 * n)
     for i, th, lk in circuit.neurons:
-        threshold[i] = th
+        key = 2 * i + 1
+        threshold[key] = th
         if lk is not None:
-            leak[i] = lk
+            leak[key] = lk
             if lk == 0:
-                op[2 * i + 1] = _LEAK0
+                op[key] = _LEAK0
     line_of: list[dict[int, int] | None] = [None] * n  # per join: source -> line index
-    joins: list = [None] * n
-    joined = []
+    joins: list = [None] * (2 * n)
+    join_keys = []
     for g in circuit.gadgets:
         if type(g) is ConstEmit:
             i, value = g
-            op[2 * i + 1], const[i] = _CONST_EMIT, value
+            op[2 * i + 1], const[2 * i + 1] = _CONST_EMIT, value
         else:
             j, inputs, outputs = g
-            op[2 * j + 1] = _JOIN
+            key = 2 * j + 1
+            op[key] = _JOIN
             line_of[j] = {src: m for m, src in enumerate(inputs)}
-            joins[j] = tuple(2 * dst + 1 for dst in outputs)
-            joined.append(j)
+            joins[key] = tuple([2 * dst + 1 for dst in outputs])
+            join_keys.append(key)
     # Synapses are sorted by (pre, post), so each out-list is in post order.
-    wires: list[list[int]] = [[] for _ in range(n)]
+    wires: list[list[int]] = [[] for _ in repeat(None, n)]
     edges: list = [()] * n  # a node's list is made at its first edge: most have none
     for pre, post, weight, delay in circuit.synapses:
         lines = line_of[post]
@@ -179,7 +188,7 @@ def _build_plan(circuit: Circuit) -> _Plan:
                 edges[pre] = []
             edges[pre].append((2 * post + 1, weight, delay + 1, None if lines is None else lines[pre]))
     return _Plan(
-        tuple(op), tuple(threshold), tuple(leak), tuple(const), wires, edges, tuple(joins), tuple(joined),
+        op, threshold, leak, const, wires, edges, joins, join_keys,
         tuple([(time, 2 * neuron + 1, value) for neuron, value, time in circuit.injections]),
     )
 
@@ -206,13 +215,17 @@ class Engine:
     and how long it lives, each join's buffered line values, the pending
     work, the raster and the injections added to it.
 
-    Node ids are dense, so per-node state lives in lists indexed by id, and
-    so does pending work, by work key: key ``2·g`` holds the value const
-    emitter ``g`` fires, and key ``2·j + 1`` what arrives at node ``j``: the
-    sum of the delivered values for a neuron or a const emitter, a
-    line -> value dict for a join.  Sorted keys run a step in node order
-    (rule 6), and each key's work code (``_Plan.op``) says what it does.
-    Out-edges and join lines store their target's key.
+    Node ids are dense, so pending work lives in lists indexed by work key:
+    key ``2·g`` holds the value const emitter ``g`` fires, and key ``2·j +
+    1`` what arrives at node ``j``: the sum of the delivered values for a
+    neuron or a const emitter, a line -> value dict for a join.  Sorted keys
+    run a step in node order (rule 6), and each key's work code
+    (``_Plan.op``) says what it does.  Whatever else a key's work reads sits
+    at that key too: the plan's node tables, each neuron's retained state
+    and each join's buffer.  Out-edges and join lines store their target's
+    key.  So the loop computes a node id (``key >> 1``) only to record a
+    spike or a fault, and a spike then reads its out-edges by that id.  The
+    raster is one flat list of ints, three per spike (see :class:`RunOutcome`).
 
     Pending work sits in two tiers.  The dense tier is two lists of ``2·n``
     slots (None: no work), each with the list of its keys that hold work:
@@ -239,18 +252,18 @@ class Engine:
         self.clock = 0
         self._open = 0  # earliest time no step has processed yet
         self.fault: Fault | None = None
-        self.raster: list[tuple[int, int, int]] = []
+        self._flat: list[int] = []  # the raster: time, node, value of each spike
 
         plan = self._plan = _plan_of(circuit)
-        n = len(plan.threshold)
-        self._held = [0] * n  # a neuron's retained value ...
-        self._until: list[float] = [-1] * n  # ... live through this time
-        self._lines: dict[int, dict[int, int]] = {j: {} for j in plan.join_ids}  # per join: line -> value
-        self._due, self._due_keys = [None] * (2 * n), []  # the work at time `open`, by key, and its keys
-        self._next, self._next_keys = [None] * (2 * n), []  # the same for the step after: empty between steps
+        keys = len(plan.op)
+        self._held = [0] * keys  # a neuron's retained value, at its key 2·i + 1 ...
+        self._until: list[float] = [-1] * keys  # ... live through this time
+        self._lines: dict[int, dict[int, int]] = {j: {} for j in plan.join_keys}  # per join key: line -> value
+        self._due, self._due_keys = [None] * keys, []  # the work at time `open`, by key, and its keys
+        self._next, self._next_keys = [None] * keys, []  # the same for the step after: empty between steps
         self._later: list[tuple[int, int, int]] = list(plan.seed)  # a heap of (time, key, value)
-        self._injected: list[tuple[int, int, int, int]] = []  # added here: (len(raster), time, key, value)
-        self._cut = 2 * n  # the last key of the last step run: all of it, until a fault
+        self._injected: list[tuple[int, int, int, int]] = []  # added here: (spikes so far, time, key, value)
+        self._cut = keys  # the last key of the last step run: all of it, until a fault
         for inj in extra_injections:
             self.add_injection(inj.neuron, inj.value, inj.time)
 
@@ -269,7 +282,7 @@ class Engine:
         if self.fault is not None:
             return
         row = (time, 2 * neuron + 1, value)
-        self._injected.append((len(self.raster), *row))
+        self._injected.append((len(self._flat) // 3, *row))
         heapq.heappush(self._later, row)
 
     # -- inspection --------------------------------------------------------
@@ -283,11 +296,12 @@ class Engine:
         if not 0 <= 2 * neuron < len(op) or op[2 * neuron + 1] > _NEURON:
             raise UnknownNeuron(f"node {neuron} is not a neuron")
         when = self.clock if at is None else at
-        return self._held[neuron] if when <= self._until[neuron] else 0
+        key = 2 * neuron + 1
+        return self._held[key] if when <= self._until[key] else 0
 
     def join_lines(self, join_id: int) -> dict[int, int]:
         """Currently buffered values of a join, keyed by line index."""
-        return dict(self._lines[join_id])
+        return dict(self._lines[2 * join_id + 1])
 
     # -- execution ---------------------------------------------------------
 
@@ -313,7 +327,7 @@ class Engine:
         due, due_keys, nxt, nxt_keys, later = self._due, self._due_keys, self._next, self._next_keys, self._later
         op, threshold, leak, const, wires, edges, joins = self._plan[:7]
         held, until, buffers = self._held, self._until, self._lines
-        record = self.raster.append
+        record = self._flat.extend
         # lo <= v <= hi iff v passes both the overflow and the big-M check.
         lo = max(INT63_MIN, 1 - 2 * self.config.big_m)
         hi = min(INT63_MAX, 2 * self.config.big_m - 1)
@@ -342,19 +356,20 @@ class Engine:
                 x = due[key]
                 due[key] = None
                 o = op[key]
-                node = key >> 1
                 if o <= _NEURON:
                     # A neuron integrates; a leak-0 one holds nothing from an earlier step.
-                    v = x + held[node] if o and t <= until[node] else x
+                    v = x + held[key] if o and t <= until[key] else x
                     if not lo <= v <= hi:
-                        return self._stop(t, node, v, key)
-                    if v < threshold[node]:
-                        held[node] = v
-                        until[node] = t + leak[node]
+                        return self._stop(t, key >> 1, v, key)
+                    if v < threshold[key]:
+                        held[key] = v
+                        until[key] = t + leak[key]
                         continue
-                    held[node] = 0
-                elif o == _FIRE:  # const emitter `node` fires its constant
+                    held[key] = 0
+                    node = key >> 1
+                elif o == _FIRE:  # a const emitter fires its constant
                     v = x
+                    node = key >> 1
                     if not lo <= v <= hi and wires[node]:  # the first wire breaches, unless an edge before it does
                         record((t, node, v))
                         first = wires[node][0]
@@ -362,18 +377,19 @@ class Engine:
                         post, p = min(next(breach, (first, v)), (first, v))
                         return self._stop(t, post >> 1, p, key)
                 elif o == _CONST_EMIT:
-                    nxt[key - 1] = const[node]  # the fire key 2·node, set only here
+                    nxt[key - 1] = const[key]  # the fire key 2·node, set only here
                     nxt_keys.append(key - 1)
                     continue
                 else:
                     # Join: a line brings at most one value per step,
                     # range-checked when sent; once every line holds one,
                     # each goes on unchanged to its target at t + 1.
-                    lines = buffers[node]
+                    lines = buffers[key]
                     lines.update(x)
-                    posts = joins[node]
+                    posts = joins[key]
                     if len(lines) < len(posts):
                         continue
+                    node = key >> 1
                     for m, post in enumerate(posts):
                         p = lines[m]
                         record((t, node, p))
@@ -443,10 +459,10 @@ class Engine:
     def _finish(self, status: str, final_clock: int) -> RunOutcome:
         # Copies: a later run of this engine appends to its records.
         trace_inputs = (self._plan, self._injected.copy(), self._open - 1, self._cut)
-        return RunOutcome(status, final_clock, self.raster.copy(), self.fault, trace_inputs)
+        return RunOutcome(status, final_clock, self._flat.copy(), self.fault, trace_inputs)
 
 
-def _trace(plan: _Plan, injected: list, last: int, cut: int, spikes: list) -> list[Delivery]:
+def _trace(plan: _Plan, injected: list, last: int, cut: int, flat: list[int]) -> list[Delivery]:
     """Every delivery through work key ``cut`` of step ``last``: each fan-out, flushed line and injection.
 
     Rows sort by arrival, target, then a unique emission position (so no sort
@@ -459,14 +475,14 @@ def _trace(plan: _Plan, injected: list, last: int, cut: int, spikes: list) -> li
     rows = [(time, key, i, None, value) for i, (time, key, value) in enumerate(seed)]
     rows += [(time, key, r * m + i, None, value) for i, (r, time, key, value) in enumerate(injected, len(seed))]
     line = 0
-    for r, (t, s, v) in enumerate(spikes):
+    for r, (t, s, v) in enumerate(zip(flat[::3], flat[1::3], flat[2::3])):
         at = r * m + m - 1
         if op[2 * s + 1] != _JOIN:
             rows += [(t + 1, post, at, s, v) for post in wires[s]]
             rows += [(t + d1, post, at, s, w * v) for post, w, d1, _ in edges[s]]
         else:
-            line = line + 1 if r and spikes[r - 1][:2] == (t, s) else 0
-            rows.append((t + 1, joins[s][line], at, s, v))
+            line = line + 1 if r and flat[3 * r - 3 : 3 * r - 1] == [t, s] else 0
+            rows.append((t + 1, joins[2 * s + 1][line], at, s, v))
     rows.sort()
     del rows[bisect_left(rows, (last, cut + 1)):]  # keep (time, key) <= (last, cut)
     for i, (time, key, _, source, value) in enumerate(rows):  # in place: a second list would double the peak
@@ -505,31 +521,29 @@ def _positions(items: list, item) -> list[int]:
         return found
 
 
-def _render(circuit: Circuit, raster: list[tuple[int, int, int]], bare: str, head: str, tail) -> str:
-    """Each spike's row: ``bare % event``, or on an output node ``head % event`` per port name.
+def _render(circuit: Circuit, flat: list[int], header: bytes, bare: bytes, head: bytes, tail) -> bytes:
+    """``header``, then each spike's row: ``bare % spike``, or on an output node ``head % spike`` per port name.
 
     ``list.index`` scans find the output-node spikes, and each run of rows
-    between them is one ``%`` over the run's flattened spikes: about 0.8× the
-    time of a ``%`` per row, for transients of about 35 bytes a spike.
+    between them is one bytes ``%`` over its slice of ``flat``.
     """
-    # Per output node ["", tail(name1), ...]: joined by the spike's head, it
+    # Per output node [b"", tail(name1), ...]: joined by the spike's head, it
     # gives that spike's row once per port name.
-    tails: dict[int, list[str]] = {}
+    tails: dict[int, list[bytes]] = {}
     for p in circuit.ports_by_role("output"):
-        tails.setdefault(p.neuron, [""]).append(tail(p.name))
-    nodes = list(map(itemgetter(1), raster))
-    rows, start = [], 0
+        tails.setdefault(p.neuron, [b""]).append(tail(p.name))
+    nodes = flat[1::3]
+    rows, start = [header], 0
     for i in sorted([i for node in tails for i in _positions(nodes, node)]):
-        run = raster[start:i]
-        rows += (bare * len(run) % tuple(chain.from_iterable(run)), (head % raster[i]).join(tails[nodes[i]]))
+        spike = tuple(flat[3 * i : 3 * i + 3])
+        rows += (bare * (i - start) % tuple(flat[3 * start : 3 * i]), (head % spike).join(tails[nodes[i]]))
         start = i + 1
-    run = raster[start:]
-    rows.append(bare * len(run) % tuple(chain.from_iterable(run)))
-    return "".join(rows)
+    rows.append(bare * (len(nodes) - start) % tuple(flat[3 * start :]))
+    return b"".join(rows)
 
 
-def raster_csv(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:
-    """Render ``RunOutcome.spikes`` or ``.raster`` as CSV (header ``time,neuron,value,port``).
+def raster_csv(circuit: Circuit, outcome: RunOutcome) -> bytes:
+    """The outcome's raster as a UTF-8 CSV file (header ``time,neuron,value,port``).
 
     Integers never need quoting, so only each output port's cell goes through
     ``csv.writer``.
@@ -537,19 +551,19 @@ def raster_csv(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
 
-    def cell(name: str) -> str:
+    def cell(name: str) -> bytes:
         out.seek(0)
         out.truncate()
         writer.writerow((0, name))
-        return out.getvalue()[2:]
+        return out.getvalue()[2:].encode()
 
-    return "time,neuron,value,port\n" + _render(circuit, raster, "%d,%d,%d,\n", "%d,%d,%d,", cell)
+    return _render(circuit, outcome.flat, b"time,neuron,value,port\n", b"%d,%d,%d,\n", b"%d,%d,%d,", cell)
 
 
-def raster_jsonl(circuit: Circuit, raster: list[tuple[int, int, int]]) -> str:
-    """Render a raster (as for :func:`raster_csv`) as JSON lines with the CSV's fields.
+def raster_jsonl(circuit: Circuit, outcome: RunOutcome) -> bytes:
+    """The outcome's raster as a UTF-8 JSON-lines file with the CSV's fields.
 
     Each line is the text ``json.dumps`` gives for the row's dict.
     """
-    head = '{"time": %d, "neuron": %d, "value": %d'
-    return _render(circuit, raster, head + ', "port": ""}\n', head, lambda name: ', "port": %s}\n' % json.dumps(name))
+    head, port = b'{"time": %d, "neuron": %d, "value": %d', b', "port": %s}\n'
+    return _render(circuit, outcome.flat, b"", head + port % b'""', head, lambda name: port % json.dumps(name).encode())

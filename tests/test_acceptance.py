@@ -126,7 +126,7 @@ def test_criterion_1_engine_semantics(capsys):
             return b.build()
 
         texts = {
-            raster_csv(c, simulate(c).raster)
+            raster_csv(c, simulate(c))
             for c in (build(False), build(False), build(True))
         }
         assert len(texts) == 1

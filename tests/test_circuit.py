@@ -929,8 +929,8 @@ def _reference_raster_csv(circuit, raster):
 @example(_output_spikes_at_both_ends())
 def test_raster_csv_equals_a_csv_writer_rendering(drawn):
     circuit, big_m = drawn
-    raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster
-    assert raster_csv(circuit, raster) == _reference_raster_csv(circuit, raster)
+    outcome = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run()
+    assert raster_csv(circuit, outcome) == _reference_raster_csv(circuit, outcome.raster).encode("utf-8")
 
 
 def _reference_trace_csv(trace):
@@ -973,8 +973,8 @@ def _reference_raster_jsonl(circuit, raster):
 @example(_output_spikes_at_both_ends())
 def test_raster_jsonl_equals_a_json_dumps_rendering(drawn):
     circuit, big_m = drawn
-    raster = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run().raster
-    assert raster_jsonl(circuit, raster) == _reference_raster_jsonl(circuit, raster)
+    outcome = Engine(circuit, SimConfig(max_steps=40, big_m=big_m)).run()
+    assert raster_jsonl(circuit, outcome) == _reference_raster_jsonl(circuit, outcome.raster).encode("utf-8")
 
 
 @settings(max_examples=150, deadline=None)

@@ -579,7 +579,7 @@ def test_eval_rejects_bad_arguments(add_rec, capsys):
 )
 def test_hostile_program_text_fails_without_a_traceback(tmp_path, capsys, command, text, message):
     src = tmp_path / "hostile.rec"
-    src.write_text(text)
+    src.write_text(text, encoding="utf-8")
     assert main([command, str(src)]) == 1
     assert capsys.readouterr().err.startswith(message)
 
@@ -832,6 +832,37 @@ def test_main_leaves_the_collector_as_it_found_it(exits, monkeypatch, capsys, en
 
 # ---------------------------------------------------------------------------
 # entry point
+@pytest.mark.parametrize(
+    "command", [["compile"], ["eval", "1"], ["diff", "--args", "1"], ["run"]], ids=["compile", "eval", "diff", "run"]
+)
+def test_a_file_that_is_not_utf8_fails_without_a_traceback(tmp_path, capsys, command):
+    path = tmp_path / "bad.rec"
+    path.write_bytes(b"(succ)\n\xff\n")
+    assert main([command[0], str(path), *command[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: invalid start byte at byte 7\n"
+
+
+def test_run_writes_utf8_files_under_an_ascii_locale(tmp_path):
+    # Under the C locale with UTF-8 mode off, text files default to ASCII:
+    # the raster must still carry a non-ASCII port name, as UTF-8.
+    b = CircuitBuilder()
+    x = b.add_neuron(0)
+    y = b.add_neuron(0)
+    b.add_synapse(x, y, 1, 0)
+    b.mark_port(x, "input", "x1")
+    b.mark_port(y, "output", "y\u00e9")
+    artifact = tmp_path / "accent.circuit.json"
+    artifact.write_text(CompiledProgram(circuit=b.build(), meta={"big_m": 10**9}).serialize(), encoding="utf-8")
+    raster, trace = tmp_path / "accent.raster.csv", tmp_path / "accent.trace.csv"
+    package_root = Path(murec.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    argv = ["run", str(artifact), "--in", "x1=4", "--raster", str(raster), "--trace", str(trace)]
+    proc = subprocess.run([sys.executable, "-m", "murec", *argv], capture_output=True, check=False, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert raster.read_bytes() == f"time,neuron,value,port\n0,{x},4,\n1,{y},4,y\u00e9\n".encode("utf-8")
+    assert trace.read_bytes() == f"time,target,source,value\n0,{x},,4\n1,{y},{x},4\n".encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 
 

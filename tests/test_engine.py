@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import murec.engine
-from conftest import ADD, built_circuits, const_fire_past_the_bound
+from conftest import ADD, MUL_REC, built_circuits, const_fire_past_the_bound
 from murec import (
     INFINITE,
     Circuit,
@@ -480,7 +480,7 @@ def test_join_waits_for_every_line_then_releases_in_line_order():
     circuit = b.build()
     # The join's output lines are its record's: the plan gives it no out-edge.
     plan = murec.engine._build_plan(circuit)
-    assert not plan.wires[j] and not plan.edges[j] and plan.joins[j] == (2 * d1 + 1, 2 * d2 + 1)
+    assert not plan.wires[j] and not plan.edges[j] and plan.joins[2 * j + 1] == (2 * d1 + 1, 2 * d2 + 1)
     outcome = simulate(circuit)
     join_events = [e for e in outcome.raster if e.neuron == j]
     assert join_events == [SpikeEvent(9, j, 3), SpikeEvent(9, j, 7)]
@@ -550,14 +550,14 @@ def test_runs_are_deterministic_byte_for_byte():
     circuit = _busy_circuit()
     first = simulate(circuit)
     second = simulate(circuit)
-    assert raster_csv(circuit, first.raster) == raster_csv(circuit, second.raster)
+    assert raster_csv(circuit, first) == raster_csv(circuit, second)
     assert first.final_clock == second.final_clock
 
 
 def test_synapse_insertion_order_does_not_change_the_run():
     c1 = _busy_circuit(flipped=False)
     c2 = _busy_circuit(flipped=True)
-    assert raster_csv(c1, simulate(c1).raster) == raster_csv(c2, simulate(c2).raster)
+    assert raster_csv(c1, simulate(c1)) == raster_csv(c2, simulate(c2))
 
 
 def test_raster_csv_labels_output_ports_only():
@@ -565,7 +565,7 @@ def test_raster_csv_labels_output_ports_only():
     b.add_injection(src, 6, 0)
     circuit = b.build()
     outcome = simulate(circuit)
-    text = raster_csv(circuit, outcome.raster)
+    text = raster_csv(circuit, outcome).decode()
     lines = text.splitlines()
     assert lines[0] == "time,neuron,value,port"
     assert f"0,{src},6," in lines  # input port name is not emitted
@@ -586,7 +586,7 @@ def test_raster_jsonl_mirrors_the_csv_rows():
     b.add_injection(src, 2, 0)
     circuit = b.build()
     outcome = simulate(circuit)
-    rows = [json.loads(line) for line in raster_jsonl(circuit, outcome.raster).splitlines()]
+    rows = [json.loads(line) for line in raster_jsonl(circuit, outcome).splitlines()]
     assert {"time": 1, "neuron": dst, "value": 2, "port": "y"} in rows
 
 
@@ -613,8 +613,8 @@ def test_spikes_come_out_in_raster_order(drawn, small_m):
     circuit, big_m = drawn
     config = SimConfig(max_steps=40, big_m=3 if small_m else big_m)
     outcome = Engine(circuit, config).run()
-    assert outcome.spikes == sorted(outcome.spikes, key=itemgetter(0, 1))
-    assert outcome.raster == list(map(SpikeEvent._make, outcome.spikes))
+    assert outcome.raster == sorted(outcome.raster, key=itemgetter(0, 1))
+    assert outcome.flat == [x for spike in outcome.raster for x in spike]
     assert outcome.trace == sorted(outcome.trace, key=itemgetter(0, 1))
 
 
@@ -652,6 +652,21 @@ def test_arrivals_from_one_step_are_traced_by_source_id():
         Delivery(3, target, low, 4),
         Delivery(3, target, ce, 5),
     ]
+
+
+def test_an_injection_added_mid_run_is_traced_before_the_later_spikes_deliveries():
+    # The injection into `c` is scheduled after `a`'s spike at t=0, so before
+    # `mid`'s at t=1, and both reach `c` at t=2: it is emitted first.
+    b = CircuitBuilder()
+    a, mid, c = (b.add_neuron(0) for _ in range(3))
+    b.add_synapse(a, mid, 1, 0)
+    b.add_synapse(mid, c, 1, 0)
+    b.add_injection(a, 5, 0)
+    engine = Engine(b.build())
+    engine.step()
+    engine.add_injection(c, 7, 2)
+    outcome = engine.run()
+    assert [d for d in outcome.trace if d.target == c] == [Delivery(2, c, None, 7), Delivery(2, c, mid, 5)]
 
 
 # A long transit, in steps.  Work with a transit of one step goes to the
@@ -870,6 +885,31 @@ def test_murec_run_writes_its_raster_file_without_building_the_raster(
     assert len(spike_events_made) == 1  # the y spike only
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{circuit}", "--in", "i=3", "--in", "x1=3", "--raster", "{tmp}/mul.raster.csv"],
+        ["run", "{circuit}", "--in", "i=3", "--in", "x1=3", "--format", "jsonl", "--raster", "{tmp}/mul.raster.jsonl"],
+        ["diff", "{source}", "--args", "0..3,0..3"],
+    ],
+    ids=["run_csv", "run_jsonl", "diff"],
+)
+def test_no_command_reads_the_raster(compiled_mul, monkeypatch, argv, tmp_path, capsys):
+    # The raster file is rendered from `flat`, and diff reads `y` with `spikes_of`.
+    def refuse(outcome):
+        raise AssertionError("RunOutcome.raster was read")
+
+    monkeypatch.setattr(murec.engine.RunOutcome, "raster", property(refuse))
+    circuit_path = tmp_path / "mul.circuit.json"
+    circuit_path.write_text(compiled_mul.serialize())
+    source = tmp_path / "mul.rec"
+    source.write_text(MUL_REC + "\n")
+    names = {"circuit": circuit_path, "source": source, "tmp": tmp_path}
+    assert main([arg.format(**names) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("y=9\n" if argv[0] == "run" else "cases=16 mismatches=0")
+
+
 # ---------------------------------------------------------------------------
 # engines over one circuit share its plan, not their runs
 # ---------------------------------------------------------------------------
@@ -975,7 +1015,7 @@ def test_a_fan_out_breach_ends_the_trace_after_the_spikers_arrivals():
     # The breach is in s's fan-out, to post above it: hi's arrival never ran.
     outcome, (lo, s, hi, post, top) = _fan_out_or_integration(9)
     assert outcome.fault == Fault("magnitude_breach", 0, post, 45)
-    assert outcome.spikes == [(0, s, 5)]
+    assert outcome.flat == [0, s, 5]
     assert outcome.trace == [Delivery(0, lo, None, 1), Delivery(0, s, None, 5)]
 
 
@@ -984,7 +1024,7 @@ def test_an_integration_breach_ends_the_trace_after_the_nodes_arrivals():
     # bound: post's own batch of 45 breaches, after hi's arrival ran.
     outcome, (lo, s, hi, post, top) = _fan_out_or_integration(1)
     assert outcome.fault == Fault("magnitude_breach", 0, post, 45)
-    assert outcome.spikes == [(0, s, 5)]
+    assert outcome.flat == [0, s, 5]
     assert outcome.trace == [
         Delivery(0, lo, None, 1),
         Delivery(0, s, None, 5),
@@ -1003,7 +1043,7 @@ def test_a_fire_breach_ends_the_trace_before_the_emitters_arrivals():
         b.add_injection(node, 1, time)
     outcome = simulate(b.build(), config=SimConfig(big_m=10))
     assert outcome.fault == Fault("magnitude_breach", 1, x, 45)
-    assert outcome.spikes == [(1, ce, 5)]
+    assert outcome.flat == [1, ce, 5]
     assert outcome.trace == [Delivery(0, ce, None, 1), Delivery(1, lo, None, 1)]
 
 
@@ -1082,5 +1122,5 @@ def test_a_join_line_takes_at_most_one_value_per_step(drawn):
         # the join itself checks nothing: its fault is some sender's spike.
         weight = {s.pre: s.weight for s in circuit.synapses if s.post == fault.node}
         assert any(
-            t == fault.time and pre in weight and weight[pre] * v == fault.value for t, pre, v in outcome.spikes
+            t == fault.time and pre in weight and weight[pre] * v == fault.value for t, pre, v in outcome.raster
         )

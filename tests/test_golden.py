@@ -73,7 +73,7 @@ def test_golden_run_is_byte_identical(name, tmp_path, capsys):
 
     outcome = run_program(program, list(args), **limits).outcome
     assert (outcome.status, outcome.final_clock, outcome.fault) == (status, clock, fault)
-    assert _sha256(raster_csv(program.circuit, outcome.raster).encode()) == raster_sha
+    assert _sha256(raster_csv(program.circuit, outcome)) == raster_sha
 
     raster_path = tmp_path / "raster.csv"
     trace_path = tmp_path / "trace.csv"

@@ -42,7 +42,7 @@ def test_every_loop_instance_names_its_round_counter(name):
 
 
 def test_readme_document_example_shows_exactly_the_meta_keys():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     formats = readme.split("\n## File formats\n", 1)[1]
     example = re.search(r"^```json\n(.*?)^```$", formats, re.MULTILINE | re.DOTALL)
     assert example, "no json block under File formats"

@@ -140,12 +140,12 @@ class Reference:
 def _results(engine: Engine) -> tuple:
     outcome = engine.run()
     fault = outcome.fault and (outcome.fault.kind, outcome.fault.time, outcome.fault.node, outcome.fault.value)
-    return outcome.status, outcome.final_clock, outcome.spikes, fault, [tuple(d) for d in outcome.trace]
+    return outcome.status, outcome.final_clock, outcome.flat, fault, [tuple(d) for d in outcome.trace]
 
 
 def _reference_results(ref: Reference) -> tuple:
     status, final_clock = ref.run()
-    return status, final_clock, ref.spikes, ref.fault, ref.trace
+    return status, final_clock, [x for spike in ref.spikes for x in spike], ref.fault, ref.trace
 
 
 CAP = 256  # the ring size an earlier engine capped at; kept so the same delays and offsets are drawn
