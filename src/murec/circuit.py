@@ -1,19 +1,21 @@
-"""Static circuit model: neurons, synapses, native gadgets, ports, injections.
+"""Static circuit model: neurons, synapses, ports, injections, constant emitters, joins.
 
 A circuit is a directed graph over one dense id space shared by neurons and
-native gadget nodes.  Neurons carry an integer threshold and a leak (a whole
-number of timesteps, or :data:`INFINITE` to hold state until the next event).
-Synapses carry an integer weight and a whole-number delay; total transit time
-for a spike is ``delay + 1``.  Ports name nodes used for external input or
-output, and the injection plan lists externally supplied values a run needs.
+the two native gadgets, constant emitters and joins.  Neurons carry an
+integer threshold and a leak (a whole number of timesteps, or
+:data:`INFINITE` to hold state until the next event).  Synapses carry an
+integer weight and a whole-number delay; total transit time for a spike is
+``delay + 1``.  Ports name nodes used for external input or output, and the
+injection plan lists externally supplied values a run needs.
 
-Records are named tuples, so they are immutable and cheap to make.  Circuits
-are valid and frozen from construction on: the record and field types are
-checked as given, a column at a time; each section is then made a tuple sorted
-into canonical order; and one pass over the sorted records checks the
-structure (an invalid circuit raises :class:`InvalidCircuit`).  So canonical
-JSON (stable key order, sorted records) encodes the sections as they stand,
-and equal circuits give byte-equal text.
+Records are named tuples, so they are immutable and cheap to make, and each
+section holds one record type.  Circuits are valid and frozen from
+construction on: the record and field types are checked as given, a column
+at a time; each section is then made a tuple sorted into canonical order;
+and one pass over the sorted records checks the structure (an invalid
+circuit raises :class:`InvalidCircuit`).  So canonical JSON (stable key
+order, sorted records, each record its fields as an array) encodes the
+sections as they stand, and equal circuits give byte-equal text.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Iterable, NamedTuple, Union
+from typing import Any, Iterable, NamedTuple
 
 from .errors import InvalidCircuit, ParseError
 
@@ -83,9 +85,6 @@ class Join(NamedTuple):
     outputs: tuple[int, ...]
 
 
-NativeGadget = Union[ConstEmit, Join]
-
-
 # Each record field's type rule, by field name: a test of a column of the
 # field's values, with the wording of its message; a field not listed is an
 # integer (exactly: a bool is an int to isinstance).  Port roles are checked by
@@ -104,24 +103,26 @@ _FIELD_TYPES = {
 }
 
 
-# Each section's record types, with the wording of the message for any other record.
+# Each section's record type, with the wording of the message for any other record.
 _RECORDS = {
-    "neurons": ({NeuronSpec}, "a NeuronSpec"),
-    "synapses": ({SynapseSpec}, "a SynapseSpec"),
-    "ports": ({Port}, "a Port"),
-    "injections": ({Injection}, "an Injection"),
-    "gadgets": ({ConstEmit, Join}, "a ConstEmit or a Join"),
+    "neurons": (NeuronSpec, "a NeuronSpec"),
+    "synapses": (SynapseSpec, "a SynapseSpec"),
+    "ports": (Port, "a Port"),
+    "injections": (Injection, "an Injection"),
+    "const_emits": (ConstEmit, "a ConstEmit"),
+    "joins": (Join, "a Join"),
 }
 
 
 # Each section's canonical order, as a sort key of field positions: id,
-# (pre, post), name, (time, neuron, value), id.
+# (pre, post), name, (time, neuron, value), id, id.
 _ORDER = {
     "neurons": itemgetter(0),
     "synapses": itemgetter(0, 1),
     "ports": itemgetter(0),
     "injections": itemgetter(2, 0, 1),
-    "gadgets": itemgetter(0),
+    "const_emits": itemgetter(0),
+    "joins": itemgetter(0),
 }
 
 
@@ -146,7 +147,8 @@ class Circuit:
     synapses: tuple[SynapseSpec, ...] = ()
     ports: tuple[Port, ...] = ()
     injections: tuple[Injection, ...] = ()
-    gadgets: tuple[NativeGadget, ...] = ()
+    const_emits: tuple[ConstEmit, ...] = ()
+    joins: tuple[Join, ...] = ()
 
     def __post_init__(self) -> None:
         violations = self.validate()
@@ -154,6 +156,11 @@ class Circuit:
             raise InvalidCircuit(violations)
 
     # -- lookups ---------------------------------------------------------
+
+    @property
+    def gadgets(self) -> tuple[ConstEmit | Join, ...]:
+        """Every native gadget: the constant emitters, then the joins."""
+        return self.const_emits + self.joins
 
     def ports_by_role(self, role: str) -> list[Port]:
         return [p for p in self.ports if p.role == role]
@@ -163,7 +170,7 @@ class Circuit:
     def validate(self) -> list[str]:
         """List every violation; construction raises on any.
 
-        Types come first, as given: each section's record types, then each
+        Types come first, as given: each section's record type, then each
         field's column.  Only a section that fails a test is walked record by
         record, naming a record not of its section's type as
         ``section[index]`` and a mistyped field as ``section[index].field``.
@@ -175,20 +182,15 @@ class Circuit:
         """
         violations: list[str] = []
         given = {}  # each section read once, so an iterator is checked and sorted whole
-        for section, (kinds, wording) in _RECORDS.items():
+        for section, (record_type, wording) in _RECORDS.items():
             records = given[section] = tuple(getattr(self, section))
-            # A gadget's fields depend on its record type, so each type's records are unzipped apart.
-            if kinds.issuperset(map(type, records)) and all(
+            if {record_type}.issuperset(map(type, records)) and all(
                 _FIELD_TYPES.get(field, _INTEGER)[0](column)
-                for record_type in kinds
-                for field, column in zip(
-                    record_type._fields,
-                    zip(*(records if len(kinds) == 1 else [r for r in records if type(r) is record_type])),
-                )
+                for field, column in zip(record_type._fields, zip(*records))
             ):
                 continue
             for index, record in enumerate(records):
-                if type(record) not in kinds:
+                if type(record) is not record_type:
                     violations.append(f"{section}[{index}] must be {wording}, got {record!r}")
                     continue
                 for field, value in zip(record._fields, record):
@@ -200,11 +202,11 @@ class Circuit:
 
         for section, key in _ORDER.items():
             object.__setattr__(self, section, tuple(sorted(given[section], key=key)))
-        neurons, synapses, ports, injections, gadgets = (
-            self.neurons, self.synapses, self.ports, self.injections, self.gadgets
+        neurons, synapses, ports, injections, const_emits, joins = (
+            self.neurons, self.synapses, self.ports, self.injections, self.const_emits, self.joins
         )
-        known = {*map(itemgetter(0), neurons), *map(itemgetter(0), gadgets)}
-        if len(known) != len(neurons) + len(gadgets):
+        known = {*map(itemgetter(0), neurons), *map(itemgetter(0), const_emits), *map(itemgetter(0), joins)}
+        if len(known) != len(neurons) + len(const_emits) + len(joins):
             violations.append("node ids are not unique across neurons and gadgets")
         if known and (min(known) != 0 or max(known) != len(known) - 1):
             violations.append("node ids are not contiguous from 0")
@@ -212,9 +214,8 @@ class Circuit:
             f"neuron {i}: leak must be >= 0 or INFINITE" for i, _, leak in neurons if leak is not None and leak < 0
         ]
 
-        joins = {g.id: g for g in gadgets if type(g) is Join}
         # Synapses into each join with their (weight, delay), gathered in canonical order.
-        sources: dict[int, dict[int, tuple[int, int]]] = {j: {} for j in joins}
+        sources: dict[int, dict[int, tuple[int, int]]] = {j: {} for j, _, _ in joins}
         last_pre = last_post = None  # sorted, so a repeated pair follows its first
         for pre, post, weight, delay in synapses:
             if pre not in known or post not in known:
@@ -224,7 +225,7 @@ class Circuit:
             if pre == last_pre and post == last_post:
                 violations.append(f"synapse ({pre}, {post}): duplicate (pre, post) pair")
             last_pre, last_post = pre, post
-            if pre in joins:
+            if pre in sources:
                 violations.append(
                     f"synapse ({pre}, {post}): starts at join {pre}, whose record holds its output lines"
                 )
@@ -239,7 +240,7 @@ class Circuit:
                 violations.append(f"port {name!r}: unknown node {node}")
             if role not in ("input", "output"):
                 violations.append(f"port {name!r}: role must be input or output")
-            if role == "input" and node in joins:
+            if role == "input" and node in sources:
                 violations.append(f"port {name!r}: input port on join {node} is not allowed")
 
         for node, _, time in injections:
@@ -247,10 +248,10 @@ class Circuit:
                 violations.append(f"injection into unknown node {node}")
             if time < 0:
                 violations.append(f"injection into {node}: time must be >= 0")
-            if node in joins:
+            if node in sources:
                 violations.append(f"injection into join {node} is not allowed")
 
-        for j, ins, outs in joins.values():
+        for j, ins, outs in joins:
             n = len(ins)
             if n < 2:
                 violations.append(f"join {j}: needs at least 2 lines")
@@ -263,7 +264,7 @@ class Circuit:
             for node in (*ins, *outs):
                 if node not in known:
                     violations.append(f"join {j}: unknown line endpoint {node}")
-                elif node in joins:
+                elif node in sources:
                     violations.append(f"join {j}: line endpoint {node} is a join")
             for src in ins:
                 if src not in sources[j]:
@@ -279,21 +280,14 @@ class Circuit:
     # -- serialization ---------------------------------------------------
 
     def to_document(self) -> dict[str, Any]:
-        """The canonical JSON document: each record an array in its named tuple's field order.
+        """The canonical JSON document: each record its named tuple's fields as an array, value for value.
 
-        A gadget's array is ``[id, kind, *fields]``, and infinite leak is ``"inf"``.
+        So infinite leak (None) is JSON null, and a join's lines are arrays.
         Sections are in the order :meth:`validate` set.
         """
-        return {
-            "neurons": [[i, threshold, "inf" if leak is None else leak] for i, threshold, leak in self.neurons],
-            "synapses": list(map(list, self.synapses)),
-            "ports": list(map(list, self.ports)),
-            "injections": list(map(list, self.injections)),
-            "gadgets": [
-                [g[0], "const_emit", g[1]] if type(g) is ConstEmit else [g[0], "join", list(g[1]), list(g[2])]
-                for g in self.gadgets
-            ],
-        }
+        doc = {section: list(map(list, getattr(self, section))) for section in _RECORDS}
+        doc["joins"] = [[j, list(ins), list(outs)] for j, ins, outs in self.joins]
+        return doc
 
     def serialize(self) -> str:
         """Render ``to_document()`` as canonical JSON text, one record per line (see ``_circuit_json``)."""
@@ -308,10 +302,10 @@ def _circuit_json(circuit: Circuit, indent: str) -> str:
     """The canonical text of ``circuit.to_document()``, nested at ``indent``.
 
     Sections are laid out as ``json.dumps(doc, indent=2)`` lays them out, but
-    each record is one line, the text ``json.dumps(record)`` gives.  Each record
-    shape has one template, so the generic encoder's per-value dispatch is not
-    paid at all.  Strings go through ``json.dumps``, so their escaping is the
-    encoder's own.
+    each record is one line, the text ``json.dumps(record)`` gives.  Each
+    section has one template, so the generic encoder's per-value dispatch is
+    not paid at all.  Strings go through ``json.dumps``, so their escaping is
+    the encoder's own.
     """
     i1 = indent + "  "  # section keys
     i2 = i1 + "  "  # records
@@ -319,22 +313,16 @@ def _circuit_json(circuit: Circuit, indent: str) -> str:
     synapse = i2 + "[%d, %d, %d, %d]"
     port = i2 + "[%s, %d, %s]"
     injection = i2 + "[%d, %d, %d]"
-    const_emit = i2 + '[%d, "const_emit", %d]'
-    join = i2 + '[%d, "join", [%s], [%s]]'
+    const_emit = i2 + "[%d, %d]"
+    join = i2 + "[%d, [%s], [%s]]"
     sections = {
-        "neurons": [
-            neuron % (i, threshold, '"inf"' if leak is None else leak) for i, threshold, leak in circuit.neurons
-        ],
+        "neurons": [neuron % (i, th, "null" if leak is None else leak) for i, th, leak in circuit.neurons],
         # Records are tuples in their template's field order.
         "synapses": [synapse % s for s in circuit.synapses],
         "ports": [port % (json.dumps(name), neuron, json.dumps(role)) for name, neuron, role in circuit.ports],
         "injections": [injection % inj for inj in circuit.injections],
-        "gadgets": [
-            const_emit % g
-            if type(g) is ConstEmit
-            else join % (g[0], ", ".join(map(str, g[1])), ", ".join(map(str, g[2])))
-            for g in circuit.gadgets
-        ],
+        "const_emits": [const_emit % c for c in circuit.const_emits],
+        "joins": [join % (j, ", ".join(map(str, ins)), ", ".join(map(str, outs))) for j, ins, outs in circuit.joins],
     }
     body = ",\n".join(
         f'{i1}"{key}": [\n' + ",\n".join(records) + f"\n{i1}]" if records else f'{i1}"{key}": []'
@@ -358,58 +346,37 @@ def parse_json_document(text: str) -> dict[str, Any]:
     return doc
 
 
-# A gadget array is [id, kind, *fields]: each kind's array width.
-_GADGET_FIELDS = {"const_emit": 3, "join": 4}
-
-
-def _records(doc: dict[str, Any], key: str, width: int | None = None) -> list[Any]:
-    """A section's records, each checked to be an array of ``width`` fields when a width is given."""
+def _records(doc: dict[str, Any], key: str, width: int) -> list[Any]:
+    """A section's records, each checked to be an array of ``width`` fields."""
     raw = doc.get(key, [])
     if type(raw) is not list:
         raise ParseError(f"section {key!r} must be an array")
-    if width is not None and not ({list}.issuperset(map(type, raw)) and {width}.issuperset(map(len, raw))):
+    if not ({list}.issuperset(map(type, raw)) and {width}.issuperset(map(len, raw))):
         index = next(i for i, entry in enumerate(raw) if type(entry) is not list or len(entry) != width)
         raise ParseError(f"{key}[{index}] must be an array of {width} fields")
     return raw
 
 
-def _gadget(index: int, raw: Any) -> NativeGadget:
-    if type(raw) is not list or len(raw) < 2:
-        raise ParseError(f"gadgets[{index}] must be an array [id, kind, ...]")
-    kind = raw[1]
-    width = _GADGET_FIELDS.get(kind) if type(kind) is str else None
-    if width is None:
-        raise ParseError(f"gadgets[{index}]: unknown gadget kind {kind!r}")
-    if len(raw) != width:
-        raise ParseError(f"gadgets[{index}] must be an array of {width} fields")
-    if kind == "const_emit":
-        return ConstEmit(raw[0], raw[2])
-    return Join(raw[0], _line_from_json(raw[2]), _line_from_json(raw[3]))
-
-
 def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     """Build a Circuit from a parsed JSON document; absent sections default to empty.
 
-    Each record is an array in its named tuple's field order (a gadget's is
-    ``[id, kind, *fields]``).  The loader checks only that shape: a section
-    that is not an array, a record that is not an array of its width or an
-    unknown gadget kind raises ParseError naming the section and index.  Then
-    it only maps JSON to records: ``"inf"`` becomes :data:`INFINITE` and a
-    join's arrays become tuples.  Every field rule is :class:`Circuit`'s, so a
-    field of the wrong type or value raises the same InvalidCircuit as the
-    record built in Python.
+    Each record is an array of its named tuple's fields, in order.  The
+    loader checks only that shape: a section that is not an array or a record
+    that is not an array of its width raises ParseError naming the section
+    and index.  Each array then becomes its record as it stands (JSON null is
+    :data:`INFINITE`), but for a join's lines, which become tuples.  Every
+    field rule is :class:`Circuit`'s, so a field of the wrong type or value
+    raises the same InvalidCircuit as the record built in Python.
     """
-    # JSON null is not "inf": it reaches Circuit as the string "null", which Circuit refuses.
-    neurons = [
-        (i, threshold, INFINITE if leak == "inf" else "null" if leak is None else leak)
-        for i, threshold, leak in _records(doc, "neurons", 3)
-    ]
     return Circuit(
-        neurons=_make(NeuronSpec, neurons),
+        neurons=_make(NeuronSpec, _records(doc, "neurons", 3)),
         synapses=_make(SynapseSpec, _records(doc, "synapses", 4)),
         ports=_make(Port, _records(doc, "ports", 3)),
         injections=_make(Injection, _records(doc, "injections", 3)),
-        gadgets=[_gadget(index, raw) for index, raw in enumerate(_records(doc, "gadgets"))],
+        const_emits=_make(ConstEmit, _records(doc, "const_emits", 2)),
+        joins=_make(
+            Join, [(j, _line_from_json(ins), _line_from_json(outs)) for j, ins, outs in _records(doc, "joins", 3)]
+        ),
     )
 
 
@@ -417,33 +384,37 @@ class CircuitBuilder:
     """Mutable recorder allocating one dense id space for all nodes.
 
     Its calls never raise: :meth:`build` makes the :class:`Circuit`, which checks every rule.
-    Neurons, synapses, ports and injections are kept as plain tuples in their
-    record's field order, and become records in :meth:`build`.
+    Every section is kept as plain tuples in its record's field order, and
+    becomes records in :meth:`build`.
     """
 
     def __init__(self) -> None:
         self._neurons: list[tuple[int, int, int | None]] = []
-        self._gadgets: list[NativeGadget] = []
+        self._const_emits: list[tuple[int, int]] = []
+        self._joins: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         self._synapses: list[tuple[int, int, int, int]] = []
         self._ports: list[tuple[str, int, str]] = []
         self._injections: list[tuple[int, int, int]] = []
 
     # -- nodes: the next id is the number of nodes so far -------------------
 
+    def _next_id(self) -> int:
+        return len(self._neurons) + len(self._const_emits) + len(self._joins)
+
     def add_neuron(self, threshold: int, leak: int | None = 0) -> int:
-        nid = len(self._neurons) + len(self._gadgets)
+        nid = self._next_id()
         self._neurons.append((nid, threshold, leak))
         return nid
 
     def add_const_emit(self, value: int) -> int:
-        nid = len(self._neurons) + len(self._gadgets)
-        self._gadgets.append(ConstEmit(nid, value))
+        nid = self._next_id()
+        self._const_emits.append((nid, value))
         return nid
 
     def add_join(self, inputs: Iterable[int], outputs: Iterable[int]) -> int:
         ins = tuple(inputs)
-        nid = len(self._neurons) + len(self._gadgets)
-        self._gadgets.append(Join(nid, ins, tuple(outputs)))
+        nid = self._next_id()
+        self._joins.append((nid, ins, tuple(outputs)))
         # Input lines are plain wires, as Circuit.validate requires; output lines are the record's alone.
         self._synapses += [(src, nid, 1, 0) for src in ins]
         return nid
@@ -467,5 +438,6 @@ class CircuitBuilder:
             synapses=_make(SynapseSpec, self._synapses),
             ports=_make(Port, self._ports),
             injections=_make(Injection, self._injections),
-            gadgets=self._gadgets,
+            const_emits=_make(ConstEmit, self._const_emits),
+            joins=_make(Join, self._joins),
         )

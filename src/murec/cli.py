@@ -303,8 +303,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A command makes no reference cycles (bar the few of the meta encoder in
-    # `compile`, freed at the next pass), so the cyclic collector's passes
+    # A command makes no reference cycles, so the cyclic collector's passes
     # over its thousands of live records only cost time.  The collector's
     # state is process-wide: restore it on every exit.
     enabled = gc.isenabled()

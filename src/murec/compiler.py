@@ -365,12 +365,9 @@ class CompiledProgram:
         """Render ``to_document()`` as canonical text, without copying the meta.
 
         The circuit block is laid out as ``Circuit.serialize`` lays it out, and
-        the meta block as ``json.dumps(meta, indent=2)``.  Encoded JSON strings
-        hold no raw newline, so re-indenting the meta's own text by one level
-        nests it exactly as the whole-document encoder would.
+        the meta block is one line, the text ``json.dumps(meta)`` gives.
         """
-        meta = json.dumps(self.meta, indent=2).replace("\n", "\n  ")
-        return f'{{\n  "circuit": {_circuit_json(self.circuit, "  ")},\n  "meta": {meta}\n}}\n'
+        return f'{{\n  "circuit": {_circuit_json(self.circuit, "  ")},\n  "meta": {json.dumps(self.meta)}\n}}\n'
 
     @classmethod
     def from_document(cls, doc: Any) -> "CompiledProgram":

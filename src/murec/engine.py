@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
-from .circuit import Circuit, ConstEmit, _make
+from .circuit import Circuit, _make
 from .errors import EmptyQueue, InvalidCircuit, UnknownNeuron
 
 INT63_MAX = 2**62 - 1
@@ -150,7 +150,7 @@ class _Plan(NamedTuple):
 
 
 def _build_plan(circuit: Circuit) -> _Plan:
-    n = len(circuit.neurons) + len(circuit.gadgets)
+    n = len(circuit.neurons) + len(circuit.const_emits) + len(circuit.joins)
     op = [_FIRE, _NEURON] * n
     threshold = [0] * (2 * n)
     leak: list[float] = [float("inf")] * (2 * n)
@@ -165,17 +165,14 @@ def _build_plan(circuit: Circuit) -> _Plan:
     line_of: list[dict[int, int] | None] = [None] * n  # per join: source -> line index
     joins: list = [None] * (2 * n)
     join_keys = []
-    for g in circuit.gadgets:
-        if type(g) is ConstEmit:
-            i, value = g
-            op[2 * i + 1], const[2 * i + 1] = _CONST_EMIT, value
-        else:
-            j, inputs, outputs = g
-            key = 2 * j + 1
-            op[key] = _JOIN
-            line_of[j] = {src: m for m, src in enumerate(inputs)}
-            joins[key] = tuple([2 * dst + 1 for dst in outputs])
-            join_keys.append(key)
+    for i, value in circuit.const_emits:
+        op[2 * i + 1], const[2 * i + 1] = _CONST_EMIT, value
+    for j, inputs, outputs in circuit.joins:
+        key = 2 * j + 1
+        op[key] = _JOIN
+        line_of[j] = {src: m for m, src in enumerate(inputs)}
+        joins[key] = tuple([2 * dst + 1 for dst in outputs])
+        join_keys.append(key)
     # Synapses are sorted by (pre, post), so each out-list is in post order.
     wires: list[list[int]] = [[] for _ in repeat(None, n)]
     edges: list = [()] * n  # a node's list is made at its first edge: most have none

@@ -233,7 +233,8 @@ def test_validate_reports_gapped_ids():
             synapses=[],
             ports=[],
             injections=[],
-            gadgets=[],
+            const_emits=[],
+            joins=[],
         )
     assert any("contiguous" in v for v in err.value.violations)
 
@@ -245,7 +246,8 @@ def test_validate_reports_duplicate_ids_and_synapses():
             synapses=[SynapseSpec(0, 0, 1, 0), SynapseSpec(0, 0, 2, 1)],
             ports=[],
             injections=[],
-            gadgets=[],
+            const_emits=[],
+            joins=[],
         )
     violations = err.value.violations
     assert any("not unique" in v for v in violations)
@@ -259,7 +261,8 @@ def test_validate_reports_dangling_references():
             synapses=[SynapseSpec(0, 3, 1, 0)],
             ports=[Port("y", 9, "output")],
             injections=[Injection(8, 1, 0)],
-            gadgets=[],
+            const_emits=[],
+            joins=[],
         )
     violations = err.value.violations
     assert any("unknown endpoint" in v for v in violations)
@@ -276,7 +279,7 @@ def test_validate_reports_join_line_synapse_mismatch():
             synapses=[SynapseSpec(0, 4, 1, 0), SynapseSpec(2, 4, 1, 0)],
             ports=[],
             injections=[],
-            gadgets=[Join(4, (0, 1), (2, 3))],
+            joins=[Join(4, (0, 1), (2, 3))],
         )
     assert err.value.violations == ["join 4: line source 1 has no synapse", "join 4: synapse from unlisted source 2"]
 
@@ -301,7 +304,7 @@ def test_validate_lists_join_violations_in_canonical_order():
             ],
             ports=[],
             injections=[],
-            gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
+            joins=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
         )
     assert err.value.violations == [
         _leaves(6, 2),
@@ -336,7 +339,7 @@ def test_a_join_line_must_be_a_plain_wire():
         Circuit(
             neurons=[NeuronSpec(i, 0, 0) for i in range(6)],
             synapses=[SynapseSpec(pre, post, *line) for (pre, post), line in lines.items()],
-            gadgets=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
+            joins=[Join(7, (2, 3), (4, 5)), Join(6, (0, 1), (2, 3))],
         )
     assert err.value.violations == [
         "synapse (3, 7): delay must be >= 0",
@@ -355,7 +358,7 @@ def test_a_join_line_may_not_end_at_a_join():
             neurons=[NeuronSpec(i, 0, 0) for i in range(4)],
             synapses=[SynapseSpec(pre, post, 1, 0) for pre, post in [(0, 4), (1, 4), (2, 5), (4, 5)]],
             injections=[Injection(0, 1, 0), Injection(1, 2, 0)],
-            gadgets=[Join(4, (0, 1), (5, 2)), Join(5, (4, 2), (3, 0))],
+            joins=[Join(4, (0, 1), (5, 2)), Join(5, (4, 2), (3, 0))],
         )
     assert err.value.violations == [
         _leaves(4, 5), "join 4: line endpoint 5 is a join", "join 5: line endpoint 4 is a join"
@@ -366,7 +369,7 @@ def test_a_join_line_may_not_end_at_a_join():
 # validate(): shuffled sections list what the same records list sorted
 # ---------------------------------------------------------------------------
 
-SECTIONS = ("neurons", "synapses", "ports", "injections", "gadgets")
+SECTIONS = ("neurons", "synapses", "ports", "injections", "const_emits", "joins")
 COMPILED = [compile_program(program).circuit for program in (ADD, MUL, MU_MONUS)]
 
 
@@ -376,7 +379,8 @@ CANONICAL = {
     "synapses": lambda s: (s.pre, s.post),
     "ports": lambda p: p.name,
     "injections": lambda i: (i.time, i.neuron, i.value),
-    "gadgets": lambda g: g.id,
+    "const_emits": lambda c: c.id,
+    "joins": lambda j: j.id,
 }
 # The wording of a field's type rule, by field name; a field not listed is an integer.
 KINDS = {
@@ -409,11 +413,10 @@ def broken_sections(draw):
     """
     circuit = draw(st.one_of(st.sampled_from(COMPILED), built_circuits().map(lambda drawn: drawn[0])))
     s = {name: list(getattr(circuit, name)) for name in SECTIONS}
-    neurons, synapses, ports, injections, gadgets = (s[name] for name in SECTIONS)
-    total = len(neurons) + len(gadgets)
+    neurons, synapses, ports, injections, const_emits, joins = (s[name] for name in SECTIONS)
+    total = len(neurons) + len(const_emits) + len(joins)
     outside = draw(st.sampled_from([-1, total]))
-    joins = [i for i, g in enumerate(gadgets) if type(g) is Join]
-    plain = sorted({n.id for n in neurons} | {g.id for g in gadgets if type(g) is ConstEmit})
+    plain = sorted({n.id for n in neurons} | {c.id for c in const_emits})
     rules = ["none", "injection node", "injection time"]
     rules += ["node id", "leak"] if neurons else []
     rules += ["endpoint", "delay", "pair"] if synapses else []
@@ -447,14 +450,14 @@ def broken_sections(draw):
     elif rule == "injection time":
         injections.append(Injection(draw(st.sampled_from(plain)), 1, -draw(st.integers(1, 3))))
     elif rule in ("input port on a join", "injection into a join"):
-        j = gadgets[joins[at % len(joins)]].id
+        j = joins[at % len(joins)].id
         if rule == "input port on a join":
             ports.append(Port("join-input", j, "input"))  # no other port name has a "-"
         else:
             injections.append(Injection(j, 1, 0))
     elif rule not in ("none", "field type"):
-        index = joins[at % len(joins)]
-        j, ins, outs = gadgets[index]
+        index = at % len(joins)
+        j, ins, outs = joins[index]
         n = len(ins)
         m, k = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
         if rule == "one line":  # every line but the first goes, with its input wires
@@ -483,7 +486,7 @@ def broken_sections(draw):
         elif rule == "synapse from a join":  # an output line's wire, as older files carried, or any other
             post, weight, delay = draw(st.sampled_from(plain)), draw(st.integers(-9, 9)), draw(st.integers(0, 3))
             synapses.append(SynapseSpec(j, post, weight, delay))
-        gadgets[index] = Join(j, ins, outs)
+        joins[index] = Join(j, ins, outs)
     s = {name: draw(st.permutations(records)) for name, records in s.items()}
     message = None
     if rule == "field type":  # one field of the wrong type, named by its place in the shuffled section
@@ -564,6 +567,8 @@ def test_circuit_is_frozen_with_tuple_sections():
 
 
 def test_serialize_encodes_infinite_leak_and_gadget_kinds():
+    # Each record is its named tuple's fields, value for value: INFINITE is
+    # null, and each gadget kind has its own section, so no record holds a kind.
     b = CircuitBuilder()
     hold = b.add_neuron(1, leak=INFINITE)
     ce = b.add_const_emit(9)
@@ -571,12 +576,11 @@ def test_serialize_encodes_infinite_leak_and_gadget_kinds():
     dsts = [b.add_neuron(0), b.add_neuron(0)]
     b.add_join(srcs, dsts)
     b.add_synapse(ce, hold, 1, 0)
-    doc = parse_json_document(b.build().serialize())
-    leaks = {n[0]: n[2] for n in doc["neurons"]}
-    assert leaks[hold] == "inf"
-    gadgets = {g[0]: g for g in doc["gadgets"]}
-    assert gadgets[ce] == [ce, "const_emit", 9]
-    assert gadgets[6] == [6, "join", list(srcs), list(dsts)]  # no "n": it is the line count
+    text = b.build().serialize()
+    assert f"\n    [{hold}, 1, null],\n" in text
+    doc = parse_json_document(text)
+    assert doc["const_emits"] == [[ce, 9]]
+    assert doc["joins"] == [[6, srcs, dsts]]  # no "n": it is the line count
 
 
 def test_serialize_is_insertion_order_independent():
@@ -637,13 +641,14 @@ def _malformed(message, mutate, error=ParseError):
             lambda doc: doc["ports"].append(["p", 0, "middle"]),
             InvalidCircuit,
         ),
+        # A gadget record tagged with its kind, as earlier versions wrote it in one "gadgets" section.
         _malformed(
-            "gadgets[1]: unknown gadget kind 'teleporter'",
-            lambda doc: doc["gadgets"].append([99, "teleporter"]),
+            "const_emits[1] must be an array of 2 fields",
+            lambda doc: doc["const_emits"].append([99, "const_emit", 0]),
         ),
         _malformed(
-            "invalid circuit: gadgets[1].inputs must be a tuple of integers, got (0, 'a')",
-            lambda doc: doc["gadgets"].append([99, "join", [0, "a"], [1, 2]]),
+            "invalid circuit: joins[0].inputs must be a tuple of integers, got (0, 'a')",
+            lambda doc: doc["joins"].append([99, [0, "a"], [1, 2]]),
             InvalidCircuit,
         ),
         # Fields that fail only the exact-type test: a bool or a float.
@@ -673,13 +678,16 @@ def _malformed(message, mutate, error=ParseError):
         _malformed("neurons[1] must be an array of 3 fields", lambda doc: doc["neurons"][1].append(0)),
         _malformed("ports[0] must be an array of 3 fields", lambda doc: doc["ports"][0].pop()),
         _malformed("injections[2] must be an array of 3 fields", lambda doc: doc["injections"].append("x")),
-        _malformed("gadgets[1] must be an array [id, kind, ...]", lambda doc: doc["gadgets"].append([99])),
-        _malformed("gadgets[1] must be an array of 3 fields", lambda doc: doc["gadgets"].append([99, "const_emit"])),
+        _malformed("const_emits[1] must be an array of 2 fields", lambda doc: doc["const_emits"].append([99])),
         _malformed(
-            "gadgets[1] must be an array of 4 fields",
-            lambda doc: doc["gadgets"].append([99, "join", [0, 1], [1, 2], 2]),  # an "n" has no place
+            "joins[0] must be an array of 3 fields",
+            lambda doc: doc["joins"].append([99, "join", [0, 1], [1, 2]]),
         ),
-        _malformed("gadgets[1]: unknown gadget kind ['join']", lambda doc: doc["gadgets"].append([99, ["join"], 0])),
+        _malformed(
+            "joins[0] must be an array of 3 fields",
+            lambda doc: doc["joins"].append([99, [0, 1], [1, 2], 2]),  # an "n" has no place
+        ),
+        _malformed("joins[0] must be an array of 3 fields", lambda doc: doc["joins"].append([99, [0, 1]])),
         # A record written as an object keyed by field name, wherever it stands.
         _malformed(
             "synapses[3] must be an array of 4 fields",
@@ -690,8 +698,8 @@ def _malformed(message, mutate, error=ParseError):
             lambda doc: doc["synapses"].insert(0, {"pre": 0, "post": 1, "weight": 1, "delay": 0}),
         ),
         _malformed(
-            "gadgets[0] must be an array [id, kind, ...]",
-            lambda doc: doc["gadgets"].insert(0, {"id": 99, "kind": "teleporter"}),
+            "const_emits[0] must be an array of 2 fields",
+            lambda doc: doc["const_emits"].insert(0, {"id": 99, "value": 5}),
         ),
     ],
 )
@@ -708,13 +716,15 @@ def test_circuit_from_document_defaults_missing_sections_to_empty():
     assert circuit.neurons == () and circuit.synapses == () and circuit.gadgets == ()
 
 
-def test_a_null_leak_is_refused_not_read_as_infinite():
-    # INFINITE is None in Python, but a file spells it "inf"; JSON null is a bad field.
+def test_a_null_leak_reads_as_infinite_and_an_inf_leak_is_refused():
+    # INFINITE is None in Python and null in a file; earlier versions wrote "inf", now a bad field.
     doc = parse_json_document(_sample_circuit().serialize())
     doc["neurons"][0][2] = None
+    assert circuit_from_document(doc).neurons[0] == NeuronSpec(0, 0, INFINITE)
+    doc["neurons"][0][2] = "inf"
     with pytest.raises(InvalidCircuit) as err:
         circuit_from_document(doc)
-    assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'null'"]
+    assert err.value.violations == ["neurons[0].leak must be an integer or INFINITE, got 'inf'"]
 
 
 def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
@@ -728,7 +738,8 @@ def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
             synapses=[SynapseSpec(0, 1, 2.5, 0), SynapseSpec(1, 0, 1, True)],
             ports=[Port("", 0, "input"), Port(None, 1, "output")],
             injections=[Injection(0, 1, 0.5)],
-            gadgets=[ConstEmit(2, 1e9), Join(3, [0, 1], (0, 1.0))],
+            const_emits=[ConstEmit(2, 1e9)],
+            joins=[Join(3, [0, 1], (0, 1.0))],
         )
     assert err.value.violations == [
         "neurons[0].threshold must be an integer, got 1.5",
@@ -739,9 +750,9 @@ def test_circuit_refuses_every_field_of_the_wrong_type_before_sorting():
         "ports[0].name must be a non-empty string, got ''",
         "ports[1].name must be a non-empty string, got None",
         "injections[0].time must be an integer, got 0.5",
-        "gadgets[0].value must be an integer, got 1000000000.0",
-        "gadgets[1].inputs must be a tuple of integers, got [0, 1]",
-        "gadgets[1].outputs must be a tuple of integers, got (0, 1.0)",
+        "const_emits[0].value must be an integer, got 1000000000.0",
+        "joins[0].inputs must be a tuple of integers, got [0, 1]",
+        "joins[0].outputs must be a tuple of integers, got (0, 1.0)",
     ]
 
 
@@ -752,10 +763,10 @@ _TWO = (NeuronSpec(0, 0, 0), NeuronSpec(1, 0, 0))
 @pytest.mark.parametrize(
     "sections, message",
     [
-        (dict(neurons=_ONE, gadgets=(NeuronSpec(1, 0, 0),)),
-         "gadgets[0] must be a ConstEmit or a Join, got NeuronSpec(id=1, threshold=0, leak=0)"),
-        (dict(neurons=_ONE, gadgets=((1,),)), "gadgets[0] must be a ConstEmit or a Join, got (1,)"),
-        (dict(neurons=_ONE, gadgets=((1, 5),)), "gadgets[0] must be a ConstEmit or a Join, got (1, 5)"),
+        (dict(neurons=_ONE, joins=(NeuronSpec(1, 0, 0),)),
+         "joins[0] must be a Join, got NeuronSpec(id=1, threshold=0, leak=0)"),
+        (dict(neurons=_ONE, joins=((1,),)), "joins[0] must be a Join, got (1,)"),
+        (dict(neurons=_ONE, const_emits=((1, 5),)), "const_emits[0] must be a ConstEmit, got (1, 5)"),
         (dict(neurons=[(0, 1.5, 0)]), "neurons[0] must be a NeuronSpec, got (0, 1.5, 0)"),
         (dict(neurons=[(0, 1, 0)]), "neurons[0] must be a NeuronSpec, got (0, 1, 0)"),
         (dict(neurons=_TWO, synapses=[(0, 1, 1)]), "synapses[0] must be a SynapseSpec, got (0, 1, 1)"),
@@ -767,7 +778,7 @@ _TWO = (NeuronSpec(0, 0, 0), NeuronSpec(1, 0, 0))
          "tuple-synapse", "tuple-port", "port-as-injection"],
 )
 def test_circuit_refuses_a_record_that_is_not_its_sections_named_tuple(sections, message):
-    # Such a record used to be kept (a gadget of another type, or a plain
+    # Such a record used to be kept (a record of another type, or a plain
     # tuple of the right width) and failed later, in the engine or at save.
     with pytest.raises(InvalidCircuit) as err:
         Circuit(**sections)
@@ -781,13 +792,13 @@ def test_a_record_of_the_wrong_type_is_listed_with_the_mistyped_fields_in_the_or
         Circuit(
             neurons=[NeuronSpec(0, 1.5, 0), (1, 2.5, 0)],
             synapses=[SynapseSpec(0, 1, 1, -1)],
-            gadgets=[SynapseSpec(2, 0, 1, 0), ConstEmit(3, 0.5)],
+            const_emits=[SynapseSpec(2, 0, 1, 0), ConstEmit(3, 0.5)],
         )
     assert err.value.violations == [
         "neurons[0].threshold must be an integer, got 1.5",
         "neurons[1] must be a NeuronSpec, got (1, 2.5, 0)",
-        "gadgets[0] must be a ConstEmit or a Join, got SynapseSpec(pre=2, post=0, weight=1, delay=0)",
-        "gadgets[1].value must be an integer, got 0.5",
+        "const_emits[0] must be a ConstEmit, got SynapseSpec(pre=2, post=0, weight=1, delay=0)",
+        "const_emits[1].value must be an integer, got 0.5",
     ]
 
 
@@ -809,11 +820,9 @@ def test_the_builder_and_the_loader_refuse_a_bad_field_alike(drawn, data):
     record = records[index]
     field = data.draw(st.sampled_from(record._fields))
     bad = data.draw(st.sampled_from([1.0, True, "x", "", None]))
-    assume(not (field == "leak" and bad is None))  # INFINITE in Python; the null test covers the file
+    assume(not (field == "leak" and bad is None))  # INFINITE, in Python and in a file
     doc = circuit.to_document()
     position = record._fields.index(field)
-    if section == "gadgets" and position:  # a gadget's array holds its kind after its id
-        position += 1
     if field in ("inputs", "outputs") and data.draw(st.booleans()):  # one line endpoint instead
         line = list(getattr(record, field))
         line[data.draw(st.integers(0, len(line) - 1))] = bad
@@ -874,8 +883,7 @@ def test_serialize_equals_a_json_dumps_rendering(drawn, note):
         "empty": {},
     }
     program = CompiledProgram(circuit=circuit, meta=meta)
-    meta_text = json.dumps(meta, indent=2).replace("\n", "\n  ")
-    reference = f'{{\n  "circuit": {_reference_circuit_json(doc, "  ")},\n  "meta": {meta_text}\n}}\n'
+    reference = f'{{\n  "circuit": {_reference_circuit_json(doc, "  ")},\n  "meta": {json.dumps(meta)}\n}}\n'
     assert program.serialize() == reference
     assert json.loads(program.serialize()) == program.to_document()
 

@@ -245,7 +245,7 @@ def test_a_file_with_the_older_meta_ports_runs_like_the_new_one(add_circuit, tmp
     old["meta"]["stats"] = {
         "neurons": len(circuit["neurons"]),
         "synapses": len(circuit["synapses"]),
-        "native_gadgets": len(circuit["gadgets"]),
+        "native_gadgets": len(circuit["const_emits"]) + len(circuit["joins"]),
         "trigger_cells": 2,
     }
     old_path = tmp_path / "old.circuit.json"
@@ -426,7 +426,7 @@ def test_run_rejects_a_join_line_that_is_not_a_plain_wire(add_circuit, capsys, l
     # leave a join at all, whatever its weight and delay: the join's record
     # alone holds its output lines.
     doc = json.loads(add_circuit.read_text())
-    join, _, inputs, outputs = next(g for g in doc["circuit"]["gadgets"] if g[1] == "join")
+    join, inputs, outputs = doc["circuit"]["joins"][0]
     if line == "input":
         pre, post = inputs[0], join
         synapse = next(s for s in doc["circuit"]["synapses"] if s[:2] == [pre, post])
@@ -447,7 +447,7 @@ def test_run_rejects_a_synapse_leaving_a_join(add_circuit, capsys):
     # a join's record alone says where its lines go, so a file still carrying
     # such a wire is refused when loaded.  `murec compile` rebuilds it.
     doc = json.loads(add_circuit.read_text())
-    join, _, _, outputs = next(g for g in doc["circuit"]["gadgets"] if g[1] == "join")
+    join, _, outputs = doc["circuit"]["joins"][0]
     doc["circuit"]["synapses"].append([join, outputs[0], 1, 0])
     add_circuit.write_text(json.dumps(doc))
     assert main(["run", str(add_circuit), "--in", "i=3", "--in", "x1=2"]) == 1
@@ -459,7 +459,7 @@ def test_run_rejects_a_synapse_leaving_a_join(add_circuit, capsys):
 
 def test_run_rejects_an_input_port_on_a_join_when_loading(add_circuit, capsys):
     doc = json.loads(add_circuit.read_text())
-    join = next(g[0] for g in doc["circuit"]["gadgets"] if g[1] == "join")
+    join = doc["circuit"]["joins"][0][0]
     x1 = next(p for p in doc["circuit"]["ports"] if p[0] == "x1")
     x1[1] = join
     add_circuit.write_text(json.dumps(doc))
@@ -476,7 +476,7 @@ def test_run_rejects_a_join_line_that_ends_at_a_join(tmp_path, capsys):
         "neurons": [[i, 0, 0] for i in range(4)],
         "synapses": [[pre, post, 1, 0] for pre, post in [(0, 4), (1, 4), (2, 5), (3, 5)]],
         "injections": [[0, 1, 0], [1, 2, 0]],
-        "gadgets": [[4, "join", [0, 1], [5, 2]], [5, "join", [2, 3], [3, 0]]],
+        "joins": [[4, [0, 1], [5, 2]], [5, [2, 3], [3, 0]]],
     }
     path = tmp_path / "joins.circuit.json"
     path.write_text(json.dumps({"circuit": circuit, "meta": {"big_m": 10**9}}))
@@ -544,6 +544,29 @@ def test_run_refuses_a_file_of_object_records(tmp_path, capsys):
     path.write_text(json.dumps({"circuit": circuit, "meta": meta}, indent=2))
     assert main(["run", str(path), "--in", "x1=3"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "y=3"
+
+
+@pytest.mark.parametrize("older", ["gadgets", "inf_leak"])
+def test_run_refuses_a_file_in_the_older_gadget_and_leak_format(add_circuit, capsys, older):
+    # Earlier versions kept both gadget kinds in one "gadgets" section and
+    # wrote infinite leak as "inf"; no reader for that format is kept, so such
+    # a file is refused with one error line (exit 1).  `murec compile` rebuilds it.
+    doc = json.loads(add_circuit.read_text())
+    circuit = doc["circuit"]
+    if older == "gadgets":  # each record tagged with its kind
+        const_emits = [[i, "const_emit", value] for i, value in circuit.pop("const_emits")]
+        joins = [[j, "join", inputs, outputs] for j, inputs, outputs in circuit.pop("joins")]
+        circuit["gadgets"] = sorted(const_emits + joins)
+        expected = "error: invalid circuit: node ids are not contiguous from 0; "
+    else:
+        index = next(k for k, (_, _, leak) in enumerate(circuit["neurons"]) if leak is None)
+        circuit["neurons"][index][2] = "inf"
+        expected = f"error: invalid circuit: neurons[{index}].leak must be an integer or INFINITE, got 'inf'\n"
+    add_circuit.write_text(json.dumps(doc, indent=2))
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(expected) and err.count("\n") == 1 and err.endswith("\n")  # no traceback
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +812,8 @@ def test_commands_leave_no_reference_cycles(exits, add_rec, add_circuit, tmp_pat
 
 
 def test_compile_leaves_a_fixed_cycle_whatever_the_program(add_rec, tmp_path, capsys):
-    # json.dumps(meta, indent=2) builds its pure-Python encoder's closures in a
-    # cycle on every call; that must not grow with the program.
+    # `compile` writes its meta with the C encoder, which builds no closures
+    # in a cycle: ADD and a 1,041-node nest alike leave none.
     source = "(proj 1 2)"
     for head in (MUL_REC, MUL_REC, MONUS_REC, MUL_REC, ADD_REC, MUL_REC):
         source = f"(compose {head} ({source} (proj 2 2)))"
@@ -800,7 +823,7 @@ def test_compile_leaves_a_fixed_cycle_whatever_the_program(add_rec, tmp_path, ca
     large = _cycles_left_by(["compile", str(nest)], capsys)
     circuit = CompiledProgram.deserialize((tmp_path / "nest.circuit.json").read_text()).circuit
     assert len(circuit.neurons) + len(circuit.gadgets) == 1041
-    assert small == large
+    assert small == large == (0, 0)
 
 
 def _raise_runtime_error(ns):

@@ -133,23 +133,23 @@ def _nest(depth):
 CIRCUIT_GOLDEN = {
     "add": (
         ADD,
-        "f770cdf2f0fe712b8261be4e704ac25cfd653814e5faf7181bf70437ecedb659",
-        "0f7e31c7e8344119923e53add18ca6c627611a59b5d1f25a0d4fc267e76896b2",
+        "7a8b87cc8035e432eae10a69a4fb2e3dfadde9a11d3a18fd82d38a08b16a3fbb",
+        "bd20cf3ac729655f48c995d90f56d5624d33e474a6a0a8e69af5b28a2e5c159c",
     ),
     "mul": (
         MUL,
-        "82c39eaa608e098fdc8a92dddfad07b25eff00d47bd8ac487c2c815635a03070",
-        "d7f9dc00eb542da01adb20e4d8dc28d5cc30da8cad9b3816f427f0f503f96c0e",
+        "dda77f32c48690ca958bcf3c7051f27aa3e42723df15db0f9b84659cabd86e1a",
+        "3b7f25b84691b766d6b696915503e59a995aec2aefbee91fe6d9456ac13f2788",
     ),
     "mu_monus": (
         MU_MONUS,
-        "c1a9deb48944b04ec98a1b2d5e42bd9013fd3266211afd0af254c7b9b81ff810",
-        "449c8ca1fb9d9e32b4f99c5d465a78339c472c95ff665a2b1679d17efda51df0",
+        "0ff64be90dfbcef04421e485b4ed96a86dbc208f86671cbe54fc42ebee02154b",
+        "5578d61286c94aebdc35e56cdd6d2a648e7a99c840774529d79b5846e8e19b96",
     ),
     "nest3": (
         _nest(3),
-        "4737441145ca5aaf4b4cdd5a8c0d09a5978135c65f161aa00d8642e4caa3f450",
-        "caa69b4c5c5833c5a39a3071627def728dcd255522ca6a84a4e63fa54082b923",
+        "a08980e33188e781cbff60249b158ef11f049c01dbe51261ee867f02ad7ac7b9",
+        "ddd20d86ee3518220ee7296892d5ad9500037b23e12a7c87cde0a14d4ec47751",
     ),
 }
 

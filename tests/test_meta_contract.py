@@ -4,18 +4,20 @@
 ids of ``meta.instances`` and sums ``meta.stats.trigger_cells``, so a meta
 edit that drops either would only surface in a benchmark run.  This pins the
 key set and those two reads, and holds README's document example to the
-same key set.
+same key set, and its circuit block to ``Circuit``'s sections and records.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 from conftest import ADD, MU_MONUS
-from murec import Compose, Const, Succ, compile_program
+from murec import Circuit, Compose, Const, Succ, compile_program
 
 META_KEYS = {"latency", "stats", "big_m", "instances"}
 PROGRAMS = {
@@ -49,3 +51,9 @@ def test_readme_document_example_shows_exactly_the_meta_keys():
     doc = json.loads(example.group(1))
     assert set(doc["meta"]) == META_KEYS
     assert set(doc["meta"]["stats"]) == {"trigger_cells"}
+    # Each section holds one record type, a tuple[Record, ...], written as arrays of its fields.
+    hints = typing.get_type_hints(Circuit)
+    assert list(doc["circuit"]) == [f.name for f in dataclasses.fields(Circuit)]
+    for section, records in doc["circuit"].items():
+        record, _ = typing.get_args(hints[section])
+        assert records and {len(record._fields)} == set(map(len, records)), section
