@@ -9,13 +9,17 @@ integer weight and a whole-number delay; total transit time for a spike is
 injection plan lists externally supplied values a run needs.
 
 Records are named tuples, so they are immutable and cheap to make, and each
-section holds one record type.  Circuits are valid and frozen from
-construction on: the record and field types are checked as given, a column
-at a time; each section is then made a tuple sorted into canonical order;
-and one pass over the sorted records checks the structure (an invalid
-circuit raises :class:`InvalidCircuit`).  So canonical JSON (stable key
-order, sorted records, each record its fields as an array) encodes the
-sections as they stand, and equal circuits give byte-equal text.
+section holds one record type.  Circuits are frozen.  One made as
+``Circuit(...)``, by :meth:`CircuitBuilder.build` or by the loader is checked
+as it is made: the record and field types are checked as given, a column at
+a time; each section is then made a tuple sorted into canonical order; and
+one pass over the sorted records checks the structure (an invalid circuit
+raises :class:`InvalidCircuit`).  The circuit ``compile_program`` returns is
+not checked: its lowering puts the sections in canonical order itself, and
+the circuit is valid by the lowering's claim, which the test suite checks on
+sampled programs.  So canonical JSON (stable key order, sorted records, each
+record its fields as an array) encodes the sections as they stand, and
+equal circuits give byte-equal text.
 """
 from __future__ import annotations
 
@@ -141,7 +145,10 @@ def _line_from_json(raw: Any) -> Any:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Frozen circuit: :meth:`validate` checks it and sorts its sections into tuples; any violation raises InvalidCircuit."""
+    """Frozen circuit: :meth:`validate` checks it and sorts its sections into tuples; any violation raises InvalidCircuit.
+
+    Only ``compile_program``'s circuit is made unchecked (:meth:`CircuitBuilder._compiled`).
+    """
 
     neurons: tuple[NeuronSpec, ...] = ()
     synapses: tuple[SynapseSpec, ...] = ()
@@ -366,8 +373,12 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     and index.  Each array then becomes its record as it stands (JSON null is
     :data:`INFINITE`), but for a join's lines, which become tuples.  Every
     field rule is :class:`Circuit`'s, so a field of the wrong type or value
-    raises the same InvalidCircuit as the record built in Python.
+    raises the same InvalidCircuit as the record built in Python.  A key that
+    names no section raises ParseError naming each such key.
     """
+    unknown = sorted(doc.keys() - _RECORDS.keys())
+    if unknown:
+        raise ParseError(f"unknown circuit section{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}")
     return Circuit(
         neurons=_make(NeuronSpec, _records(doc, "neurons", 3)),
         synapses=_make(SynapseSpec, _records(doc, "synapses", 4)),
@@ -441,3 +452,23 @@ class CircuitBuilder:
             const_emits=_make(ConstEmit, self._const_emits),
             joins=_make(Join, self._joins),
         )
+
+    def _compiled(self) -> Circuit:
+        """The lowering's circuit: what :meth:`build` gives, without :meth:`Circuit.validate`.
+
+        For ``compile_program`` alone, whose output is valid by the lowering's
+        claim (``tests/test_lowering_validates.py``).  Nodes are recorded in id
+        order, and the lowering records no ``(pre, post)`` pair or port name
+        twice, so synapses and ports sort canonically as plain tuples.
+        """
+        circuit = object.__new__(Circuit)
+        for section, rows in (
+            ("neurons", self._neurons),
+            ("synapses", sorted(self._synapses)),
+            ("ports", sorted(self._ports)),
+            ("injections", sorted(self._injections, key=_ORDER["injections"])),
+            ("const_emits", self._const_emits),
+            ("joins", self._joins),
+        ):
+            object.__setattr__(circuit, section, tuple(_make(_RECORDS[section][0], rows)))
+        return circuit

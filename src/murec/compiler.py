@@ -411,7 +411,7 @@ def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> Comp
         low.b.add_injection(box.inputs[0], 0, 0)
     low.b.mark_port(box.output, "output", "y")
 
-    circuit = low.b.build()
+    circuit = low.b._compiled()
     if cfg.strict_primitive and circuit.gadgets:
         raise StrictModeViolation(
             f"strict primitive mode forbids native gadgets; the circuit has {len(circuit.gadgets)}"

@@ -194,7 +194,9 @@ def _plan_of(circuit: Circuit) -> _Plan:
     """The circuit's plan, built the first time an engine sees this object.
 
     The memo lives in the instance's ``__dict__``, so it dies with the object;
-    a :class:`Circuit` is frozen and valid by construction, so it never goes stale.
+    a :class:`Circuit` is frozen, so it never goes stale.  The plan trusts the
+    circuit's canonical order and validity: checked when a circuit is made,
+    or, for ``compile_program``'s, the lowering's tested claim.
     """
     plan = circuit.__dict__.get("_engine_plan")
     if plan is None:

@@ -716,6 +716,20 @@ def test_circuit_from_document_defaults_missing_sections_to_empty():
     assert circuit.neurons == () and circuit.synapses == () and circuit.gadgets == ()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"nuerons": [[0, 1, 0]]}, "unknown circuit section 'nuerons'"),  # misspelled: not an empty circuit
+        ({"gadgets": []}, "unknown circuit section 'gadgets'"),  # the older format's section, even empty
+        ({"neurons": [], "joints": [], "gadgets": []}, "unknown circuit sections 'gadgets', 'joints'"),
+    ],
+)
+def test_circuit_from_document_refuses_an_unknown_section(doc, message):
+    with pytest.raises(ParseError) as err:
+        circuit_from_document(doc)
+    assert str(err.value) == message
+
+
 def test_a_null_leak_reads_as_infinite_and_an_inf_leak_is_refused():
     # INFINITE is None in Python and null in a file; earlier versions wrote "inf", now a bad field.
     doc = parse_json_document(_sample_circuit().serialize())

@@ -557,7 +557,7 @@ def test_run_refuses_a_file_in_the_older_gadget_and_leak_format(add_circuit, cap
         const_emits = [[i, "const_emit", value] for i, value in circuit.pop("const_emits")]
         joins = [[j, "join", inputs, outputs] for j, inputs, outputs in circuit.pop("joins")]
         circuit["gadgets"] = sorted(const_emits + joins)
-        expected = "error: invalid circuit: node ids are not contiguous from 0; "
+        expected = "error: unknown circuit section 'gadgets'\n"
     else:
         index = next(k for k, (_, _, leak) in enumerate(circuit["neurons"]) if leak is None)
         circuit["neurons"][index][2] = "inf"
@@ -567,6 +567,16 @@ def test_run_refuses_a_file_in_the_older_gadget_and_leak_format(add_circuit, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(expected) and err.count("\n") == 1 and err.endswith("\n")  # no traceback
+
+
+@pytest.mark.parametrize("section", ["nuerons", "gadgets"])
+def test_run_refuses_a_file_with_an_unknown_circuit_section(add_circuit, capsys, section):
+    # A misspelled section, or an empty one of the older format, is named, not ignored.
+    doc = json.loads(add_circuit.read_text())
+    doc["circuit"][section] = [[0, 1, 0]] if section == "nuerons" else []
+    add_circuit.write_text(json.dumps(doc, indent=2))
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    assert capsys.readouterr() == ("", f"error: unknown circuit section {section!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,19 @@ def test_every_murec_name_a_benchmark_module_imports_exists():
     assert {"ConstEmit", "Join", "bind_args", "CompiledProgram", "cli"} <= set(imported)
 
 
-def test_a_compile_and_a_four_case_diff_validate_the_circuit_once():
-    # Validation runs where a circuit is made; the engine trusts it.  The span
-    # must still see that call, or the per-layer validate metrics read 0.
+def test_a_compile_and_a_diff_validate_nothing_and_a_load_validates_once():
+    # The compiler's circuit is valid by the lowering's tested claim, not by a
+    # check; a loaded file is checked.  The span must still see that call, or
+    # the per-layer validate metrics read 0 on every workload that loads.
     spans = _load_spans()
     with spans.Tracer() as tracer:
         program = compile_program(ADD)
         report = run_diff(ADD, program, [(0, 0), (1, 2), (3, 1), (2, 5)])
     assert (report.cases, report.mismatches) == (4, [])
+    assert tracer.calls["circuit.Circuit.validate"] == 0
+    text = program.serialize()
+    with spans.Tracer() as tracer:
+        CompiledProgram.deserialize(text)
     assert tracer.calls["circuit.Circuit.validate"] == 1
 
 
