@@ -373,6 +373,9 @@ class CompiledProgram:
     def from_document(cls, doc: Any) -> "CompiledProgram":
         if not isinstance(doc, dict) or "circuit" not in doc or "meta" not in doc:
             raise ParseError("compiled program document needs circuit and meta blocks")
+        unknown = sorted(doc.keys() - {"circuit", "meta"})
+        if unknown:
+            raise ParseError(f"unknown top-level key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}")
         if not isinstance(doc["circuit"], dict):
             raise ParseError("circuit block must be an object")
         meta = doc["meta"]

@@ -123,98 +123,138 @@ def to_sexpr(expr: RecExpr) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
-# A comment, a parenthesis or an atom.  Regex ``\s`` matches exactly the
-# characters ``str.isspace`` accepts, so whitespace is what separates atoms.
+# A comment, a parenthesis or an atom.  Regex ``\s``, ``str.isspace`` and
+# ``str.split`` accept exactly the same code points, so whitespace is what
+# separates atoms, and ``_tokens`` splits out exactly the atoms and
+# parentheses this pattern finds.  It is run only to place an error.
 _TOKEN = re.compile(r";[^\n]*|[()]|[^\s();]+")
+_COMMENT = re.compile(r";[^\n]*")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        # (text, offset) pairs; the offsets only serve error positions.
-        self.tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text) if m[0][0] != ";"]
-        self.pos = 0
+class _Error(Exception):
+    """A parse error at a token: ``args`` is ``(token index, message)``."""
 
-    def _fail(self, message: str) -> ParseError:
-        """The error at the current token (past the end, the last one); only ``\\n`` starts a line."""
-        if not self.tokens:
-            return ParseError(message)
-        at = self.tokens[min(self.pos, len(self.tokens) - 1)][1]
-        line = self.text.count("\n", 0, at) + 1
-        return ParseError(message, line=line, column=at - self.text.rfind("\n", 0, at))
 
-    def _next(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise self._fail("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _tokens(text: str) -> list[str]:
+    """The atoms and parentheses of ``text`` in order, comments dropped."""
+    if ";" in text:
+        text = _COMMENT.sub("", text)
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
-    def _expect(self, text: str) -> None:
-        tok = self._next()
-        if tok[0] != text:
-            self.pos -= 1
-            raise self._fail(f"expected {text!r}, got {tok[0]!r}")
 
-    def _natural(self) -> int:
-        tok = self._next()
-        if not tok[0].isdecimal():  # isdigit() would pass "²", which int() refuses
-            self.pos -= 1
-            raise self._fail(f"expected a natural number, got {tok[0]!r}")
-        try:
-            return int(tok[0])
-        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            self.pos -= 1
-            raise self._fail(f"number too long: {exc}") from exc
+def _expected(tokens: list, i: int, what: str) -> _Error:
+    tok = tokens[i]
+    return _Error(i, "unexpected end of input" if tok is None else f"expected {what}, got {tok!r}")
 
-    def expr(self) -> RecExpr:
-        self._expect("(")
-        head = self._next()
-        if head[0] == "const":
-            value = self._natural()
-            ar = self._natural()
-            node: RecExpr = Const(value, ar)
-        elif head[0] == "succ":
-            node = Succ()
-        elif head[0] == "proj":
-            index = self._natural()
-            ar = self._natural()
-            node = Proj(index, ar)
-        elif head[0] == "compose":
-            outer = self.expr()
-            self._expect("(")
-            inner = [self.expr()]
-            while self.pos < len(self.tokens) and self.tokens[self.pos][0] == "(":
-                inner.append(self.expr())
-            self._expect(")")
-            node = Compose(outer, tuple(inner))
-        elif head[0] == "prec":
-            base = self.expr()
-            step = self.expr()
-            node = PrimRec(base, step)
-        elif head[0] == "mu":
-            node = Mu(self.expr())
-        else:
-            self.pos -= 1
-            raise self._fail(f"unknown form {head[0]!r}")
-        self._expect(")")
-        return node
+
+def _natural(tokens: list, i: int) -> int:
+    tok = tokens[i]
+    if tok is None or not tok.isdecimal():  # isdigit() would pass "²", which int() refuses
+        raise _expected(tokens, i, "a natural number")
+    try:
+        return int(tok)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise _Error(i, f"number too long: {exc}") from exc
+
+
+def _expr(tokens: list, i: int) -> tuple[RecExpr, int]:
+    """The expression opened by token ``i`` and the index past its ``)``; one frame per form."""
+    if tokens[i] != "(":
+        raise _expected(tokens, i, "'('")
+    head = tokens[i + 1]
+    j = i + 2
+    if head == "proj":
+        node: RecExpr = Proj(_natural(tokens, j), _natural(tokens, j + 1))
+        j += 2
+    elif head == "compose":
+        outer, j = _expr(tokens, j)
+        if tokens[j] != "(":
+            raise _expected(tokens, j, "'('")
+        operand, j = _expr(tokens, j + 1)
+        inner = [operand]
+        while tokens[j] == "(":
+            operand, j = _expr(tokens, j)
+            inner.append(operand)
+        if tokens[j] != ")":
+            raise _expected(tokens, j, "')'")
+        node = Compose(outer, tuple(inner))
+        j += 1
+    elif head == "const":
+        node = Const(_natural(tokens, j), _natural(tokens, j + 1))
+        j += 2
+    elif head == "succ":
+        node = Succ()
+    elif head == "prec":
+        base, j = _expr(tokens, j)
+        step, j = _expr(tokens, j)
+        node = PrimRec(base, step)
+    elif head == "mu":
+        body, j = _expr(tokens, j)
+        node = Mu(body)
+    else:
+        raise _Error(i + 1, "unexpected end of input" if head is None else f"unknown form {head!r}")
+    if tokens[j] != ")":
+        raise _expected(tokens, j, "')'")
+    return node, j + 1
+
+
+def _room(calls: int = 0) -> int:
+    """How many more nested calls the stack holds."""
+    try:
+        return _room(calls + 1)
+    except RecursionError:
+        return calls
+
+
+def _refused_at(tokens: list, level: int) -> int:
+    """The token where a nest too deep for the stack is refused, given ``level = _room() - 1``.
+
+    It is the first, in text order, of a form at nesting ``level`` (its
+    ``(``) and a ``const`` or ``proj`` one level up (its ``)``): where a
+    parse runs out that keeps two calls of room below each form's frame and
+    three below one that builds a leaf holding numbers.
+    """
+    opened: list[bool] = []  # per open "(": does it open a form, or a composition's operand list?
+    depth = 0  # the nesting level of a form opened here; the program is level 0
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            form = tokens[i + 1] != "("
+            if form and depth >= level:
+                return i
+            if depth == level - 1 and tokens[i + 1] in ("const", "proj"):
+                return i + 4
+            opened.append(form)
+            depth += form
+        elif tok == ")" and opened:
+            depth -= opened.pop()
+    return 0
 
 
 def parse_program(text: str) -> RecExpr:
     """Parse one expression in the s-expression grammar; ``;`` starts a comment.
 
     Malformed text, nesting past the recursion limit and a number too long
-    to convert all raise ParseError.
+    to convert all raise ParseError.  Only an error re-scans the text for
+    its token's line and column.
     """
-    parser = _Parser(text)
+    tokens = _tokens(text)
+    tokens.append(None)  # the end of input
     try:
-        node = parser.expr()
+        node, end = _expr(tokens, 0)
+        if tokens[end] is None:
+            return node
+        raise _Error(end, "trailing input after program")
+    except _Error as err:
+        (index, message), cause = err.args, err.__cause__
     except RecursionError as exc:
-        raise parser._fail("program nested too deeply") from exc
-    if parser.pos != len(parser.tokens):
-        raise parser._fail("trailing input after program")
-    return node
+        index, message, cause = _refused_at(tokens, _room() - 1), "program nested too deeply", exc
+    # Past the end, the error points at the last token; only "\n" starts a line.
+    offsets = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != ";"]
+    if not offsets:
+        raise ParseError(message) from cause
+    at = offsets[min(index, len(offsets) - 1)]
+    line = text.count("\n", 0, at) + 1
+    raise ParseError(message, line=line, column=at - text.rfind("\n", 0, at)) from cause
 
 
 # -- oracle ------------------------------------------------------------------

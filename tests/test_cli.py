@@ -579,6 +579,14 @@ def test_run_refuses_a_file_with_an_unknown_circuit_section(add_circuit, capsys,
     assert capsys.readouterr() == ("", f"error: unknown circuit section {section!r}\n")
 
 
+def test_run_refuses_a_file_with_an_unknown_top_level_key(add_circuit, capsys):
+    doc = json.loads(add_circuit.read_text())
+    doc["metta"] = {}
+    add_circuit.write_text(json.dumps(doc, indent=2))
+    assert main(["run", str(add_circuit), "--in", "i=2", "--in", "x1=3"]) == 1
+    assert capsys.readouterr() == ("", "error: unknown top-level key 'metta'\n")
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

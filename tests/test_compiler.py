@@ -609,6 +609,26 @@ def test_compiled_program_rejects_malformed_documents(mutate, compiled_add):
         CompiledProgram.from_document(doc)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"metta": {}}, "unknown top-level key 'metta'"),  # misspelled: not ignored
+        ({"metta": {}, "circuits": []}, "unknown top-level keys 'circuits', 'metta'"),
+    ],
+)
+def test_compiled_program_refuses_an_unknown_top_level_key(extra, message, compiled_add):
+    doc = {**compiled_add.to_document(), **extra}
+    with pytest.raises(ParseError) as err:
+        CompiledProgram.from_document(doc)
+    assert str(err.value) == message
+
+
+def test_compiled_program_ignores_an_unknown_meta_key(compiled_add):
+    doc = compiled_add.to_document()
+    doc["meta"]["note"] = {"written by": "hand"}
+    assert run_program(CompiledProgram.from_document(doc), [2, 3]).value == 5
+
+
 # ---------------------------------------------------------------------------
 # differential runs
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,33 @@ from murec import (
     parse_program,
     to_sexpr,
 )
+from murec.expr import _TOKEN, _tokens
+
+_INT_DIGITS_MESSAGE = (
+    f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion: "
+    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
+def _parse_error(text):
+    """The ParseError that ``parse_program(text)`` raises, run on a new thread's stack.
+
+    How deep a nest parses depends on the frames already on the stack; a new
+    thread starts with the same few however the tests are run.
+    """
+    errors = []
+
+    def parse():
+        try:
+            parse_program(text)
+        except ParseError as err:
+            errors.append(err)
+
+    thread = threading.Thread(target=parse)
+    thread.start()
+    thread.join()
+    assert errors, f"{text!r} parsed"
+    return errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +136,42 @@ def test_parse_rejects_malformed_programs(text):
         # Past the last token the error points at that token.
         ("(prec (succ)\n  ; step\n  (proj 1 3)", "unexpected end of input", 3, 12),
         ("(const \u00b2 1)", "expected a natural number, got '\u00b2'", 1, 8),
+        # A comment runs to the end of its line, parentheses and all.
+        ("(succ ; a ) in a comment\n 1)", "expected ')', got '1'", 2, 2),
+        # A ";" touching an atom ends it and starts a comment.
+        ("(const 1 2;)\n x", "expected ')', got 'x'", 2, 2),
+        ("(const 1 x;y\n)", "expected a natural number, got 'x'", 1, 10),
+        # Every character str.isspace accepts separates atoms.
+        ("(const\x1c1\u20032 3)", "expected ')', got '3'", 1, 12),
+        ("(const " + "1" * 5000 + " 0)", "number too long: " + _INT_DIGITS_MESSAGE, 1, 8),
+        # The nest fails where the stack runs out; on a new thread's stack, at the 994th form.
+        ("(compose " * 3000, "program nested too deeply", 1, 9 * 993 + 1),
     ],
 )
 def test_parse_error_message_line_and_column(text, message, line, column):
-    with pytest.raises(ParseError) as err:
-        parse_program(text)
+    err = _parse_error(text)
     where = "" if line is None else f" (line {line}, column {column})"
-    assert (str(err.value), err.value.line, err.value.column) == (message + where, line, column)
+    assert (str(err), err.line, err.column) == (message + where, line, column)
+
+
+def test_a_number_too_long_chains_the_conversion_error():
+    err = _parse_error("(const " + "1" * 5000 + " 0)")
+    assert isinstance(err.__cause__, ValueError)
+    assert str(err.__cause__) == _INT_DIGITS_MESSAGE
+
+
+# Pieces of program text: every token kind, comments, and separators of each sort.
+_TEXT_PIECES = [
+    "(", ")", "const", "proj", "compose", "12", "x", "\u00b2", "-1", ";", "; a ) comment", ";(",
+    " ", "\n", "\t", "\r\n", "\x1c", "\x85", "\u2003", "\u2028", "\u3000", "\x0b",
+]
+
+
+def test_the_token_list_is_what_the_token_pattern_finds():
+    rng = random.Random(33)
+    for _ in range(3000):
+        text = "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 30)))
+        assert _tokens(text) == [t for t in _TOKEN.findall(text) if t[0] != ";"], repr(text)
 
 
 def test_sexpr_roundtrip_for_the_program_family():
