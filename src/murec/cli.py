@@ -320,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownPort, UnboundPort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except RecursionError:  # a program that parses but is too deep for the walks over it
+    except RecursionError:  # a walk over a parsed program, from a caller whose stack was already deep
         print("error: program nested too deeply", file=sys.stderr)
         return 1
     finally:

@@ -50,8 +50,8 @@ from .expr import (
     RecExpr,
     Succ,
     Value,
+    _eval_checked,
     check_arity,
-    eval_oracle,
     to_sexpr,
 )
 from .gadgets import (
@@ -533,8 +533,9 @@ def run_diff(
     """
     mismatches: list[dict[str, Any]] = []
     timeouts = 0
+    n_args = check_arity(expr)  # once, not once per case
     for case in cases:
-        oracle = eval_oracle(expr, list(case), fuel=fuel)
+        oracle = _eval_checked(expr, n_args, list(case), fuel)
         run = run_program(program, list(case), max_steps=max_steps)
         if run.status == "timeout":
             timeouts += 1

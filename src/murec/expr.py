@@ -6,6 +6,10 @@ minimization.  The oracle interpreter is fueled: every operator application
 costs one unit, so evaluation always terminates with either a value or
 :class:`FuelExhausted`, and it serves as the ground truth for the compiler's
 differential tests.
+
+A program nests at most :data:`MAX_DEPTH` forms deep, a limit the parser
+checks, so every recursive walk over a parsed program fits Python's default
+recursion limit, from any caller with 100 frames or fewer on its stack.
 """
 from __future__ import annotations
 
@@ -130,6 +134,9 @@ def to_sexpr(expr: RecExpr) -> str:
 _TOKEN = re.compile(r";[^\n]*|[()]|[^\s();]+")
 _COMMENT = re.compile(r";[^\n]*")
 
+#: How deep a program's forms may nest; a composition's operand list is not a form.
+MAX_DEPTH = 200
+
 
 class _Error(Exception):
     """A parse error at a token: ``args`` is ``(token index, message)``."""
@@ -157,23 +164,26 @@ def _natural(tokens: list, i: int) -> int:
         raise _Error(i, f"number too long: {exc}") from exc
 
 
-def _expr(tokens: list, i: int) -> tuple[RecExpr, int]:
-    """The expression opened by token ``i`` and the index past its ``)``; one frame per form."""
+def _expr(tokens: list, i: int, depth: int) -> tuple[RecExpr, int]:
+    """The form opened by token ``i``, at nesting ``depth``, and the index past its ``)``."""
     if tokens[i] != "(":
         raise _expected(tokens, i, "'('")
+    if depth > MAX_DEPTH:
+        raise _Error(i, "program nested too deeply")
     head = tokens[i + 1]
     j = i + 2
+    depth += 1
     if head == "proj":
         node: RecExpr = Proj(_natural(tokens, j), _natural(tokens, j + 1))
         j += 2
     elif head == "compose":
-        outer, j = _expr(tokens, j)
+        outer, j = _expr(tokens, j, depth)
         if tokens[j] != "(":
             raise _expected(tokens, j, "'('")
-        operand, j = _expr(tokens, j + 1)
+        operand, j = _expr(tokens, j + 1, depth)
         inner = [operand]
         while tokens[j] == "(":
-            operand, j = _expr(tokens, j)
+            operand, j = _expr(tokens, j, depth)
             inner.append(operand)
         if tokens[j] != ")":
             raise _expected(tokens, j, "')'")
@@ -185,11 +195,11 @@ def _expr(tokens: list, i: int) -> tuple[RecExpr, int]:
     elif head == "succ":
         node = Succ()
     elif head == "prec":
-        base, j = _expr(tokens, j)
-        step, j = _expr(tokens, j)
+        base, j = _expr(tokens, j, depth)
+        step, j = _expr(tokens, j, depth)
         node = PrimRec(base, step)
     elif head == "mu":
-        body, j = _expr(tokens, j)
+        body, j = _expr(tokens, j, depth)
         node = Mu(body)
     else:
         raise _Error(i + 1, "unexpected end of input" if head is None else f"unknown form {head!r}")
@@ -198,56 +208,22 @@ def _expr(tokens: list, i: int) -> tuple[RecExpr, int]:
     return node, j + 1
 
 
-def _room(calls: int = 0) -> int:
-    """How many more nested calls the stack holds."""
-    try:
-        return _room(calls + 1)
-    except RecursionError:
-        return calls
-
-
-def _refused_at(tokens: list, level: int) -> int:
-    """The token where a nest too deep for the stack is refused, given ``level = _room() - 1``.
-
-    It is the first, in text order, of a form at nesting ``level`` (its
-    ``(``) and a ``const`` or ``proj`` one level up (its ``)``): where a
-    parse runs out that keeps two calls of room below each form's frame and
-    three below one that builds a leaf holding numbers.
-    """
-    opened: list[bool] = []  # per open "(": does it open a form, or a composition's operand list?
-    depth = 0  # the nesting level of a form opened here; the program is level 0
-    for i, tok in enumerate(tokens):
-        if tok == "(":
-            form = tokens[i + 1] != "("
-            if form and depth >= level:
-                return i
-            if depth == level - 1 and tokens[i + 1] in ("const", "proj"):
-                return i + 4
-            opened.append(form)
-            depth += form
-        elif tok == ")" and opened:
-            depth -= opened.pop()
-    return 0
-
-
 def parse_program(text: str) -> RecExpr:
     """Parse one expression in the s-expression grammar; ``;`` starts a comment.
 
-    Malformed text, nesting past the recursion limit and a number too long
-    to convert all raise ParseError.  Only an error re-scans the text for
-    its token's line and column.
+    Malformed text, a form nested deeper than ``MAX_DEPTH`` and a number too
+    long to convert all raise ParseError, whatever the caller's stack.  Only
+    an error re-scans the text for its token's line and column.
     """
     tokens = _tokens(text)
     tokens.append(None)  # the end of input
     try:
-        node, end = _expr(tokens, 0)
+        node, end = _expr(tokens, 0, 1)
         if tokens[end] is None:
             return node
         raise _Error(end, "trailing input after program")
     except _Error as err:
         (index, message), cause = err.args, err.__cause__
-    except RecursionError as exc:
-        index, message, cause = _refused_at(tokens, _room() - 1), "program nested too deeply", exc
     # Past the end, the error points at the last token; only "\n" starts a line.
     offsets = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != ";"]
     if not offsets:
@@ -282,9 +258,13 @@ DEFAULT_FUEL = 100_000
 
 def eval_oracle(expr: RecExpr, args: list[int], fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Big-step fueled evaluation; the ground truth for differential testing."""
-    expected = check_arity(expr)
-    if len(args) != expected:
-        raise ArityError(f"expected {expected} arguments, got {len(args)}")
+    return _eval_checked(expr, check_arity(expr), args, fuel)
+
+
+def _eval_checked(expr: RecExpr, n_args: int, args: list[int], fuel: int) -> EvalResult:
+    """``eval_oracle`` of an expression whose arity ``check_arity`` gave as ``n_args``."""
+    if len(args) != n_args:
+        raise ArityError(f"expected {n_args} arguments, got {len(args)}")
     for a in args:
         if a < 0:
             raise ValueError("arguments must be naturals")

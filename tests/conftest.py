@@ -3,7 +3,8 @@
 The five programs exercise every construction: primitive recursion for
 addition/multiplication/predecessor, truncated subtraction by composition of
 recursions, and minimization over the subtraction body.  ``built_circuits``
-draws small builder-made circuits for the property tests.
+draws small builder-made circuits for the property tests, and
+``circuits_with_added_injections`` adds injections to them for the law tests.
 """
 from __future__ import annotations
 
@@ -38,6 +39,14 @@ MUL_REC = f"(prec (const 0 1) (compose {ADD_REC} ((proj 2 3) (proj 3 3))))"
 PRED_REC = "(prec (const 0 1) (proj 1 3))"
 MONUS_REC = f"(prec (proj 1 1) (compose {PRED_REC} ((proj 2 3) (proj 1 3))))"
 MU_MONUS_REC = f"(mu {MONUS_REC})"
+
+
+def compose_chain(depth: int) -> str:
+    """``depth`` nested forms: successors composed down to a projection, so f(x) = x + depth - 1."""
+    text = "(proj 1 1)"
+    for _ in range(depth - 1):
+        text = f"(compose (succ) ({text}))"
+    return text
 
 
 @pytest.fixture(scope="session")
@@ -204,3 +213,12 @@ def built_circuits(draw, delays=st.integers(0, 4)):
     big_m = draw(st.sampled_from([3, 10, 40, 10**9]))  # small values make faults common
     return b.build(), big_m
 
+
+@st.composite
+def circuits_with_added_injections(draw):
+    """A built circuit, its big_m, and one to three injections into its neurons and const emitters."""
+    circuit, big_m = draw(built_circuits())
+    targets = [n.id for n in circuit.neurons] + [g.id for g in circuit.const_emits]
+    added = draw(st.lists(st.builds(Injection, st.sampled_from(targets), st.integers(-9, 9), st.integers(0, 5)),
+                          min_size=1, max_size=3))  # so that some step runs and the clock moves
+    return circuit, big_m, tuple(added)

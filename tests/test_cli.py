@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ADD_REC, MONUS_REC, MUL_REC
+from conftest import ADD_REC, MONUS_REC, MUL_REC, compose_chain
 import murec
 from murec import (
     CircuitBuilder,
@@ -625,17 +625,43 @@ def test_hostile_program_text_fails_without_a_traceback(tmp_path, capsys, comman
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_every_command_takes_a_program_nested_to_the_limit(tmp_path, capsys):
+    src = tmp_path / "deep.rec"
+    src.write_text(compose_chain(murec.MAX_DEPTH) + "\n")
+    assert main(["compile", str(src)]) == 0
+    assert main(["run", str(tmp_path / "deep.circuit.json"), "--in", "x1=2"]) == 0
+    assert main(["eval", str(src), "2"]) == 0
+    assert main(["diff", str(src), "--args", "0..2"]) == 0
+    y = 2 + murec.MAX_DEPTH - 1
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        f"y={y}", "status=quiescent clock=604", f"{y}", "cases=3 mismatches=0 timeouts=0 seed=none"
+    ]
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 @pytest.mark.parametrize(
     "command", [["compile"], ["eval", "1"], ["diff", "--args", "1"]], ids=["compile", "eval", "diff"]
 )
 def test_a_program_too_deep_to_compile_or_evaluate_fails_without_a_traceback(tmp_path, capsys, command):
-    # Shallow enough to parse, too deep for the recursive walks after parsing.
-    text = "(proj 1 1)"
-    for _ in range(600):
-        text = f"(compose (succ) ({text}))"
+    # A caller whose own stack is deep can still overflow the walks after
+    # parsing; a lowered recursion limit stands in for those frames.
+    text = compose_chain(murec.MAX_DEPTH)
     src = tmp_path / "deep.rec"
     src.write_text(text + "\n")
-    assert main([command[0], str(src), *command[1:]]) == 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 300)
+    try:
+        murec.parse_program(text)  # room to parse, not to walk the tree
+        code = main([command[0], str(src), *command[1:]])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
     assert capsys.readouterr().err == "error: program nested too deeply\n"
 
 

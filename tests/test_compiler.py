@@ -399,14 +399,8 @@ def _succ_chain(depth: int):
     return expr
 
 
-@pytest.mark.parametrize(
-    "expr",
-    [ADD, MUL, PRED, MONUS, MU_MONUS, ALWAYS_POSITIVE, _succ_chain(200)],
-    ids=["add", "mul", "pred", "monus", "mu_monus", "always_positive", "succ_chain_200"],
-)
-def test_compile_checks_arity_in_one_walk_and_never_recomputes_it(expr, monkeypatch):
-    # The lowering takes each subexpression's arity from its parent; a
-    # recomputation per node would make the chain's compile quadratic.
+def _count_arity_calls(monkeypatch) -> dict[str, int]:
+    """Count every call of ``arity`` and ``check_arity``, recursive ones included, from here on."""
     calls = {"arity": 0, "check_arity": 0}
     for name in calls:
         original = getattr(murec.expr, name)
@@ -417,7 +411,33 @@ def test_compile_checks_arity_in_one_walk_and_never_recomputes_it(expr, monkeypa
 
         monkeypatch.setattr(murec.expr, name, counted)
         monkeypatch.setattr(murec.compiler, name, counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [ADD, MUL, PRED, MONUS, MU_MONUS, ALWAYS_POSITIVE, _succ_chain(200)],
+    ids=["add", "mul", "pred", "monus", "mu_monus", "always_positive", "succ_chain_200"],
+)
+def test_compile_checks_arity_in_one_walk_and_never_recomputes_it(expr, monkeypatch):
+    # The lowering takes each subexpression's arity from its parent; a
+    # recomputation per node would make the chain's compile quadratic.
+    calls = _count_arity_calls(monkeypatch)
     compile_program(expr)
+    assert calls == {"arity": 0, "check_arity": _nodes(expr)}
+
+
+@pytest.mark.parametrize(
+    "expr, cases",
+    [(ADD, [(0, 0), (1, 2), (3, 1), (2, 2)]), (MU_MONUS, [(0,), (2,), (3,)]), (Const(4, 0), [(), ()])],
+    ids=["add", "mu_monus", "nullary"],
+)
+def test_diff_checks_arity_in_one_walk_for_all_its_cases(expr, cases, monkeypatch):
+    # The interpreter takes the arity that one walk gave, not a walk per case.
+    program = compile_program(expr)
+    calls = _count_arity_calls(monkeypatch)
+    report = run_diff(expr, program, cases)
+    assert (report.ok, report.cases) == (True, len(cases))
     assert calls == {"arity": 0, "check_arity": _nodes(expr)}
 
 
@@ -652,6 +672,19 @@ def test_diff_flags_a_wrong_circuit():
     assert first["args"] == [3]
     assert first["oracle"] == 4
     assert first["circuit"] == 5
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [((1,), ArityError, "expected 2 arguments, got 1"), ((1, -1), ValueError, "arguments must be naturals")],
+    ids=["wrong_length", "negative"],
+)
+def test_diff_refuses_a_bad_case_as_the_interpreter_does(compiled_add, case, error, message):
+    with pytest.raises(error) as oracle_err:
+        eval_oracle(ADD, list(case))
+    with pytest.raises(error) as diff_err:
+        run_diff(ADD, compiled_add, [(0, 0), case])
+    assert str(diff_err.value) == str(oracle_err.value) == message
 
 
 def test_diff_treats_fuel_exhaustion_and_timeout_as_agreement():

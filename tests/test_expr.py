@@ -3,15 +3,16 @@ from __future__ import annotations
 
 import random
 import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ADD, ADD_REC, ALWAYS_POSITIVE, MONUS, MU_MONUS, MUL, PRED
+from conftest import ADD, ADD_REC, ALWAYS_POSITIVE, MONUS, MU_MONUS, MUL, PRED, compose_chain
 from murec import (
+    MAX_DEPTH,
     ArityError,
+    CompiledProgram,
     Compose,
     Const,
     FuelExhausted,
@@ -27,6 +28,8 @@ from murec import (
     eval_oracle,
     gen_expr,
     parse_program,
+    run_diff,
+    run_program,
     to_sexpr,
 )
 from murec.expr import _TOKEN, _tokens
@@ -35,27 +38,6 @@ _INT_DIGITS_MESSAGE = (
     f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion: "
     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"
 )
-
-
-def _parse_error(text):
-    """The ParseError that ``parse_program(text)`` raises, run on a new thread's stack.
-
-    How deep a nest parses depends on the frames already on the stack; a new
-    thread starts with the same few however the tests are run.
-    """
-    errors = []
-
-    def parse():
-        try:
-            parse_program(text)
-        except ParseError as err:
-            errors.append(err)
-
-    thread = threading.Thread(target=parse)
-    thread.start()
-    thread.join()
-    assert errors, f"{text!r} parsed"
-    return errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +126,27 @@ def test_parse_rejects_malformed_programs(text):
         # Every character str.isspace accepts separates atoms.
         ("(const\x1c1\u20032 3)", "expected ')', got '3'", 1, 12),
         ("(const " + "1" * 5000 + " 0)", "number too long: " + _INT_DIGITS_MESSAGE, 1, 8),
-        # The nest fails where the stack runs out; on a new thread's stack, at the 994th form.
-        ("(compose " * 3000, "program nested too deeply", 1, 9 * 993 + 1),
+        # The first form nested past MAX_DEPTH is refused, at its "("; an
+        # operand list is not a form.
+        ("(compose " * 3000, "program nested too deeply", 1, 9 * MAX_DEPTH + 1),
+        # Here the refused form is the head of the MAX_DEPTH-th composition.
+        ("(compose (succ) (" * 3000, "program nested too deeply", 1, 17 * (MAX_DEPTH - 1) + 10),
+        ("(mu " * 3000, "program nested too deeply", 1, 4 * MAX_DEPTH + 1),
+        ("(mu " * MAX_DEPTH + "x", "expected '(', got 'x'", 1, 4 * MAX_DEPTH + 1),
     ],
 )
 def test_parse_error_message_line_and_column(text, message, line, column):
-    err = _parse_error(text)
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
     where = "" if line is None else f" (line {line}, column {column})"
-    assert (str(err), err.line, err.column) == (message + where, line, column)
+    assert (str(err.value), err.value.line, err.value.column) == (message + where, line, column)
 
 
 def test_a_number_too_long_chains_the_conversion_error():
-    err = _parse_error("(const " + "1" * 5000 + " 0)")
-    assert isinstance(err.__cause__, ValueError)
-    assert str(err.__cause__) == _INT_DIGITS_MESSAGE
+    with pytest.raises(ParseError) as err:
+        parse_program("(const " + "1" * 5000 + " 0)")
+    assert isinstance(err.value.__cause__, ValueError)
+    assert str(err.value.__cause__) == _INT_DIGITS_MESSAGE
 
 
 # Pieces of program text: every token kind, comments, and separators of each sort.
@@ -172,6 +161,73 @@ def test_the_token_list_is_what_the_token_pattern_finds():
     for _ in range(3000):
         text = "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randint(0, 30)))
         assert _tokens(text) == [t for t in _TOKEN.findall(text) if t[0] != ";"], repr(text)
+
+
+# ---------------------------------------------------------------------------
+# nesting limit
+# ---------------------------------------------------------------------------
+
+
+def _prec_nest(depth):
+    """``depth`` forms: recursions nested in base and step by turns, so the arity stays 1 or 2."""
+    text = "(proj 1 1)"
+    for level in range(depth - 1):
+        text = f"(prec {text} (proj 1 3))" if level % 2 == 0 else f"(prec (const 0 0) {text})"
+    return text
+
+
+def _mu_nest(depth):
+    """``depth`` forms: minimizations down to a constant, nullary at the top; it diverges."""
+    return "(mu " * (depth - 1) + f"(const 0 {depth - 1})" + ")" * (depth - 1)
+
+
+_NESTS = [compose_chain, _prec_nest, _mu_nest]
+
+
+def _frames_down(frames, f, *args):
+    """``f(*args)``, called with ``frames`` more frames on the stack."""
+    return f(*args) if frames == 0 else _frames_down(frames - 1, f, *args)
+
+
+def _nesting_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    return str(err.value), err.value.line, err.value.column
+
+
+@pytest.mark.parametrize("nest", _NESTS, ids=lambda f: f.__name__.lstrip("_"))
+def test_the_nesting_limit_is_the_same_from_any_stack(nest):
+    refused = _nesting_error(nest(MAX_DEPTH + 1))
+    assert refused[0].startswith("program nested too deeply")
+    assert _frames_down(300, _nesting_error, nest(MAX_DEPTH + 1)) == refused
+
+
+def _every_walk(text):
+    """Run every recursive walk over the parsed ``text`` at zero arguments, with small budgets."""
+    expr = parse_program(text)
+    n_args = check_arity(expr)
+    zeros = [0] * n_args
+    program = CompiledProgram.deserialize(compile_program(expr).serialize())
+    run = run_program(program, zeros, max_steps=2000)
+    report = run_diff(expr, program, [tuple(zeros)], fuel=1000, max_steps=2000)
+    oracle = eval_oracle(expr, zeros, fuel=1000)
+    again = parse_program(to_sexpr(expr))
+    assert again == expr and again is not expr and hash(again) == hash(expr)
+    assert repr(again) == repr(expr)
+    return run.status, report.ok, oracle
+
+
+@pytest.mark.parametrize(
+    "nest, outcome",
+    [
+        (compose_chain, ("ok", True, Value(MAX_DEPTH - 1))),
+        (_prec_nest, ("ok", True, Value(0))),
+        (_mu_nest, ("timeout", True, FuelExhausted())),
+    ],
+    ids=["compose_chain", "prec_nest", "mu_nest"],
+)
+def test_a_program_nested_to_the_limit_fits_every_walk_from_100_frames_down(nest, outcome):
+    assert _frames_down(100, _every_walk, nest(MAX_DEPTH)) == outcome
 
 
 def test_sexpr_roundtrip_for_the_program_family():

@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library, uses every name it imports and every private name it defines, parses at its declared Python floor, touches the cyclic collector only at the command entry point, and reads and writes text only as UTF-8."""
+"""The package imports nothing outside the standard library, uses every name it imports and every private name it defines, parses at its declared Python floor, touches the cyclic collector only at the command entry point, names ``RecursionError`` only at the command backstop and the JSON loader, and reads and writes text only as UTF-8."""
 from __future__ import annotations
 
 import ast
@@ -30,6 +30,20 @@ def test_only_the_command_entry_point_touches_the_cyclic_collector():
     # The collector's state is process-wide, so it is the command's policy,
     # set in `cli.main`; the library leaves it to its caller.
     assert [path.name for path in SOURCES if "gc" in _imported_modules(path)] == ["cli.py"]
+
+
+def test_only_the_command_backstop_and_the_json_loader_name_recursion_error():
+    # The parser bounds a program's nesting itself (MAX_DEPTH), so no walk
+    # and no parse of program text probes the stack: `cli.main` turns an
+    # overflow from a caller's deep stack into an error line, and
+    # `parse_json_document` refuses JSON nested past what `json` can read.
+    naming = [
+        path.name
+        for path in SOURCES
+        if any(isinstance(node, ast.Name) and node.id == "RecursionError"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    ]
+    assert naming == ["circuit.py", "cli.py"]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ADD, ALWAYS_POSITIVE, MONUS, MU_MONUS, MUL, PRED, built_circuits
+from conftest import ADD, ALWAYS_POSITIVE, MONUS, MU_MONUS, MUL, PRED, circuits_with_added_injections
 from murec import Engine, Injection, SimConfig, bind_args, compile_program
 
 
@@ -38,18 +38,8 @@ def _assert_shifted_by(k, circuit, injections, config):
     assert later.trace == [d._replace(time=d.time + k) for d in base.trace]
 
 
-@st.composite
-def _circuits_with_added_injections(draw):
-    """A built circuit, its big_m, and one to three injections into its neurons and const emitters."""
-    circuit, big_m = draw(built_circuits())
-    targets = [n.id for n in circuit.neurons] + [g.id for g in circuit.const_emits]
-    added = draw(st.lists(st.builds(Injection, st.sampled_from(targets), st.integers(-9, 9), st.integers(0, 5)),
-                          min_size=1, max_size=3))  # so that some step runs and the clock moves
-    return circuit, big_m, tuple(added)
-
-
 @settings(max_examples=200, deadline=None)
-@given(_circuits_with_added_injections(), st.integers(1, 50))
+@given(circuits_with_added_injections(), st.integers(1, 50))
 def test_shifting_every_injection_shifts_a_built_circuits_run(drawn, k):
     circuit, big_m, added = drawn
     _assert_shifted_by(k, circuit, added, SimConfig(max_steps=60, big_m=big_m))
