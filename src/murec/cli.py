@@ -12,6 +12,7 @@ import gc
 import itertools
 import random
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .compiler import (
@@ -22,7 +23,7 @@ from .compiler import (
     run_diff,
     run_program,
 )
-from .engine import SimConfig, raster_csv, raster_jsonl
+from .engine import SimConfig, _positions, raster_csv, raster_jsonl
 from .errors import (
     ArityError,
     ConfigError,
@@ -105,10 +106,17 @@ def _default_raster_out(circuit_path: Path, fmt: str) -> Path:
     return Path(f"{base}.raster.{'jsonl' if fmt == 'jsonl' else 'csv'}")
 
 
-def _trace_csv(trace) -> str:
-    return "time,target,source,value\n" + "".join(
-        ["%d,%d,%d,%d\n" % d if d.source is not None else "%d,%d,,%d\n" % (d.time, d.target, d.value) for d in trace]
-    )
+def _trace_csv(trace) -> bytes:
+    """The ``--trace`` file: one bytes ``%`` per run of rows with a source, and one per injection's row."""
+    sourced = b"%d,%d,%d,%d\n"
+    rows, start = [b"time,target,source,value\n"], 0
+    for i in _positions(list(map(itemgetter(2), trace)), None):
+        time, target, _, value = trace[i]
+        rows.append(sourced * (i - start) % tuple(itertools.chain.from_iterable(trace[start:i])))
+        rows.append(b"%d,%d,,%d\n" % (time, target, value))
+        start = i + 1
+    rows.append(sourced * (len(trace) - start) % tuple(itertools.chain.from_iterable(trace[start:])))
+    return b"".join(rows)
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
@@ -121,7 +129,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     render = raster_jsonl if ns.format == "jsonl" else raster_csv
     raster_path.write_bytes(render(program.circuit, run.outcome))
     if ns.trace is not None:
-        Path(ns.trace).write_text(_trace_csv(run.outcome.trace), encoding="utf-8")
+        Path(ns.trace).write_bytes(_trace_csv(run.outcome.trace))
 
     outcome = run.outcome
     if run.status == "fault":

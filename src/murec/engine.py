@@ -34,10 +34,11 @@ import csv
 import heapq
 import io
 import json
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .circuit import Circuit, _make
@@ -103,7 +104,11 @@ class RunOutcome:
 
     @cached_property
     def trace(self) -> list[Delivery]:
-        """Every delivery that arrived, by ``(time, target)``, then in arrival order."""
+        """Every delivery that arrived, by ``(time, target)``, then in arrival order.
+
+        Made in emission order, which is arrival order within a target, then
+        stably sorted by target and then by time (see :func:`_trace`).
+        """
         return _trace(*self._trace_inputs, self.flat)
 
     def spikes_of(self, node: int) -> list[SpikeEvent]:
@@ -464,28 +469,37 @@ class Engine:
 def _trace(plan: _Plan, injected: list, last: int, cut: int, flat: list[int]) -> list[Delivery]:
     """Every delivery through work key ``cut`` of step ``last``: each fan-out, flushed line and injection.
 
-    Rows sort by arrival, target, then a unique emission position (so no sort
-    key is built): with ``m`` one more than the number of injections, the
-    ``i``-th injection (the plan's seed, then the engine's), made while the
-    raster held ``r`` spikes, is at ``r·m + i``, and spike ``r`` (from 0) after those, at ``r·m + m - 1``.
+    Each :class:`Delivery` is made in C, in emission order: the plan's seed,
+    then each spike's fan-out in raster order, an injection added to the
+    engine going just before the spike the raster was about to hold, and the
+    injections added after the last spike at the end.  Two stable sorts, by
+    target and then by time, leave them by ``(time, target)`` and in emission
+    order within that (least significant key first).  Every delivery's key
+    is odd, so a target's order is its key's.
     """
-    op, wires, edges, joins, seed = plan.op, plan.wires, plan.edges, plan.joins, plan.seed
-    m = len(seed) + len(injected) + 1
-    rows = [(time, key, i, None, value) for i, (time, key, value) in enumerate(seed)]
-    rows += [(time, key, r * m + i, None, value) for i, (r, time, key, value) in enumerate(injected, len(seed))]
-    line = 0
+    op, wires, edges, joins = plan.op, plan.wires, plan.edges, plan.joins
+    new = tuple.__new__
+    rows = _make(Delivery, [(time, key >> 1, None, value) for time, key, value in plan.seed])
+    added = _make(Delivery, [(time, key >> 1, None, value) for _, time, key, value in injected])
+    at = [r for r, _, _, _ in injected] + [len(flat)]  # each one's spike count then; an end no spike reaches
+    i = line = 0
     for r, (t, s, v) in enumerate(zip(flat[::3], flat[1::3], flat[2::3])):
-        at = r * m + m - 1
+        while at[i] <= r:
+            rows.append(added[i])
+            i += 1
         if op[2 * s + 1] != _JOIN:
-            rows += [(t + 1, post, at, s, v) for post in wires[s]]
-            rows += [(t + d1, post, at, s, w * v) for post, w, d1, _ in edges[s]]
+            t1 = t + 1
+            rows += [new(Delivery, (t1, post >> 1, s, v)) for post in wires[s]]
+            if edges[s]:
+                rows += [new(Delivery, (t + d1, post >> 1, s, w * v)) for post, w, d1, _ in edges[s]]
         else:
             line = line + 1 if r and flat[3 * r - 3 : 3 * r - 1] == [t, s] else 0
-            rows.append((t + 1, joins[2 * s + 1][line], at, s, v))
-    rows.sort()
-    del rows[bisect_left(rows, (last, cut + 1)):]  # keep (time, key) <= (last, cut)
-    for i, (time, key, _, source, value) in enumerate(rows):  # in place: a second list would double the peak
-        rows[i] = Delivery(time, key >> 1, source, value)
+            rows.append(new(Delivery, (t + 1, joins[2 * s + 1][line] >> 1, s, v)))
+    rows += added[i:]
+    rows.sort(key=itemgetter(1))
+    rows.sort(key=itemgetter(0))
+    # Keep (time, 2·target + 1) <= (last, cut).
+    del rows[bisect_right(rows, (last, (cut - 1) // 2), key=itemgetter(0, 1)):]
     return rows
 
 

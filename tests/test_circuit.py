@@ -973,7 +973,7 @@ _BEYOND_63_BITS = st.integers(-(2**70), 2**70)
 @example([Delivery(1, 2, 0, 3), Delivery(0, 0, None, -(2**64))])  # source 0 is node 0, not "no source"
 @example([])
 def test_trace_csv_equals_a_csv_writer_rendering(trace):
-    assert _trace_csv(trace) == _reference_trace_csv(trace)
+    assert _trace_csv(trace) == _reference_trace_csv(trace).encode("utf-8")
 
 
 def _reference_raster_jsonl(circuit, raster):
