@@ -9,17 +9,23 @@ integer weight and a whole-number delay; total transit time for a spike is
 injection plan lists externally supplied values a run needs.
 
 Records are named tuples, so they are immutable and cheap to make, and each
-section holds one record type.  Circuits are frozen.  One made as
-``Circuit(...)``, by :meth:`CircuitBuilder.build` or by the loader is checked
-as it is made: the record and field types are checked as given, a column at
-a time; each section is then made a tuple sorted into canonical order; and
-one pass over the sorted records checks the structure (an invalid circuit
-raises :class:`InvalidCircuit`).  The circuit ``compile_program`` returns is
-not checked: its lowering puts the sections in canonical order itself, and
-the circuit is valid by the lowering's claim, which the test suite checks on
+section holds one record type.  One table, ``_SECTIONS``, declares the six
+sections in :class:`Circuit`'s field order, each with its record type, the
+wording of the message for any other record and its canonical order; the
+checks, the loader, the builder and the compiler's finish all read it, and a
+file record's width is its record type's field count.
+
+Circuits are frozen.  One made as ``Circuit(...)``, by
+:meth:`CircuitBuilder.build` or by the loader is checked as it is made: the
+record and field types are checked as given, a column at a time; each section
+is then made a tuple sorted into canonical order; and one pass over the
+sorted records checks the structure (an invalid circuit raises
+:class:`InvalidCircuit`).  The circuit ``compile_program`` returns is not
+checked: its lowering puts the sections in canonical order itself, and the
+circuit is valid by the lowering's claim, which the test suite checks on
 sampled programs.  So canonical JSON (stable key order, sorted records, each
-record its fields as an array) encodes the sections as they stand, and
-equal circuits give byte-equal text.
+record its fields as an array) encodes the sections as they stand, and equal
+circuits give byte-equal text.
 """
 from __future__ import annotations
 
@@ -107,26 +113,16 @@ _FIELD_TYPES = {
 }
 
 
-# Each section's record type, with the wording of the message for any other record.
-_RECORDS = {
-    "neurons": (NeuronSpec, "a NeuronSpec"),
-    "synapses": (SynapseSpec, "a SynapseSpec"),
-    "ports": (Port, "a Port"),
-    "injections": (Injection, "an Injection"),
-    "const_emits": (ConstEmit, "a ConstEmit"),
-    "joins": (Join, "a Join"),
-}
-
-
-# Each section's canonical order, as a sort key of field positions: id,
-# (pre, post), name, (time, neuron, value), id, id.
-_ORDER = {
-    "neurons": itemgetter(0),
-    "synapses": itemgetter(0, 1),
-    "ports": itemgetter(0),
-    "injections": itemgetter(2, 0, 1),
-    "const_emits": itemgetter(0),
-    "joins": itemgetter(0),
+# Each section, in Circuit's field order: its record type, the wording of the
+# message for any other record, and its canonical order as a sort key of field
+# positions.  A file record's width is its record type's field count.
+_SECTIONS = {
+    "neurons": (NeuronSpec, "a NeuronSpec", itemgetter(0)),  # id
+    "synapses": (SynapseSpec, "a SynapseSpec", itemgetter(0, 1)),  # (pre, post)
+    "ports": (Port, "a Port", itemgetter(0)),  # name
+    "injections": (Injection, "an Injection", itemgetter(2, 0, 1)),  # (time, neuron, value)
+    "const_emits": (ConstEmit, "a ConstEmit", itemgetter(0)),  # id
+    "joins": (Join, "a Join", itemgetter(0)),  # id
 }
 
 
@@ -189,7 +185,7 @@ class Circuit:
         """
         violations: list[str] = []
         given = {}  # each section read once, so an iterator is checked and sorted whole
-        for section, (record_type, wording) in _RECORDS.items():
+        for section, (record_type, wording, _) in _SECTIONS.items():
             records = given[section] = tuple(getattr(self, section))
             if {record_type}.issuperset(map(type, records)) and all(
                 _FIELD_TYPES.get(field, _INTEGER)[0](column)
@@ -207,7 +203,7 @@ class Circuit:
         if violations:
             return violations
 
-        for section, key in _ORDER.items():
+        for section, (_, _, key) in _SECTIONS.items():
             object.__setattr__(self, section, tuple(sorted(given[section], key=key)))
         neurons, synapses, ports, injections, const_emits, joins = (
             self.neurons, self.synapses, self.ports, self.injections, self.const_emits, self.joins
@@ -292,7 +288,7 @@ class Circuit:
         So infinite leak (None) is JSON null, and a join's lines are arrays.
         Sections are in the order :meth:`validate` set.
         """
-        doc = {section: list(map(list, getattr(self, section))) for section in _RECORDS}
+        doc = {section: list(map(list, getattr(self, section))) for section in _SECTIONS}
         doc["joins"] = [[j, list(ins), list(outs)] for j, ins, outs in self.joins]
         return doc
 
@@ -353,11 +349,12 @@ def parse_json_document(text: str) -> dict[str, Any]:
     return doc
 
 
-def _records(doc: dict[str, Any], key: str, width: int) -> list[Any]:
-    """A section's records, each checked to be an array of ``width`` fields."""
+def _records(doc: dict[str, Any], key: str, record: type) -> list[Any]:
+    """A section's rows, each checked to be an array of ``record``'s fields."""
     raw = doc.get(key, [])
     if type(raw) is not list:
         raise ParseError(f"section {key!r} must be an array")
+    width = len(record._fields)
     if not ({list}.issuperset(map(type, raw)) and {width}.issuperset(map(len, raw))):
         index = next(i for i, entry in enumerate(raw) if type(entry) is not list or len(entry) != width)
         raise ParseError(f"{key}[{index}] must be an array of {width} fields")
@@ -376,27 +373,20 @@ def circuit_from_document(doc: dict[str, Any]) -> Circuit:
     raises the same InvalidCircuit as the record built in Python.  A key that
     names no section raises ParseError naming each such key.
     """
-    unknown = sorted(doc.keys() - _RECORDS.keys())
+    unknown = sorted(doc.keys() - _SECTIONS.keys())
     if unknown:
         raise ParseError(f"unknown circuit section{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}")
-    return Circuit(
-        neurons=_make(NeuronSpec, _records(doc, "neurons", 3)),
-        synapses=_make(SynapseSpec, _records(doc, "synapses", 4)),
-        ports=_make(Port, _records(doc, "ports", 3)),
-        injections=_make(Injection, _records(doc, "injections", 3)),
-        const_emits=_make(ConstEmit, _records(doc, "const_emits", 2)),
-        joins=_make(
-            Join, [(j, _line_from_json(ins), _line_from_json(outs)) for j, ins, outs in _records(doc, "joins", 3)]
-        ),
-    )
+    rows = {section: _records(doc, section, record) for section, (record, _, _) in _SECTIONS.items()}
+    rows["joins"] = [(j, _line_from_json(ins), _line_from_json(outs)) for j, ins, outs in rows["joins"]]
+    return Circuit(**{section: _make(record, rows[section]) for section, (record, _, _) in _SECTIONS.items()})
 
 
 class CircuitBuilder:
     """Mutable recorder allocating one dense id space for all nodes.
 
     Its calls never raise: :meth:`build` makes the :class:`Circuit`, which checks every rule.
-    Every section is kept as plain tuples in its record's field order, and
-    becomes records in :meth:`build`.
+    Each section is kept in ``_<section>`` as plain tuples in its record's
+    field order, and becomes records in :meth:`build`.
     """
 
     def __init__(self) -> None:
@@ -445,12 +435,7 @@ class CircuitBuilder:
 
     def build(self) -> Circuit:
         return Circuit(
-            neurons=_make(NeuronSpec, self._neurons),
-            synapses=_make(SynapseSpec, self._synapses),
-            ports=_make(Port, self._ports),
-            injections=_make(Injection, self._injections),
-            const_emits=_make(ConstEmit, self._const_emits),
-            joins=_make(Join, self._joins),
+            **{section: _make(record, getattr(self, f"_{section}")) for section, (record, _, _) in _SECTIONS.items()}
         )
 
     def _compiled(self) -> Circuit:
@@ -462,13 +447,11 @@ class CircuitBuilder:
         twice, so synapses and ports sort canonically as plain tuples.
         """
         circuit = object.__new__(Circuit)
-        for section, rows in (
-            ("neurons", self._neurons),
-            ("synapses", sorted(self._synapses)),
-            ("ports", sorted(self._ports)),
-            ("injections", sorted(self._injections, key=_ORDER["injections"])),
-            ("const_emits", self._const_emits),
-            ("joins", self._joins),
-        ):
-            object.__setattr__(circuit, section, tuple(_make(_RECORDS[section][0], rows)))
+        for section, (record, _, key) in _SECTIONS.items():
+            rows = getattr(self, f"_{section}")
+            if section in ("synapses", "ports"):
+                rows = sorted(rows)
+            elif section == "injections":
+                rows = sorted(rows, key=key)
+            object.__setattr__(circuit, section, tuple(_make(record, rows)))
         return circuit

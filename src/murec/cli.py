@@ -12,7 +12,6 @@ import gc
 import itertools
 import random
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 from .compiler import (
@@ -23,7 +22,7 @@ from .compiler import (
     run_diff,
     run_program,
 )
-from .engine import SimConfig, _positions, raster_csv, raster_jsonl
+from .engine import SimConfig, raster_csv, raster_jsonl, trace_csv
 from .errors import (
     ArityError,
     ConfigError,
@@ -106,19 +105,6 @@ def _default_raster_out(circuit_path: Path, fmt: str) -> Path:
     return Path(f"{base}.raster.{'jsonl' if fmt == 'jsonl' else 'csv'}")
 
 
-def _trace_csv(trace) -> bytes:
-    """The ``--trace`` file: one bytes ``%`` per run of rows with a source, and one per injection's row."""
-    sourced = b"%d,%d,%d,%d\n"
-    rows, start = [b"time,target,source,value\n"], 0
-    for i in _positions(list(map(itemgetter(2), trace)), None):
-        time, target, _, value = trace[i]
-        rows.append(sourced * (i - start) % tuple(itertools.chain.from_iterable(trace[start:i])))
-        rows.append(b"%d,%d,,%d\n" % (time, target, value))
-        start = i + 1
-    rows.append(sourced * (len(trace) - start) % tuple(itertools.chain.from_iterable(trace[start:])))
-    return b"".join(rows)
-
-
 def cmd_run(ns: argparse.Namespace) -> int:
     _natural(ns.max_steps, "--max-steps")
     program = CompiledProgram.deserialize(_read(ns.circuit))
@@ -129,7 +115,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     render = raster_jsonl if ns.format == "jsonl" else raster_csv
     raster_path.write_bytes(render(program.circuit, run.outcome))
     if ns.trace is not None:
-        Path(ns.trace).write_bytes(_trace_csv(run.outcome.trace))
+        Path(ns.trace).write_bytes(trace_csv(run.outcome))
 
     outcome = run.outcome
     if run.status == "fault":
@@ -187,11 +173,10 @@ def _parse_ranges(text: str, n_args: int) -> list[tuple[int, ...]]:
     return [tuple(case) for case in itertools.product(*axes)]
 
 
-def _print_report(report: DiffReport) -> None:
-    seed = "none" if report.seed is None else report.seed
+def _print_report(report: DiffReport, seed: int | None) -> None:
     print(
         f"cases={report.cases} mismatches={len(report.mismatches)} "
-        f"timeouts={report.timeouts} seed={seed}"
+        f"timeouts={report.timeouts} seed={'none' if seed is None else seed}"
     )
     for m in report.mismatches:
         print(
@@ -200,12 +185,18 @@ def _print_report(report: DiffReport) -> None:
         )
 
 
-# The options of random mode, with their defaults; a program path with --args takes none of them.
-_RANDOM_ONLY = {"--depth": 3, "--seed": 0, "--arity": None, "--samples": 5, "--max-value": 50}
+# The options of random mode, with their defaults and help; a program path with --args takes none of them.
+_RANDOM_ONLY = {
+    "--depth": (3, "nesting depth of generated expressions"),
+    "--seed": (0, "seed of the generator"),
+    "--arity": (None, "fix the arity of generated expressions"),
+    "--samples": (5, "argument tuples per expression"),
+    "--max-value": (50, "largest sampled argument"),
+}
 
 
 def cmd_diff(ns: argparse.Namespace) -> int:
-    for option, default in _RANDOM_ONLY.items():
+    for option, (default, _) in _RANDOM_ONLY.items():
         name = option[2:].replace("-", "_")
         if getattr(ns, name) is None:
             setattr(ns, name, default)
@@ -236,13 +227,13 @@ def cmd_diff(ns: argparse.Namespace) -> int:
             raise ConfigError("diff needs either a program file with --args or --random N")
         expr = parse_program(_read(ns.program))
         jobs = [(expr, _parse_ranges(ns.args, check_arity(expr)))]
-    report = DiffReport(0, [], 0, seed=None if ns.random is None else ns.seed)
+    report = DiffReport(0, [], 0)
     for expr, cases in jobs:
         part = run_diff(expr, compile_program(expr, cfg), cases, fuel=ns.fuel, max_steps=ns.max_steps)
         report.cases += part.cases
         report.mismatches += part.mismatches
         report.timeouts += part.timeouts
-    _print_report(report)
+    _print_report(report, None if ns.random is None else ns.seed)
     return 5 if report.mismatches else 0
 
 
@@ -292,11 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", nargs="?", help="path to the .rec source (with --args)")
     p.add_argument("--args", help="per-argument ranges, e.g. 0..10,0..10")
     p.add_argument("--random", type=int, metavar="N", help="generate N random expressions")
-    p.add_argument("--depth", type=int, help="nesting depth of generated expressions (default 3)")
-    p.add_argument("--seed", type=int, help="seed of the generator (default 0)")
-    p.add_argument("--arity", type=int, help="fix the arity of generated expressions")
-    p.add_argument("--samples", type=int, help="argument tuples per expression (default 5)")
-    p.add_argument("--max-value", type=int, help="largest sampled argument (default 50)")
+    for option, (default, text) in _RANDOM_ONLY.items():
+        p.add_argument(option, type=int, help=text if default is None else f"{text} (default {default})")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
     p.add_argument("--big-m", type=int, default=LoweringConfig.big_m)

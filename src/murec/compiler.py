@@ -512,7 +512,6 @@ class DiffReport:
     cases: int
     mismatches: list[dict[str, Any]]
     timeouts: int
-    seed: int | None = None
 
     @property
     def ok(self) -> bool:

@@ -37,7 +37,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -580,3 +580,21 @@ def raster_jsonl(circuit: Circuit, outcome: RunOutcome) -> bytes:
     """
     head, port = b'{"time": %d, "neuron": %d, "value": %d', b', "port": %s}\n'
     return _render(circuit, outcome.flat, b"", head + port % b'""', head, lambda name: port % json.dumps(name).encode())
+
+
+def trace_csv(outcome: RunOutcome) -> bytes:
+    """The outcome's delivery trace as a UTF-8 CSV file (header ``time,target,source,value``).
+
+    One bytes ``%`` per run of rows with a source, and one per injection's
+    row, whose source cell is empty.
+    """
+    trace = outcome.trace
+    sourced = b"%d,%d,%d,%d\n"
+    rows, start = [b"time,target,source,value\n"], 0
+    for i in _positions(list(map(itemgetter(2), trace)), None):
+        time, target, _, value = trace[i]
+        rows.append(sourced * (i - start) % tuple(chain.from_iterable(trace[start:i])))
+        rows.append(b"%d,%d,,%d\n" % (time, target, value))
+        start = i + 1
+    rows.append(sourced * (len(trace) - start) % tuple(chain.from_iterable(trace[start:])))
+    return b"".join(rows)

@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import io
 import json
+import typing
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,8 +34,9 @@ from murec import (
     parse_json_document,
     raster_csv,
     raster_jsonl,
+    trace_csv,
 )
-from murec.cli import _trace_csv
+from murec.circuit import _SECTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +569,15 @@ def test_circuit_is_frozen_with_tuple_sections():
                 setattr(record, name, 0)
 
 
+def test_the_section_table_holds_circuits_fields_in_order_with_their_annotated_records():
+    # The checks, the loader, the builder and the compiler's finish all read this one table.
+    hints = typing.get_type_hints(Circuit)
+    assert list(_SECTIONS) == [f.name for f in dataclasses.fields(Circuit)]
+    for section, (record, wording, _) in _SECTIONS.items():
+        assert typing.get_args(hints[section]) == (record, ...), section
+        assert wording in (f"a {record.__name__}", f"an {record.__name__}"), section
+
+
 def test_serialize_encodes_infinite_leak_and_gadget_kinds():
     # Each record is its named tuple's fields, value for value: INFINITE is
     # null, and each gadget kind has its own section, so no record holds a kind.
@@ -973,7 +985,7 @@ _BEYOND_63_BITS = st.integers(-(2**70), 2**70)
 @example([Delivery(1, 2, 0, 3), Delivery(0, 0, None, -(2**64))])  # source 0 is node 0, not "no source"
 @example([])
 def test_trace_csv_equals_a_csv_writer_rendering(trace):
-    assert _trace_csv(trace) == _reference_trace_csv(trace).encode("utf-8")
+    assert trace_csv(SimpleNamespace(trace=trace)) == _reference_trace_csv(trace).encode("utf-8")
 
 
 def _reference_raster_jsonl(circuit, raster):
