@@ -69,6 +69,15 @@ class LoweringConfig:
     strict_primitive: bool = False
 
 
+def _big_m_fault(big_m: Any) -> str | None:
+    """Why ``big_m`` is no ℳ, an int from 2 to 2**61 - 1 (so 2ℳ is a breach, not an overflow), or None."""
+    if type(big_m) is not int:  # a bool is an int to isinstance
+        return "must be an integer"
+    if big_m < 2:
+        return "must be at least 2"
+    return "must be below 2**61" if big_m >= 2**61 else None
+
+
 @dataclass
 class _Lowering:
     b: CircuitBuilder
@@ -381,10 +390,8 @@ class CompiledProgram:
         meta = doc["meta"]
         if not isinstance(meta, dict):
             raise ParseError("meta block must be an object")
-        if type(big_m := meta.get("big_m")) is not int:  # a bool is an int to isinstance
-            raise ParseError("meta.big_m must be an integer")
-        if big_m < 2:  # as compile_program requires
-            raise ParseError(f"meta.big_m must be at least 2, got {big_m}")
+        if fault := _big_m_fault(big_m := meta.get("big_m")):  # as compile_program requires
+            raise ParseError(f"meta.big_m {fault}" + (f", got {big_m}" if type(big_m) is int else ""))
         return cls(circuit=circuit_from_document(doc["circuit"]), meta=meta)
 
     @classmethod
@@ -395,10 +402,8 @@ class CompiledProgram:
 def compile_program(expr: RecExpr, config: LoweringConfig | None = None) -> CompiledProgram:
     cfg = config or LoweringConfig()
     n_args = check_arity(expr)
-    if type(cfg.big_m) is not int:  # as CompiledProgram.from_document requires of meta.big_m
-        raise ConfigError(f"big_m must be an integer, got {cfg.big_m!r}")
-    if cfg.big_m < 2:
-        raise ConfigError(f"big_m={cfg.big_m} must be at least 2")
+    if fault := _big_m_fault(cfg.big_m):  # as CompiledProgram.from_document requires of meta.big_m
+        raise ConfigError(f"big_m={cfg.big_m} {fault}" if type(cfg.big_m) is int else f"big_m {fault}, got {cfg.big_m!r}")
 
     low = _Lowering(b=CircuitBuilder(), cfg=cfg)
     box = lower_expr(low, expr, n_args, 0)

@@ -6,10 +6,10 @@ arrive, the node whose spikes carry the result, and the latency when it is
 fixed.
 
 Two forms exist for the constant and successor fragments.  The *static* form
-(``at`` given) is the pure-neuron circuit driven by an auxiliary ``1`` placed
-in the injection plan at the known arrival time.  The *dynamic* form replaces
-the schedulable auxiliary input with a constant-emitter native node so the box
-can be fired at data-dependent times by arbitrary-valued spikes.
+(``at`` given) is pure-neuron: its constant is injected into the output neuron
+at ``at + 1``, the step the argument deliveries land.  The *dynamic* form
+replaces the injection with a constant-emitter native node so the box can be
+fired at data-dependent times by arbitrary-valued spikes.
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ class TriggerCell:
 def build_constant(b: CircuitBuilder, value: int, arity: int, at: int | None = None) -> Box:
     """Circuit for the constant function of the given arity.
 
-    Static form: one weight-0 in-neuron per argument plus an auxiliary neuron
-    injected with 1 at time ``at``; the output neuron integrates ``0·x + k``.
+    Static form: one weight-0 in-neuron per argument, and ``k`` injected into
+    the output neuron at ``at + 1``, so that it integrates ``0·x + k``.
     Dynamic form: the constant-emitter node is the box (arguments deliver to
     it directly); a second relay layer is added only when several distinct
     input nodes are required.
@@ -61,13 +61,11 @@ def build_constant(b: CircuitBuilder, value: int, arity: int, at: int | None = N
         raise ArityError("constant functions are over the naturals; k must be >= 0")
     eff = max(arity, 1)
     if at is not None:
-        aux = b.add_neuron(0, 0)
         ins = [b.add_neuron(0, 0) for _ in range(eff)]
         out = b.add_neuron(0, 0)
-        b.add_synapse(aux, out, value, 0)
         for node in ins:
             b.add_synapse(node, out, 0, 0)
-        b.add_injection(aux, 1, at)
+        b.add_injection(out, value, at + 1)
         return Box(inputs=ins, output=out, latency=1)
     emitter = b.add_const_emit(value)
     if eff == 1:
@@ -79,14 +77,12 @@ def build_constant(b: CircuitBuilder, value: int, arity: int, at: int | None = N
 
 
 def build_successor(b: CircuitBuilder, at: int | None = None) -> Box:
-    """Circuit for x + 1: two weight-1 synapses into a threshold-0 neuron."""
+    """Circuit for x + 1: x and an injected (static) or emitted (dynamic) 1 into a threshold-0 neuron."""
     if at is not None:
-        aux = b.add_neuron(0, 0)
         in_x = b.add_neuron(0, 0)
         out = b.add_neuron(0, 0)
-        b.add_synapse(aux, out, 1, 0)
         b.add_synapse(in_x, out, 1, 0)
-        b.add_injection(aux, 1, at)
+        b.add_injection(out, 1, at + 1)
         return Box(inputs=[in_x], output=out, latency=1)
     in_x = b.add_neuron(0, 0)
     plus_one = b.add_const_emit(1)

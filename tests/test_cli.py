@@ -418,6 +418,26 @@ def test_run_rejects_a_big_m_below_two(tmp_path, capsys, source, big_m):
     assert capsys.readouterr().err == f"error: meta.big_m must be at least 2, got {big_m}\n"
 
 
+def test_big_m_must_be_below_two_to_the_61(add_rec, tmp_path, capsys):
+    # 2 * big_m, the first magnitude that breaches the bound, must fit the
+    # 63-bit range.  Past it, ADD(2, 3) faulted with an overflow at time 0,
+    # and diff called every case a mismatch.
+    too_big = str(2**61)
+    assert main(["compile", str(add_rec), "--big-m", too_big]) == 2
+    assert main(["diff", str(add_rec), "--args", "0..1,0..1", "--big-m", too_big]) == 2
+    assert capsys.readouterr() == ("", f"error: big_m={too_big} must be below 2**61\n" * 2)
+    assert main(["diff", str(add_rec), "--args", "0..1,0..1", "--big-m", str(2**61 - 1)]) == 0
+    assert main(["compile", str(add_rec), "--big-m", str(2**61 - 1)]) == 0
+    artifact = tmp_path / "add.circuit.json"
+    assert main(["run", str(artifact), "--in", "i=2", "--in", "x1=3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["y=5", "status=quiescent clock=71"]
+    doc = json.loads(artifact.read_text())
+    doc["meta"]["big_m"] = 2**61
+    artifact.write_text(json.dumps(doc))
+    assert main(["run", str(artifact), "--in", "i=2", "--in", "x1=3"]) == 1
+    assert capsys.readouterr().err == f"error: meta.big_m must be below 2**61, got {too_big}\n"
+
+
 @pytest.mark.parametrize("line", ["input", "output"])
 @pytest.mark.parametrize("field, value", [("weight", 2), ("delay", 3)])
 def test_run_rejects_a_join_line_that_is_not_a_plain_wire(add_circuit, capsys, line, field, value):

@@ -55,7 +55,7 @@ from murec import (
 def test_constant_program_shape_and_run():
     program = compile_program(Const(5, 1))
     circuit = program.circuit
-    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (3, 2, 0)
+    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (2, 1, 0)
     assert program.meta["latency"] == 1
     for x in (0, 3, 20):
         run = run_program(program, [x])
@@ -67,7 +67,7 @@ def test_constant_program_shape_and_run():
 def test_successor_program_shape_and_run():
     program = compile_program(Succ())
     circuit = program.circuit
-    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (3, 2, 0)
+    assert (len(circuit.neurons), len(circuit.synapses), len(circuit.gadgets)) == (2, 1, 0)
     assert program.meta["latency"] == 1
     for x in (0, 41, 100):
         run = run_program(program, [x])
@@ -450,6 +450,19 @@ def test_big_m_must_be_at_least_two():
     with pytest.raises(ConfigError):
         compile_program(Succ(), LoweringConfig(big_m=1))
     compile_program(Succ(), LoweringConfig(big_m=2))
+    # and below 2**61, so that 2 * big_m, the first magnitude that breaches
+    # the bound, still fits the 63-bit range
+    with pytest.raises(ConfigError, match=r"^big_m=2305843009213693952 must be below 2\*\*61$"):
+        compile_program(Succ(), LoweringConfig(big_m=2**61))
+    compile_program(Succ(), LoweringConfig(big_m=2**61 - 1))
+
+
+def test_the_largest_big_m_still_faults_a_breach_as_a_breach():
+    # 2 * big_m is a 63-bit integer even at the largest big_m, so a constant
+    # of that size reads as a magnitude_breach, as at any smaller big_m.
+    top = 2**61 - 1
+    outcome = run_program(compile_program(Const(2 * top, 0), LoweringConfig(big_m=top)), []).outcome
+    assert (outcome.status, outcome.fault.kind, outcome.fault.value) == ("fault", "magnitude_breach", 2 * top)
 
 
 @pytest.mark.parametrize("big_m", [1e9, True, "1000", None])

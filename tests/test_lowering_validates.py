@@ -7,6 +7,11 @@ must validate clean, equal what ``build()`` makes from the same builder,
 field for field, serialize to the same text and survive a load unchanged.
 The order and types are compared before ``validate()`` runs, since it sorts
 the sections in place.
+
+The same samples also check that every node leads to the ``y`` port: a node
+with no path there cannot change the value and only spends spikes.  The one
+such node the lowering still builds is each ``prec``'s ``go_sink``, the end of
+its state join's release line.
 """
 from __future__ import annotations
 
@@ -113,3 +118,45 @@ def test_the_large_programs_have_the_size_they_stand_for():
     # About 1.1k nodes, like the benchmark's large compositions.
     circuit = compile_program(_large(1)).circuit
     assert len(circuit.neurons) + len(circuit.gadgets) > 1000
+
+
+def _dead_ends(circuit) -> list[int]:
+    """The nodes from which no path leads to ``y``: over synapses, of any weight, and join lines."""
+    feeds = {}
+    for s in circuit.synapses:
+        feeds.setdefault(s.post, []).append(s.pre)
+    for join in circuit.joins:
+        for out in join.outputs:
+            feeds.setdefault(out, []).append(join.id)
+    y, = (p.neuron for p in circuit.ports if p.name == "y")
+    seen, todo = {y}, [y]
+    while todo:
+        for pre in feeds.get(todo.pop(), ()):
+            if pre not in seen:
+                seen.add(pre)
+                todo.append(pre)
+    nodes = [n.id for n in circuit.neurons] + [g.id for g in circuit.gadgets]
+    return sorted(set(nodes) - seen)
+
+
+def _go_sinks(program) -> list[int]:
+    """Each ``prec``'s ``go_sink``: its state join's last output, which drives nothing."""
+    joins = {j.id: j for j in program.circuit.joins}
+    return sorted(joins[m["state_join"]].outputs[-1] for m in program.meta["instances"] if m["kind"] == "primrec")
+
+
+@pytest.mark.parametrize("name", ["pred", "diverges", *LOOPING])
+def test_every_node_of_a_program_but_go_sink_leads_to_y(name):
+    program = compile_program({"pred": PRED, "diverges": ALWAYS_POSITIVE, **LOOPING}[name])
+    assert _dead_ends(program.circuit) == _go_sinks(program)
+
+
+def test_every_node_of_a_generated_program_but_go_sink_leads_to_y():
+    rng = random.Random(7331)
+    exprs = [gen_expr(rng, rng.randint(1, 3), rng.randint(0, 4)) for _ in range(100)]
+    for _ in range(40):
+        n_args = rng.randint(2, 3)
+        exprs.append(Compose(gen_expr(rng, 2, 2), (_loop(rng, n_args), _loop(rng, n_args))))
+    for expr in exprs:
+        program = compile_program(expr)
+        assert _dead_ends(program.circuit) == _go_sinks(program), expr
